@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 solver failure.
 import argparse
 import datetime
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ from .mesh import build_interval_mesh, build_square_mesh
 from .problems import list_problems, make_problem
 from .solver import SolverError, solve_general, solve_hpd
 from .spaces import build_h1_space, build_hdiv_space
+
+log = logging.getLogger(__name__)
 
 CSV_COLUMNS = [
     "problem", "method", "d", "k", "p", "n_elems", "h", "DOF", "N_lambda",
@@ -111,7 +114,8 @@ def _fmt(x):
     return str(x)
 
 
-def _solve_one(problem, method, mesh, p):
+def solve_case(problem, method, mesh, p):
+    """Build the spaces, assemble and solve one run; returns (system, x)."""
     w_space = build_h1_space(mesh, p)
     if method == "fosls":
         v_space = (
@@ -122,10 +126,10 @@ def _solve_one(problem, method, mesh, p):
     else:
         system = assemble_classical_fem(w_space, problem)
         report = solve_general(system)
-    return system, split_solution(system, report.solution)
+    return system, report.solution
 
 
-def run_study(config, log=print):
+def run_study(config):
     """Execute a study; returns (ConvergenceTable, output paths)."""
     config.validate()
     problem = make_problem(config.problem, config.k)
@@ -138,18 +142,18 @@ def run_study(config, log=print):
             for n in config.mesh_sequence:
                 mesh = meshes[n]
                 khp = config.k * mesh.h / p
-                log(
-                    f"run {config.problem} {method} p={p} n={n}: "
-                    f"kh/p={khp:.3g}, p/log(k)={p / max(math.log(config.k), 1e-12):.3g}"
+                log.info(
+                    "run %s %s p=%d n=%d: kh/p=%.3g, p/log(k)=%.3g",
+                    config.problem, method, p, n, khp,
+                    p / max(math.log(config.k), 1e-12),
                 )
                 if khp > 1:
-                    print(
-                        f"warning: kh/p = {khp:.3g} > 1 for p={p}, n={n}; "
-                        "the mesh barely resolves the wave scale",
-                        file=sys.stderr,
+                    log.warning(
+                        "kh/p = %.3g > 1 for p=%d, n=%d; "
+                        "the mesh barely resolves the wave scale", khp, p, n,
                     )
-                system, sol = _solve_one(problem, method, mesh, p)
-                errors = compute_errors(sol, problem)
+                system, x = solve_case(problem, method, mesh, p)
+                errors = compute_errors(split_solution(system, x), problem)
                 table.add(RunRecord(
                     problem=config.problem,
                     method=method,
@@ -279,6 +283,7 @@ def main(argv=None):
     sub.add_parser("list-problems", help="list registered problems")
 
     args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     if args.command == "list-problems":
         for name in list_problems():
             print(name)

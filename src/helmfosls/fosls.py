@@ -139,21 +139,32 @@ def _check_same_mesh(v_space, w_space):
 
 
 class _Coo:
-    """COO accumulator for the global complex matrix."""
+    """COO accumulator for the global complex matrix.
+
+    Element blocks are kept as they come and copied into preallocated
+    index and value arrays once, in :meth:`tocsr`.
+    """
 
     def __init__(self, n):
         self.n = n
-        self.rows, self.cols, self.data = [], [], []
+        self.blocks = []
 
     def add(self, row_dofs, col_dofs, block):
-        self.rows.append(np.repeat(row_dofs, len(col_dofs)))
-        self.cols.append(np.tile(col_dofs, len(row_dofs)))
-        self.data.append(np.asarray(block, dtype=complex).ravel())
+        self.blocks.append((row_dofs, col_dofs, block))
 
     def tocsr(self):
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
+        nnz = sum(np.size(block) for _, _, block in self.blocks)
+        rows = np.empty(nnz, dtype=np.int32)
+        cols = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz, dtype=complex)
+        start = 0
+        for row_dofs, col_dofs, block in self.blocks:
+            shape = (len(row_dofs), len(col_dofs))
+            stop = start + shape[0] * shape[1]
+            rows[start:stop].reshape(shape)[:] = np.asarray(row_dofs)[:, None]
+            cols[start:stop].reshape(shape)[:] = col_dofs
+            data[start:stop] = np.ravel(block)
+            start = stop
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
 

@@ -21,17 +21,12 @@ import pytest
 import sympy
 
 from helmfosls.analysis import compute_errors, tail_slope
-from helmfosls.fosls import (
-    assemble_classical_fem,
-    assemble_fosls,
-    galerkin_residual,
-    split_solution,
-)
+from helmfosls.cli import solve_case
+from helmfosls.fosls import assemble_fosls, galerkin_residual, split_solution
 from helmfosls.mesh import build_interval_mesh, build_square_mesh
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
 from helmfosls.projection import h12_00_gram, project_reference
-from helmfosls.solver import solve_general, solve_hpd
 from helmfosls.spaces import (
     REF_EDGE_NORMALS,
     build_h1_space,
@@ -50,14 +45,7 @@ def report(name, ok, detail):
 
 
 def run_one(problem, method, mesh, p):
-    w = build_h1_space(mesh, p)
-    if method == "fosls":
-        v = build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
-        system = assemble_fosls(v, w, problem)
-        x = solve_hpd(system).solution
-    else:
-        system = assemble_classical_fem(w, problem)
-        x = solve_general(system).solution
+    system, x = solve_case(problem, method, mesh, p)
     sol = split_solution(system, x)
     return {
         "h": mesh.h,

@@ -13,6 +13,7 @@ from helmfosls.analysis import (
     eoc_pairs,
     tail_slope,
 )
+from helmfosls.cli import solve_case
 from helmfosls.fosls import (
     assemble_classical_fem,
     assemble_fosls,
@@ -22,7 +23,7 @@ from helmfosls.fosls import (
 )
 from helmfosls.mesh import build_interval_mesh, build_square_mesh
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
-from helmfosls.solver import solve_general, solve_hpd
+from helmfosls.solver import solve_general
 from helmfosls.spaces import (
     build_h1_space,
     build_hdiv_space,
@@ -31,18 +32,9 @@ from helmfosls.spaces import (
 )
 
 
-def solve_fosls(mesh, p, problem):
-    w = build_h1_space(mesh, p)
-    v = build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
-    system = assemble_fosls(v, w, problem)
-    return system, split_solution(system, solve_hpd(system).solution)
-
-
 def solve_method(method, mesh, p, problem):
-    if method == "fosls":
-        return solve_fosls(mesh, p, problem)[1]
-    system = assemble_classical_fem(build_h1_space(mesh, p), problem)
-    return split_solution(system, solve_general(system).solution)
+    system, x = solve_case(problem, method, mesh, p)
+    return split_solution(system, x)
 
 
 class TestDofsPerWavelength:
@@ -155,14 +147,14 @@ class TestComputeErrors:
     def test_quadrature_drift_small_on_solved_instance(self):
         prob = piecewise_1d_problem(10.0)
         mesh = build_interval_mesh(-1, 1, 15)
-        _, sol = solve_fosls(mesh, 2, prob)
+        sol = solve_method("fosls", mesh, 2, prob)
         err = compute_errors(sol, prob)
         assert err.quad_drift < 1e-3
 
     def test_all_entries_nonnegative_finite_for_fosls(self):
         prob = piecewise_1d_problem(10.0)
         mesh = build_interval_mesh(-1, 1, 15)
-        _, sol = solve_fosls(mesh, 2, prob)
+        sol = solve_method("fosls", mesh, 2, prob)
         err = compute_errors(sol, prob)
         for name in ("l2_rel", "h1_err", "bnd_l2", "e1", "e2", "flux_l2",
                      "e_bnd", "u_l2"):
@@ -176,7 +168,7 @@ class TestEnergyIdentity:
         """b(e, e) = e1^2 + e2^2 + k * (impedance trace)^2."""
         prob = piecewise_1d_problem(10.0)
         mesh = build_interval_mesh(-1, 1, n)
-        _, sol = solve_fosls(mesh, p, prob)
+        sol = solve_method("fosls", mesh, p, prob)
         err = compute_errors(sol, prob)
         diff = difference(prob.exact, sol)
         energy = evaluate_b(diff, diff, sol.w_space, prob.k,
@@ -187,7 +179,7 @@ class TestEnergyIdentity:
     def test_2d_energy_identity(self):
         prob = plane_wave_problem(5.0)
         mesh = build_square_mesh(3)
-        _, sol = solve_fosls(mesh, 2, prob)
+        sol = solve_method("fosls", mesh, 2, prob)
         err = compute_errors(sol, prob)
         diff = difference(prob.exact, sol)
         energy = evaluate_b(diff, diff, sol.w_space, prob.k).real
@@ -245,7 +237,7 @@ class TestResolvedRegimeRates:
         errs, hs = [], []
         for n in (5, 15):
             mesh = build_interval_mesh(-1, 1, n)
-            _, sol = solve_fosls(mesh, 1, prob)
+            sol = solve_method("fosls", mesh, 1, prob)
             errs.append(compute_errors(sol, prob).l2_rel)
             hs.append(mesh.h)
         eoc = eoc_pairs(hs, errs)[0]
@@ -277,7 +269,7 @@ def test_pollution_delays_asymptotic_onset_at_k10():
     hs, errs = [], []
     for n in (45, 135, 405, 1215):
         mesh = build_interval_mesh(-1, 1, n)
-        _, sol = solve_fosls(mesh, 1, prob)
+        sol = solve_method("fosls", mesh, 1, prob)
         hs.append(mesh.h)
         errs.append(compute_errors(sol, prob).l2_rel)
     pairs = eoc_pairs(hs, errs)

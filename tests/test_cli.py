@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestRunStudy:
             mesh_sequence=[5, 15, 45], output_dir=str(out),
             avoid_node_at_zero=True, **overrides,
         )
-        table, paths = run_study(cfg, log=lambda *_: None)
+        table, paths = run_study(cfg)
         return cfg, table, paths
 
     def test_csv_rows_and_columns(self, tmp_path):
@@ -128,7 +129,7 @@ class TestRunStudy:
         cfg = StudyConfig(problem="piecewise-1d", method="both", k=10.0,
                           degrees=[1], mesh_sequence=[5, 15],
                           output_dir=str(out), avoid_node_at_zero=True)
-        table, paths = run_study(cfg, log=lambda *_: None)
+        table, paths = run_study(cfg)
         lines = paths[0].read_text().strip().split("\n")
         assert len(lines) - 2 == 4
         methods = {line.split(",")[1] for line in lines[2:]}
@@ -151,7 +152,7 @@ class TestRunStudy:
         cfg = StudyConfig(problem="piecewise-1d", method="fem", k=10.0,
                           degrees=[1], mesh_sequence=[5, 15],
                           output_dir=str(out), avoid_node_at_zero=True)
-        _, paths = run_study(cfg, log=lambda *_: None)
+        _, paths = run_study(cfg)
         row = paths[0].read_text().strip().split("\n")[2].split(",")
         e1 = row[CSV_COLUMNS.index("e1")]
         assert e1 == "nan"
@@ -171,7 +172,7 @@ class TestRunStudy:
         cfg = StudyConfig(problem="plane-wave-2d", method="fem", k=2.0,
                           degrees=[1, 2], mesh_sequence=[2, 4, 8],
                           output_dir=str(out))
-        table, _ = run_study(cfg, log=lambda *_: None)
+        table, _ = run_study(cfg)
         assert len(table.rows) == 6
         rates = empirical_order(table)
         for p in (1, 2):
@@ -179,22 +180,23 @@ class TestRunStudy:
 
 
 class TestWarnings:
-    def test_scale_resolution_warning_fires(self, tmp_path, capsys):
+    def test_scale_resolution_warning_fires(self, tmp_path, caplog):
         out = tmp_path / "out"
         cfg = StudyConfig(problem="piecewise-1d", method="fosls", k=10.0,
                           degrees=[1], mesh_sequence=[3, 5],
                           output_dir=str(out), avoid_node_at_zero=True)
-        run_study(cfg, log=lambda *_: None)
-        captured = capsys.readouterr()
-        assert "kh/p" in captured.err  # kh/p = 10 * (2/3) = 6.7 > 1
+        caplog.set_level(logging.WARNING, logger="helmfosls.cli")
+        run_study(cfg)
+        assert "kh/p" in caplog.text  # kh/p = 10 * (2/3) = 6.7 > 1
 
-    def test_no_warning_when_resolved(self, tmp_path, capsys):
+    def test_no_warning_when_resolved(self, tmp_path, caplog):
         out = tmp_path / "out"
         cfg = StudyConfig(problem="piecewise-1d", method="fosls", k=1.0,
                           degrees=[2], mesh_sequence=[5, 15],
                           output_dir=str(out), avoid_node_at_zero=True)
-        run_study(cfg, log=lambda *_: None)
-        assert "kh/p" not in capsys.readouterr().err
+        caplog.set_level(logging.WARNING, logger="helmfosls.cli")
+        run_study(cfg)
+        assert "kh/p" not in caplog.text
 
 
 class TestMainEntryPoint:
@@ -225,7 +227,7 @@ class TestMainEntryPoint:
         def boom(problem, method, mesh, p):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_solve_one", boom)
+        monkeypatch.setattr(cli, "solve_case", boom)
         assert cli.main(["run", str(cfg_path)]) == 3
         assert "solver failure" in capsys.readouterr().err
 

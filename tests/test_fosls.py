@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from conftest import polynomial_problem, zero_problem
 from helmfosls.fosls import (
+    _Coo,
     assemble_classical_fem,
     assemble_fosls,
     difference,
@@ -273,3 +275,26 @@ class TestEvaluateB:
         energy = evaluate_b(err, err, w, prob.k, breakpoints=prob.breakpoints)
         assert energy.real > 0
         assert abs(energy.imag) <= 1e-10 * energy.real
+
+
+def test_coo_scatter_matches_per_block_coo_arrays(rng):
+    """Duplicates are summed exactly as from concatenated per-block arrays."""
+    n, acc = 7, _Coo(7)
+    rows, cols, data = [], [], []
+    for i in range(30):
+        r, c = rng.integers(0, n, 3), rng.integers(0, n, 2)
+        block = rng.standard_normal((3, 2))
+        if i % 2:
+            block = block + 1j * rng.standard_normal((3, 2))
+        acc.add(r, c, block)
+        rows.append(np.repeat(r, len(c)))
+        cols.append(np.tile(c, len(r)))
+        data.append(np.asarray(block, dtype=complex).ravel())
+    want = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    got = acc.tocsr()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
