@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fosls import _facet_quadrature, element_panels
+from .fosls import (
+    boundary_groups,
+    difference,
+    element_groups,
+    impedance_trace,
+    ls_residuals,
+    pair_fields,
+)
 from .polyquad import simplex_quadrature
-from .spaces import scalar_eval, scalar_grad_eval, vector_div_eval, vector_eval
 
 
 @dataclass(frozen=True)
@@ -76,70 +82,47 @@ class ConvergenceTable:
         return out
 
 
+def _sq(wts, field):
+    """Quadrature of |field|^2 over (element, point) axes and components."""
+    sq = (np.abs(field) ** 2).reshape(wts.shape + (-1,)).sum(axis=-1)
+    return float(np.sum(wts * sq))
+
+
 def _accumulate(sol, problem, exactness):
-    w_space = sol.w_space
-    mesh = w_space.mesh
-    k = problem.k
+    mesh = sol.w_space.mesh
     exact = problem.exact
-    has_flux = sol.phi_coeffs is not None
     rule = simplex_quadrature(mesh.dim, exactness)
 
     acc = dict.fromkeys(
-        ("u2", "eu2", "geu2", "e12", "e22", "ephi2"), 0.0
+        ("u2", "eu2", "geu2", "e12", "e22", "ephi2", "bnd_eu2", "imp2"), 0.0
     )
-    for e in range(len(mesh.elements)):
-        pts, wts = element_panels(mesh, e, rule, problem.breakpoints)
-        phys = pts @ mesh.maps_A[e].T + mesh.maps_b[e]
-        wdet = wts * mesh.det_A[e]
+    for elems, ref, phys, wdet in element_groups(mesh, rule, problem.breakpoints):
+        ex = pair_fields(exact, elems, ref, phys)
+        err = [a - b for a, b in zip(ex, pair_fields(sol, elems, ref, phys))]
+        e1, e2 = ls_residuals(err, problem.k)
+        acc["u2"] += _sq(wdet, ex[2])
+        acc["eu2"] += _sq(wdet, err[2])
+        acc["geu2"] += _sq(wdet, err[3])
+        acc["e12"] += _sq(wdet, e1)
+        acc["e22"] += _sq(wdet, e2)
+        acc["ephi2"] += _sq(wdet, err[0])
 
-        u_ex = np.asarray(exact.u(phys), dtype=complex)
-        gu_ex = np.asarray(exact.grad_u(phys), dtype=complex)
-        u_h = scalar_eval(w_space, sol.u_coeffs, e, pts)
-        gu_h = scalar_grad_eval(w_space, sol.u_coeffs, e, pts)
-        eu = u_ex - u_h
-        geu = gu_ex - gu_h
+    err = difference(exact, sol)
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, sol.w_space.p + 6):
+        fields = pair_fields(err, elems, ref, phys)
+        acc["bnd_eu2"] += _sq(wj, fields[2])
+        acc["imp2"] += _sq(wj, impedance_trace(fields, normals))
 
-        acc["u2"] += np.sum(wdet * np.abs(u_ex) ** 2)
-        acc["eu2"] += np.sum(wdet * np.abs(eu) ** 2)
-        acc["geu2"] += np.sum(wdet * np.einsum("qd->q", np.abs(geu) ** 2))
-
-        if has_flux:
-            phi_ex = np.asarray(exact.phi(phys), dtype=complex)
-            dphi_ex = np.asarray(exact.div_phi(phys), dtype=complex)
-            phi_h = vector_eval(sol.v_space, sol.phi_coeffs, e, pts)
-            dphi_h = vector_div_eval(sol.v_space, sol.phi_coeffs, e, pts)
-            ephi = phi_ex - phi_h
-            e1 = 1j * k * ephi + geu
-            e2 = 1j * k * eu + (dphi_ex - dphi_h)
-            acc["e12"] += np.sum(wdet * np.einsum("qd->q", np.abs(e1) ** 2))
-            acc["e22"] += np.sum(wdet * np.abs(e2) ** 2)
-            acc["ephi2"] += np.sum(wdet * np.einsum("qd->q", np.abs(ephi) ** 2))
-
-    bnd = {"eu2": 0.0, "imp2": 0.0}
-    n_bnd = w_space.p + 6
-    for fid in mesh.boundary_facets:
-        e = mesh.facets[fid].elems[0]
-        ref, phys, w, jac, normal = _facet_quadrature(mesh, fid, e, n_bnd)
-        wj = w * jac
-        u_ex = np.asarray(exact.u(phys), dtype=complex)
-        u_h = scalar_eval(w_space, sol.u_coeffs, e, ref)
-        eu = u_ex - u_h
-        bnd["eu2"] += np.sum(wj * np.abs(eu) ** 2)
-        if has_flux:
-            phi_ex = np.asarray(exact.phi(phys), dtype=complex)
-            phi_h = vector_eval(sol.v_space, sol.phi_coeffs, e, ref)
-            imp = (phi_ex - phi_h) @ normal + eu
-            bnd["imp2"] += np.sum(wj * np.abs(imp) ** 2)
-
+    has_flux = sol.phi_coeffs is not None
     nan = float("nan")
     return {
         "l2_rel": math.sqrt(acc["eu2"] / acc["u2"]) if acc["u2"] > 0 else nan,
         "h1_err": math.sqrt(acc["geu2"]),
-        "bnd_l2": math.sqrt(bnd["eu2"]),
+        "bnd_l2": math.sqrt(acc["bnd_eu2"]),
         "e1": math.sqrt(acc["e12"]) if has_flux else nan,
         "e2": math.sqrt(acc["e22"]) if has_flux else nan,
         "flux_l2": math.sqrt(acc["ephi2"]) if has_flux else nan,
-        "e_bnd": math.sqrt(bnd["imp2"]) if has_flux else nan,
+        "e_bnd": math.sqrt(acc["imp2"]) if has_flux else nan,
         "u_l2": math.sqrt(acc["u2"]),
     }
 

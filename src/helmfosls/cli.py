@@ -118,9 +118,8 @@ def solve_case(problem, method, mesh, p):
     """Build the spaces, assemble and solve one run; returns (system, x)."""
     w_space = build_h1_space(mesh, p)
     if method == "fosls":
-        v_space = (
-            build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
-        )
+        # in 1D the (immutable) scalar space doubles as the flux space
+        v_space = w_space if mesh.dim == 1 else build_hdiv_space(mesh, p)
         system = assemble_fosls(v_space, w_space, problem)
         report = solve_hpd(system)
     else:

@@ -15,18 +15,23 @@ assembled FOSLS matrix is Hermitian positive definite.  The classical
 baseline assembles (grad u, grad v) - k^2 (u, v) - ik (u, v)_boundary,
 which is complex symmetric but indefinite.
 
-Degrees of freedom are blocked [flux | potential].  Element loops may be
-parallelized as long as global accumulation is equivalent to a
-sequential ordering; the implementation here is sequential and
-deterministic.
+Degrees of freedom are blocked [flux | potential].  All elements are
+affine images of one reference simplex, so assembly and the quadrature
+of b work on chunks of elements at once: reference tables are mapped to
+(elements, points, basis) arrays, element blocks come from batched Gram
+products and are scattered through one COO index pattern.  A chunk holds
+at most CHUNK_POINTS quadrature points, which bounds the memory of the
+kernels whatever the mesh size.  Chunks are processed in a fixed order,
+so results are deterministic and reruns are bit-identical.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import element_map_apply
 from .polyquad import gauss01, simplex_quadrature
 from .spaces import (
     KIND_HDIV,
@@ -79,58 +84,65 @@ def split_solution(system, x):
     return DiscreteSolution(None, x, None, system.w_space)
 
 
-# -- quadrature helpers ------------------------------------------------
+# -- element and boundary groups ----------------------------------------
+
+# quadrature points per element chunk: bounds the memory of the batched
+# kernels, whose tables grow with the number of points they hold
+CHUNK_POINTS = 4096
 
 
-def element_panels(mesh, elem, rule, breakpoints):
-    """Reference quadrature for one element, split at interior breaks.
+def element_groups(mesh, rule, breakpoints=()):
+    """Element chunks that share one reference quadrature.
 
-    Only 1D data can carry breakpoints; 2D elements always use the plain
-    rule.  Returns (points, weights).
+    Yields (elems, reference points, physical points (E, q, d), weights
+    times det A (E, q)).  A chunk holds at most CHUNK_POINTS points (but
+    at least one element).  A 1D element cut by an interior breakpoint
+    forms its own group, whose rule is split into panels at the cuts so
+    that discontinuous data stay exactly integrated.
     """
-    if mesh.dim != 1 or not breakpoints:
-        return rule.points, rule.weights
-    x0 = mesh.maps_b[elem, 0]
-    lc = mesh.maps_A[elem, 0, 0]
-    cuts = sorted(
-        (b - x0) / lc for b in breakpoints if 0.0 < (b - x0) / lc < 1.0
-    )
-    if not cuts:
-        return rule.points, rule.weights
-    edges = np.array([0.0, *cuts, 1.0])
-    t = rule.points[:, 0]
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts.append(lo + (hi - lo) * t)
-        wts.append((hi - lo) * rule.weights)
-    return np.concatenate(pts)[:, None], np.concatenate(wts)
-
-
-def _facet_quadrature(mesh, facet_id, elem, n_points):
-    """Quadrature data on a facet seen from ``elem``.
-
-    Returns (ref_points in the element, physical points, weights, jac,
-    outward normal of the element).  In 1D the facet is a point with a
-    single unit weight.
-    """
-    facet = mesh.facets[facet_id]
-    li, sigma = mesh.facet_element_side(facet_id, elem)
+    cuts = {}
     if mesh.dim == 1:
-        ref = np.array([[float(li)]])  # local vertex 0 -> t=0, 1 -> t=1
-        phys = ref @ mesh.maps_A[elem].T + mesh.maps_b[elem]
-        return ref, phys, np.array([1.0]), 1.0, sigma * facet.normal
-    t, w = gauss01(n_points)
-    ref = edge_reference_points(li, t)
-    phys = ref @ mesh.maps_A[elem].T + mesh.maps_b[elem]
-    return ref, phys, w, facet.measure, sigma * facet.normal
+        x0, lc = mesh.maps_b[:, 0], mesh.maps_A[:, 0, 0]
+        for b in breakpoints:
+            t = (b - x0) / lc
+            for e in np.flatnonzero((0.0 < t) & (t < 1.0)):
+                cuts.setdefault(e, []).append(t[e])
+    plain = np.setdiff1d(np.arange(len(mesh.elements)), list(cuts))
+    step = max(1, CHUNK_POINTS // len(rule.weights))
+    groups = [(plain[i:i + step], rule.points, rule.weights)
+              for i in range(0, len(plain), step)]
+    for e, ts in sorted(cuts.items()):
+        edges = np.array([0.0, *sorted(ts), 1.0])
+        lo, hi = edges[:-1, None], edges[1:, None]
+        pts = lo + (hi - lo) * rule.points[:, 0]
+        groups.append((np.array([e]), pts.reshape(-1, 1),
+                       ((hi - lo) * rule.weights).ravel()))
+    for elems, pts, wts in groups:
+        yield (elems, pts, element_map_apply(mesh, elems, pts),
+               wts * mesh.det_A[elems][:, None])
 
 
-def _flux_tables(space, ref_points):
-    """Reference values/divergences of the flux basis (1D: scalar basis)."""
-    if space.kind == KIND_HDIV:
-        return space.bdm.eval(ref_points), space.bdm.div(ref_points)
-    vals, grads = space.basis.eval_with_grad(ref_points)
-    return vals[:, :, None], grads[:, :, 0]
+def boundary_groups(mesh, n_points):
+    """Boundary facets grouped by their local index in the adjacent element.
+
+    Yields (elems, reference points on that local facet, physical points
+    (F, q, d), weights times facet measure (F, q), outward normals
+    (F, d)).  In 1D a facet is a point with a single unit weight.
+    """
+    fids = np.array(mesh.boundary_facets)
+    facets = [mesh.facets[f] for f in fids]
+    elems = np.array([f.elems[0] for f in facets])
+    local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
+    normals = np.array([f.normal for f in facets])
+    measures = np.array([f.measure for f in facets])
+    t, w = gauss01(n_points) if mesh.dim == 2 else (None, np.ones(1))
+    for li in range(mesh.elem_facets.shape[1]):
+        sel = local == li
+        if not sel.any():
+            continue
+        ref = np.array([[float(li)]]) if mesh.dim == 1 else edge_reference_points(li, t)
+        yield (elems[sel], ref, element_map_apply(mesh, elems[sel], ref),
+               measures[sel, None] * w, normals[sel])
 
 
 def _check_same_mesh(v_space, w_space):
@@ -138,38 +150,85 @@ def _check_same_mesh(v_space, w_space):
         raise ValueError("flux and potential spaces live on different meshes")
 
 
-class _Coo:
-    """COO accumulator for the global complex matrix.
+# -- batched assembly ----------------------------------------------------
 
-    Element blocks are kept as they come and copied into preallocated
-    index and value arrays once, in :meth:`tocsr`.
+
+def _basis_tables(space, elems, ref):
+    """Physical values and first derivatives of the element basis, without
+    orientation signs (:func:`_scatter` applies them).
+
+    H1: (u, grad u) of shapes (E, q, 1, n) and (E, q, d, n); H(div), by
+    the Piola map: (phi, div phi) of shapes (E, q, d, n) and (E, q, 1, n).
+    In 1D the H1 pair doubles as the flux pair (phi, div phi).
     """
+    mesh = space.mesh
+    if space.kind == KIND_HDIV:
+        det = mesh.det_A[elems][:, None, None]
+        vals = np.einsum("eab,qib->eqai", mesh.maps_A[elems] / det,
+                         space.bdm.eval(ref), optimize=True)
+        return vals, space.bdm.div(ref)[None, :, None] / det[..., None]
+    vals, grads = space.basis.eval_with_grad(ref)
+    grads = np.einsum("qib,eba->eqai", grads, mesh.inv_A[elems], optimize=True)
+    return np.broadcast_to(vals[:, None], (len(elems),) + vals[:, None].shape), grads
 
-    def __init__(self, n):
-        self.n = n
-        self.blocks = []
 
-    def add(self, row_dofs, col_dofs, block):
-        self.blocks.append((row_dofs, col_dofs, block))
+def _gram(wts, X, Y):
+    """Element blocks sum_q wts X^T Y of real (E, q, c, n) tables."""
+    Xw = (X * wts[:, :, None, None]).reshape(len(wts), -1, X.shape[-1])
+    return np.swapaxes(Xw, 1, 2) @ Y.reshape(len(wts), -1, Y.shape[-1])
 
-    def tocsr(self):
-        nnz = sum(np.size(block) for _, _, block in self.blocks)
-        rows = np.empty(nnz, dtype=np.int32)
-        cols = np.empty(nnz, dtype=np.int32)
-        data = np.empty(nnz, dtype=complex)
-        start = 0
-        for row_dofs, col_dofs, block in self.blocks:
-            shape = (len(row_dofs), len(col_dofs))
-            stop = start + shape[0] * shape[1]
-            rows[start:stop].reshape(shape)[:] = np.asarray(row_dofs)[:, None]
-            cols[start:stop].reshape(shape)[:] = col_dofs
-            data[start:stop] = np.ravel(block)
-            start = stop
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+
+def _load(wts, values, X):
+    """Element load vectors sum_q wts values X of real (E, q, n) tables."""
+    return np.einsum("eq,eqn->en", wts * values, X, optimize=True)
+
+
+def _data(fn, phys, normals=None):
+    """Problem datum at physical points (E, q, d); values (E, q)."""
+    pts = phys.reshape(-1, phys.shape[-1])
+    if normals is None:
+        return np.asarray(fn(pts), dtype=complex).reshape(phys.shape[:2])
+    nrm = np.broadcast_to(normals[:, None], phys.shape).reshape(pts.shape)
+    return np.asarray(fn(pts, nrm), dtype=complex).reshape(phys.shape[:2])
+
+
+def _scatter(dofs, signs, blocks, loads, n):
+    """Global CSR matrix and vector from element blocks and load vectors.
+
+    Local index i of element e is global dof ``dofs[e, i]`` with
+    orientation sign ``signs[e, i]``; ``blocks`` and ``loads`` are signed
+    in place, and entries on shared dofs are summed.  The COO index
+    arrays are int32.
+    """
+    blocks *= signs[:, :, None] * signs[:, None, :]
+    loads *= signs
+    dofs = dofs.astype(np.int32)
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
+    matrix = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    rhs = np.zeros(n, dtype=complex)
+    np.add.at(rhs, dofs.ravel(), loads.ravel())
+    return matrix, rhs
+
+
+def _ls_tables(v_space, w_space, elems, ref, k):
+    """Real tables R1 = [k phi | grad u] (E, q, d, m) and
+    R2 = [div phi | k u] (E, q, 1, m) of the [V | W] element basis."""
+    phi, dphi = _basis_tables(v_space, elems, ref)
+    u, gu = _basis_tables(w_space, elems, ref)
+    return (np.concatenate([k * phi, gu], axis=3),
+            np.concatenate([dphi, k * u], axis=3))
 
 
 def assemble_fosls(v_space, w_space, problem):
-    """Assemble the FOSLS system on V_h x W_h for the given problem."""
+    """Assemble the FOSLS system on V_h x W_h for the given problem.
+
+    The least-squares fields of the [V | W] basis are real tables times
+    one unit phase per basis function: ik phi + grad u = R1 D1 with
+    D1 = diag(i on V, 1 on W), and ik u + div phi = R2 D2 with
+    D2 = diag(1 on V, i on W).  So the element block
+    sum_j conj(Dj) (Rj^T W Rj) Dj needs only real Gram matrices.
+    """
     _check_same_mesh(v_space, w_space)
     if problem.k <= 0:
         raise ValueError("wavenumber k must be positive")
@@ -179,89 +238,37 @@ def assemble_fosls(v_space, w_space, problem):
     rule = simplex_quadrature(mesh.dim, 2 * p + 2)
     rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
 
-    N, G = w_space.basis.eval_with_grad(rule.points)
-    B, dB = _flux_tables(v_space, rule.points)
-    Nr = w_space.basis.eval(rhs_rule.points)
-    _, dBr_tab = _flux_tables(v_space, rhs_rule.points)
-
     nv = v_space.n_dofs
-    n_total = nv + w_space.n_dofs
-    acc = _Coo(n_total)
-    rhs = np.zeros(n_total, dtype=complex)
+    dofs = np.hstack([v_space.elem_dofs, w_space.elem_dofs + nv])
+    signs = np.hstack([v_space.elem_signs, w_space.elem_signs])
+    m, mv = dofs.shape[1], v_space.local_dim()
+    d1 = np.where(np.arange(m) < mv, 1j, 1.0)
+    d2 = np.where(np.arange(m) < mv, 1.0, 1j)
+    blocks = np.empty((len(dofs), m, m), dtype=complex)
+    loads = np.empty((len(dofs), m), dtype=complex)
 
-    for e in range(len(mesh.elements)):
-        A, det, inv = mesh.maps_A[e], mesh.det_A[e], mesh.inv_A[e]
-        sv = v_space.elem_signs[e]
-        sw = w_space.elem_signs[e]
-        dv = v_space.elem_dofs[e]
-        dw = w_space.elem_dofs[e] + nv
-
-        Ne = N * sw
-        Ge = np.einsum("qib,ba->qia", G, inv) * sw[None, :, None]
-        Be = np.einsum("qib,ab->qia", B, A) / det * sv[None, :, None]
-        dBe = dB / det * sv
-
-        wq = rule.weights * det
-        mass_v = np.einsum("q,qia,qja->ij", wq, Be, Be)
-        div_div = np.einsum("q,qi,qj->ij", wq, dBe, dBe)
-        vv = k**2 * mass_v + div_div
-
-        bg = np.einsum("q,qia,qja->ij", wq, Be, Ge)  # (i test V, j trial W)
-        dn = np.einsum("q,qi,qj->ij", wq, dBe, Ne)
-        vw = -1j * k * bg + 1j * k * dn
-        wv = vw.conj().T
-
-        stiff = np.einsum("q,qia,qja->ij", wq, Ge, Ge)
-        mass_w = np.einsum("q,qi,qj->ij", wq, Ne, Ne)
-        ww = stiff + k**2 * mass_w
-
-        acc.add(dv, dv, vv)
-        acc.add(dv, dw, vw)
-        acc.add(dw, dv, wv)
-        acc.add(dw, dw, ww)
-
-        # volume right-hand side (panel-split so discontinuous f stays exact)
-        pts, wts = element_panels(mesh, e, rhs_rule, problem.breakpoints)
-        if problem.breakpoints and mesh.dim == 1:
-            Np = w_space.basis.eval(pts) * sw
-            _, dBp = _flux_tables(v_space, pts)
-            dBp = dBp / det * sv
-        else:
-            Np = Nr * sw
-            dBp = dBr_tab / det * sv
-        phys = pts @ A.T + mesh.maps_b[e]
-        fv = np.asarray(problem.f(phys), dtype=complex)
-        wdet = wts * det
-        np.add.at(rhs, dv, (-1j / k) * np.einsum("q,q,qi->i", wdet, fv, dBp))
-        np.add.at(rhs, dw, -np.einsum("q,q,qi->i", wdet, fv, Np))
+    for elems, ref, _, wdet in element_groups(mesh, rule):
+        r1, r2 = _ls_tables(v_space, w_space, elems, ref, k)
+        blocks[elems] = (_gram(wdet, r1, r1) * np.outer(d1.conj(), d1)
+                         + _gram(wdet, r2, r2) * np.outer(d2.conj(), d2))
+    # (-i f / k, ik v + div psi), panel-split so discontinuous f stays exact
+    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+        _, dphi = _basis_tables(v_space, elems, ref)
+        u, _ = _basis_tables(w_space, elems, ref)
+        r2 = np.concatenate([dphi, k * u], axis=3)[:, :, 0]
+        loads[elems] = _load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
 
     # boundary terms k(phi.n + u, psi.n + v) and (i g, psi.n + v)
-    nb = p + 5
-    for fid in mesh.boundary_facets:
-        e = mesh.facets[fid].elems[0]
-        ref, phys, w, jac, normal = _facet_quadrature(mesh, fid, e, nb)
-        sv = v_space.elem_signs[e]
-        sw = w_space.elem_signs[e]
-        dv = v_space.elem_dofs[e]
-        dw = w_space.elem_dofs[e] + nv
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
+        phi, _ = _basis_tables(v_space, elems, ref)
+        u, _ = _basis_tables(w_space, elems, ref)
+        phin = np.einsum("eqan,ea->eqn", phi, normals)
+        trace = np.concatenate([phin, u[:, :, 0]], axis=2)
+        blocks[elems] += k * _gram(wj, trace[:, :, None], trace[:, :, None])
+        loads[elems] += _load(wj, 1j * _data(problem.g, phys, normals), trace)
 
-        Nf = w_space.basis.eval(ref) * sw
-        Bf, _ = _flux_tables(v_space, ref)
-        Bf = np.einsum("qib,ab->qia", Bf, mesh.maps_A[e]) / mesh.det_A[e]
-        phin = (Bf @ normal) * sv
-
-        wj = w * jac
-        acc.add(dv, dv, k * np.einsum("q,qi,qj->ij", wj, phin, phin))
-        acc.add(dv, dw, k * np.einsum("q,qi,qj->ij", wj, phin, Nf))
-        acc.add(dw, dv, k * np.einsum("q,qi,qj->ij", wj, Nf, phin))
-        acc.add(dw, dw, k * np.einsum("q,qi,qj->ij", wj, Nf, Nf))
-
-        gv = np.asarray(problem.g(phys, np.broadcast_to(normal, phys.shape)),
-                        dtype=complex)
-        np.add.at(rhs, dv, 1j * np.einsum("q,q,qi->i", wj, gv, phin))
-        np.add.at(rhs, dw, 1j * np.einsum("q,q,qi->i", wj, gv, Nf))
-
-    return AssembledSystem(acc.tocsr(), rhs, FOSLS, k, v_space, w_space)
+    matrix, rhs = _scatter(dofs, signs, blocks, loads, nv + w_space.n_dofs)
+    return AssembledSystem(matrix, rhs, FOSLS, k, v_space, w_space)
 
 
 def assemble_classical_fem(w_space, problem):
@@ -273,153 +280,102 @@ def assemble_classical_fem(w_space, problem):
     p = w_space.p
     rule = simplex_quadrature(mesh.dim, 2 * p + 2)
     rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
-    N, G = w_space.basis.eval_with_grad(rule.points)
-    Nr = w_space.basis.eval(rhs_rule.points)
 
-    n = w_space.n_dofs
-    acc = _Coo(n)
-    rhs = np.zeros(n, dtype=complex)
+    dofs = w_space.elem_dofs
+    m = dofs.shape[1]
+    blocks = np.empty((len(dofs), m, m), dtype=complex)
+    loads = np.empty((len(dofs), m), dtype=complex)
 
-    for e in range(len(mesh.elements)):
-        A, det, inv = mesh.maps_A[e], mesh.det_A[e], mesh.inv_A[e]
-        sw = w_space.elem_signs[e]
-        dw = w_space.elem_dofs[e]
-        Ne = N * sw
-        Ge = np.einsum("qib,ba->qia", G, inv) * sw[None, :, None]
-        wq = rule.weights * det
-        stiff = np.einsum("q,qia,qja->ij", wq, Ge, Ge)
-        mass = np.einsum("q,qi,qj->ij", wq, Ne, Ne)
-        acc.add(dw, dw, stiff - k**2 * mass)
+    for elems, ref, _, wdet in element_groups(mesh, rule):
+        u, gu = _basis_tables(w_space, elems, ref)
+        blocks[elems] = _gram(wdet, gu, gu) - k**2 * _gram(wdet, u, u)
+    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+        u, _ = _basis_tables(w_space, elems, ref)
+        loads[elems] = _load(wdet, _data(problem.f, phys), u[:, :, 0])
 
-        pts, wts = element_panels(mesh, e, rhs_rule, problem.breakpoints)
-        Np = (w_space.basis.eval(pts) if problem.breakpoints and mesh.dim == 1
-              else Nr) * sw
-        phys = pts @ A.T + mesh.maps_b[e]
-        fv = np.asarray(problem.f(phys), dtype=complex)
-        np.add.at(rhs, dw, np.einsum("q,q,qi->i", wts * det, fv, Np))
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
+        u, _ = _basis_tables(w_space, elems, ref)
+        blocks[elems] += -1j * k * _gram(wj, u, u)
+        loads[elems] += _load(wj, _data(problem.g, phys, normals), u[:, :, 0])
 
-    nb = p + 5
-    for fid in mesh.boundary_facets:
-        e = mesh.facets[fid].elems[0]
-        ref, phys, w, jac, normal = _facet_quadrature(mesh, fid, e, nb)
-        sw = w_space.elem_signs[e]
-        dw = w_space.elem_dofs[e]
-        Nf = w_space.basis.eval(ref) * sw
-        wj = w * jac
-        acc.add(dw, dw, -1j * k * np.einsum("q,qi,qj->ij", wj, Nf, Nf))
-        gv = np.asarray(problem.g(phys, np.broadcast_to(normal, phys.shape)),
-                        dtype=complex)
-        np.add.at(rhs, dw, np.einsum("q,q,qi->i", wj, gv, Nf))
-
-    return AssembledSystem(acc.tocsr(), rhs, CLASSICAL_FEM, k, None, w_space)
+    matrix, rhs = _scatter(dofs, w_space.elem_signs, blocks, loads, w_space.n_dofs)
+    return AssembledSystem(matrix, rhs, CLASSICAL_FEM, k, None, w_space)
 
 
-# -- pointwise samplers for evaluating b on arbitrary pairs -------------
+# -- fields of pairs at quadrature points ----------------------------------
 
 
-class _DiscreteSampler:
-    def __init__(self, sol):
-        self.sol = sol
-
-    def volume(self, elem, ref, phys):
-        sol = self.sol
-        mesh = sol.w_space.mesh
-        u = scalar_eval(sol.w_space, sol.u_coeffs, elem, ref)
-        gu = scalar_grad_eval(sol.w_space, sol.u_coeffs, elem, ref)
-        if sol.phi_coeffs is not None:
-            phi = vector_eval(sol.v_space, sol.phi_coeffs, elem, ref)
-            dphi = vector_div_eval(sol.v_space, sol.phi_coeffs, elem, ref)
-        else:
-            phi = np.zeros((len(ref), mesh.dim), dtype=complex)
-            dphi = np.zeros(len(ref), dtype=complex)
-        return phi, dphi, u, gu
-
-    def boundary(self, elem, ref, phys, normal):
-        phi, _, u, _ = self.volume(elem, ref, phys)
-        return phi @ normal, u
-
-
-class _ExactSampler:
-    def __init__(self, bundle):
-        self.b = bundle
-
-    def volume(self, elem, ref, phys):
-        b = self.b
-        u = np.asarray(b.u(phys), dtype=complex)
-        gu = np.asarray(b.grad_u(phys), dtype=complex)
-        if gu.ndim == 1:
-            gu = gu[:, None]
-        phi = np.asarray(b.phi(phys), dtype=complex)
-        if phi.ndim == 1:
-            phi = phi[:, None]
-        dphi = np.asarray(b.div_phi(phys), dtype=complex)
-        return phi, dphi, u, gu
-
-    def boundary(self, elem, ref, phys, normal):
-        phi, _, u, _ = self.volume(elem, ref, phys)
-        return phi @ normal, u
-
-
-class _DiffSampler:
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def volume(self, elem, ref, phys):
-        va = self.a.volume(elem, ref, phys)
-        vb = self.b.volume(elem, ref, phys)
-        return tuple(x - y for x, y in zip(va, vb))
-
-    def boundary(self, elem, ref, phys, normal):
-        ba = self.a.boundary(elem, ref, phys, normal)
-        bb = self.b.boundary(elem, ref, phys, normal)
-        return tuple(x - y for x, y in zip(ba, bb))
-
-
-def as_sampler(obj):
-    """Wrap a DiscreteSolution or ExactBundle into a pointwise sampler."""
-    if isinstance(obj, DiscreteSolution):
-        return _DiscreteSampler(obj)
-    if hasattr(obj, "volume") and hasattr(obj, "boundary"):
-        return obj
-    return _ExactSampler(obj)
+class _Difference(NamedTuple):
+    a: object
+    b: object
 
 
 def difference(a, b):
-    """Sampler for the pointwise difference of two pairs."""
-    return _DiffSampler(as_sampler(a), as_sampler(b))
+    """The pointwise difference a - b of two pairs, itself a pair."""
+    return _Difference(a, b)
+
+
+def pair_fields(pair, elems, ref, phys):
+    """Fields (phi, div phi, u, grad u) of a pair at quadrature points.
+
+    ``pair`` is a DiscreteSolution, an ExactBundle or a
+    :func:`difference`; a discrete solution without flux (classical FEM)
+    has phi = 0.  Every array has leading (element, point) axes; phi and
+    grad u end in a d axis.
+    """
+    if isinstance(pair, _Difference):
+        fa = pair_fields(pair.a, elems, ref, phys)
+        fb = pair_fields(pair.b, elems, ref, phys)
+        return tuple(x - y for x, y in zip(fa, fb))
+    if isinstance(pair, DiscreteSolution):
+        u = scalar_eval(pair.w_space, pair.u_coeffs, elems, ref)
+        gu = scalar_grad_eval(pair.w_space, pair.u_coeffs, elems, ref)
+        if pair.phi_coeffs is None:
+            return np.zeros(gu.shape, complex), np.zeros(u.shape, complex), u, gu
+        phi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref)
+        dphi = vector_div_eval(pair.v_space, pair.phi_coeffs, elems, ref)
+        return phi, dphi, u, gu
+    pts = phys.reshape(-1, phys.shape[-1])
+    return tuple(
+        np.asarray(fn(pts), dtype=complex).reshape(shape)
+        for fn, shape in ((pair.phi, phys.shape), (pair.div_phi, phys.shape[:2]),
+                          (pair.u, phys.shape[:2]), (pair.grad_u, phys.shape))
+    )
+
+
+def ls_residuals(fields, k):
+    """The two least-squares residuals (ik phi + grad u, ik u + div phi)."""
+    phi, dphi, u, gu = fields
+    return 1j * k * phi + gu, 1j * k * u + dphi
+
+
+def impedance_trace(fields, normals):
+    """phi.n + u at boundary points with outward normals (F, d)."""
+    phi, _, u, _ = fields
+    return np.einsum("eqd,ed->eq", phi, normals) + u
 
 
 def evaluate_b(pair_a, pair_b, w_space, k, exactness=None, breakpoints=()):
     """Evaluate b(pair_a, pair_b) by quadrature.
 
     Pairs may be DiscreteSolution instances, ExactBundle instances or
-    prebuilt samplers (see :func:`difference`).  ``w_space`` provides the
-    mesh and the default quadrature exactness 2p + 8.
+    differences of pairs (see :func:`difference`).  ``w_space`` provides
+    the mesh and the default quadrature exactness 2p + 8.
     """
-    sa = as_sampler(pair_a)
-    sb = as_sampler(pair_b)
     mesh = w_space.mesh
     if exactness is None:
         exactness = 2 * w_space.p + 8
     rule = simplex_quadrature(mesh.dim, exactness)
     total = 0.0 + 0.0j
-    for e in range(len(mesh.elements)):
-        pts, wts = element_panels(mesh, e, rule, breakpoints)
-        phys = pts @ mesh.maps_A[e].T + mesh.maps_b[e]
-        pa, da, ua, ga = sa.volume(e, pts, phys)
-        pb, db, ub, gb = sb.volume(e, pts, phys)
-        first = np.einsum(
-            "qd,qd->q", 1j * k * pa + ga, (1j * k * pb + gb).conj()
-        )
-        second = (1j * k * ua + da) * (1j * k * ub + db).conj()
-        total += np.sum(wts * mesh.det_A[e] * (first + second))
-    n_bnd = w_space.p + 5
-    for fid in mesh.boundary_facets:
-        e = mesh.facets[fid].elems[0]
-        ref, phys, w, jac, normal = _facet_quadrature(mesh, fid, e, n_bnd)
-        pna, ua = sa.boundary(e, ref, phys, normal)
-        pnb, ub = sb.boundary(e, ref, phys, normal)
-        total += k * np.sum(w * jac * (pna + ua) * (pnb + ub).conj())
+    for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
+        ra1, ra2 = ls_residuals(pair_fields(pair_a, elems, ref, phys), k)
+        rb1, rb2 = ls_residuals(pair_fields(pair_b, elems, ref, phys), k)
+        first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
+        total += np.sum(wdet * (first + ra2 * rb2.conj()))
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, w_space.p + 5):
+        ta = impedance_trace(pair_fields(pair_a, elems, ref, phys), normals)
+        tb = impedance_trace(pair_fields(pair_b, elems, ref, phys), normals)
+        total += k * np.sum(wj * ta * tb.conj())
     return total
 
 

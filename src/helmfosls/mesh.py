@@ -203,7 +203,9 @@ def element_map_apply(mesh, elem, xhat):
     """Apply the affine element map of ``elem`` to reference point(s).
 
     Points must lie inside the reference simplex (barycentric
-    coordinates >= -1e-12); anything else is rejected.
+    coordinates >= -1e-12); anything else is rejected.  An int array
+    ``elem`` maps the points by every listed element, adding a leading
+    element axis.
     """
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     lam = np.empty((len(xhat), mesh.dim + 1))
@@ -211,7 +213,8 @@ def element_map_apply(mesh, elem, xhat):
     lam[:, 1:] = xhat
     if np.any(lam < -1e-12):
         raise ValueError("point outside the reference simplex")
-    return xhat @ mesh.maps_A[elem].T + mesh.maps_b[elem]
+    shift = np.asarray(mesh.maps_b[elem])[..., None, :]
+    return xhat @ np.swapaxes(mesh.maps_A[elem], -1, -2) + shift
 
 
 def build_interval_mesh(a, b, n_elems):

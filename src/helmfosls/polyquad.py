@@ -67,6 +67,7 @@ class ScalarBasis:
                 "edge": edge,
                 "interior": list(range(3 + 3 * nb_edge, self.dim)),
             }
+        self._last = None  # (points, tables) of the last evaluation
         # interior kernel index pairs (a, b) with a + b <= p - 3 in 2D
         if d == 2:
             self._bubble_pairs = [
@@ -78,21 +79,25 @@ class ScalarBasis:
 
     def eval(self, points):
         """Basis values at reference points; shape (n_points, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.d == 1:
-            return self._eval_1d(pts)[0]
-        return self._eval_2d(pts)[0]
+        return self.eval_with_grad(points)[0]
 
     def grad(self, points):
         """Basis gradients at reference points; shape (n_points, dim, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.d == 1:
-            return self._eval_1d(pts)[1]
-        return self._eval_2d(pts)[1]
+        return self.eval_with_grad(points)[1]
 
     def eval_with_grad(self, points):
+        """(values, gradients), read-only.  The tables of the last point set
+        are kept: batched kernels ask for the same reference points once
+        per element chunk and field."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)
+        last = self._last
+        if last is not None and np.array_equal(last[0], pts):
+            return last[1]
+        tables = self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)
+        for table in tables:
+            table.flags.writeable = False
+        self._last = (pts.copy(), tables)
+        return tables
 
     def _eval_1d(self, pts):
         t = pts[:, 0]

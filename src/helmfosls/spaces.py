@@ -21,7 +21,7 @@ space (the normal trace at an endpoint is +/- the point value), so
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import REFERENCE_VERTICES
+from .mesh import REFERENCE_VERTICES, element_map_apply
 from .polyquad import ScalarBasis, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
@@ -256,6 +256,9 @@ def piola_divergence(A, div_hat):
 
 
 # -- evaluation of global fields --------------------------------------
+#
+# ``elem`` is one element index or an int array of them; an array adds a
+# leading element axis to every result.
 
 
 def local_coeffs(space, coeffs, elem):
@@ -263,15 +266,18 @@ def local_coeffs(space, coeffs, elem):
     return space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
 
 
+def _combine(table, lc):
+    """Fields sum_i lc_i table[:, i] of (points, basis, d) reference tables."""
+    return np.einsum("nid,...i->...nd", table, lc, optimize=True)
+
+
 def scalar_eval(space, coeffs, elem, ref_points):
-    return space.basis.eval(ref_points) @ local_coeffs(space, coeffs, elem)
+    return local_coeffs(space, coeffs, elem) @ space.basis.eval(ref_points).T
 
 
 def scalar_grad_eval(space, coeffs, elem, ref_points):
     """Physical gradients of a scalar field: grad = A^{-T} grad_hat."""
-    g_ref = np.einsum(
-        "nid,i->nd", space.basis.grad(ref_points), local_coeffs(space, coeffs, elem)
-    )
+    g_ref = _combine(space.basis.grad(ref_points), local_coeffs(space, coeffs, elem))
     return g_ref @ space.mesh.inv_A[elem]
 
 
@@ -279,10 +285,11 @@ def vector_eval(space, coeffs, elem, ref_points):
     """Physical values of a flux field (Piola-mapped in 2D)."""
     lc = local_coeffs(space, coeffs, elem)
     if space.kind == KIND_H1:  # 1D flux space
-        return (space.basis.eval(ref_points) @ lc)[:, None]
-    vals = np.einsum("nid,i->nd", space.bdm.eval(ref_points), lc)
+        return (lc @ space.basis.eval(ref_points).T)[..., None]
+    vals = _combine(space.bdm.eval(ref_points), lc)
     mesh = space.mesh
-    return vals @ mesh.maps_A[elem].T / mesh.det_A[elem]
+    det = np.asarray(mesh.det_A[elem])[..., None, None]
+    return vals @ np.swapaxes(mesh.maps_A[elem], -1, -2) / det
 
 
 def vector_div_eval(space, coeffs, elem, ref_points):
@@ -290,9 +297,9 @@ def vector_div_eval(space, coeffs, elem, ref_points):
     lc = local_coeffs(space, coeffs, elem)
     mesh = space.mesh
     if space.kind == KIND_H1:
-        g_ref = np.einsum("nid,i->nd", space.basis.grad(ref_points), lc)
-        return (g_ref @ mesh.inv_A[elem])[:, 0]
-    return (space.bdm.div(ref_points) @ lc) / mesh.det_A[elem]
+        return (_combine(space.basis.grad(ref_points), lc) @ mesh.inv_A[elem])[..., 0]
+    det = np.asarray(mesh.det_A[elem])[..., None]
+    return (lc @ space.bdm.div(ref_points).T) / det
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)
@@ -305,6 +312,24 @@ def _lattice(d, q):
     return np.array(pts)
 
 
+def _lattice_values(space, fn):
+    """Reference lattice, its Vandermonde matrix and ``fn`` on every
+    element's image of the lattice, shape (elements, points, ...)."""
+    mesh = space.mesh
+    pts_ref = _lattice(mesh.dim, space.p)
+    phys = element_map_apply(mesh, np.arange(len(mesh.elements)), pts_ref)
+    vals = np.asarray(fn(phys.reshape(-1, mesh.dim)), dtype=complex)
+    return space.basis.eval(pts_ref), vals.reshape(phys.shape[:2] + vals.shape[1:])
+
+
+def _scatter_local(space, local):
+    """Global coefficients from per-element ones (columns of ``local``);
+    shared dofs take the value of the last element that holds them."""
+    coeffs = np.zeros(space.n_dofs, dtype=complex)
+    coeffs[space.elem_dofs] = space.elem_signs * local.T
+    return coeffs
+
+
 def interpolate_h1_polynomial(space, u):
     """Coefficients representing ``u`` exactly when u|_K is in P_p.
 
@@ -312,15 +337,8 @@ def interpolate_h1_polynomial(space, u):
     on a unisolvent lattice; for globally continuous u the element fits
     agree on shared dofs.
     """
-    mesh = space.mesh
-    pts_ref = _lattice(mesh.dim, space.p)
-    V = space.basis.eval(pts_ref)
-    coeffs = np.zeros(space.n_dofs, dtype=complex)
-    for e in range(len(mesh.elements)):
-        phys = pts_ref @ mesh.maps_A[e].T + mesh.maps_b[e]
-        local = np.linalg.solve(V, np.asarray(u(phys), dtype=complex))
-        coeffs[space.elem_dofs[e]] = space.elem_signs[e] * local
-    return coeffs
+    V, vals = _lattice_values(space, u)
+    return _scatter_local(space, np.linalg.solve(V, vals.T))
 
 
 def interpolate_hdiv_polynomial(space, phi):
@@ -332,18 +350,9 @@ def interpolate_hdiv_polynomial(space, phi):
     if space.kind != KIND_HDIV:
         raise ValueError("expected a vector-hdiv space")
     mesh = space.mesh
-    bdm = space.bdm
-    pts_ref = _lattice(2, space.p)
-    V = bdm.scalar.eval(pts_ref)
-    coeffs = np.zeros(space.n_dofs, dtype=complex)
-    for e in range(len(mesh.elements)):
-        phys = pts_ref @ mesh.maps_A[e].T + mesh.maps_b[e]
-        pulled = (
-            mesh.det_A[e] * np.asarray(phi(phys), dtype=complex) @ mesh.inv_A[e].T
-        )
-        comp = [np.linalg.solve(V, pulled[:, i]) for i in range(2)]
-        local = np.linalg.solve(
-            bdm.coeffs.astype(complex), np.concatenate(comp)
-        )
-        coeffs[space.elem_dofs[e]] = space.elem_signs[e] * local
-    return coeffs
+    V, vals = _lattice_values(space, phi)
+    pulled = mesh.det_A[:, None, None] * vals @ np.swapaxes(mesh.inv_A, 1, 2)
+    # scalar coefficients of both components, stacked as in bdm.coeffs
+    comp = np.linalg.solve(V, pulled.transpose(1, 2, 0).reshape(len(V), -1))
+    comp = comp.reshape(len(V), 2, -1).transpose(1, 0, 2).reshape(2 * len(V), -1)
+    return _scatter_local(space, np.linalg.solve(space.bdm.coeffs, comp))

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import helmfosls.fosls as fosls
 from conftest import polynomial_problem
 from helmfosls.analysis import (
     ConvergenceTable,
@@ -185,6 +187,38 @@ class TestEnergyIdentity:
         energy = evaluate_b(diff, diff, sol.w_space, prob.k).real
         recombined = err.e1**2 + err.e2**2 + prob.k * err.e_bnd**2
         assert energy == pytest.approx(recombined, rel=1e-8)
+
+
+@pytest.mark.parametrize("method", ["fosls", "fem"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_element_chunks_match_default_chunking(dim, p, method, monkeypatch):
+    """Every ErrorReport field and b(e, e) are unchanged when each chunk of
+    the batched kernels holds one element (1D: the kink x = 0 cuts the
+    middle of 7 elements, so its panel group is exercised too)."""
+    if dim == 1:
+        prob, mesh = piecewise_1d_problem(10.0), build_interval_mesh(-1, 1, 7)
+    else:
+        prob, mesh = plane_wave_problem(8.0), build_square_mesh(3)
+    sol = solve_method(method, mesh, p, prob)
+    err = difference(prob.exact, sol)
+
+    def observe():
+        report = dataclasses.asdict(compute_errors(sol, prob))
+        b = evaluate_b(err, err, sol.w_space, prob.k, breakpoints=prob.breakpoints)
+        return report, b
+
+    report, b = observe()
+    monkeypatch.setattr(fosls, "CHUNK_POINTS", 1)
+    report1, b1 = observe()
+    drift = report.pop("quad_drift")
+    # the drift is itself a relative difference of fields that may each
+    # move by 1e-13 relative, so it is compared absolutely
+    assert abs(report1.pop("quad_drift") - drift) <= 2e-13
+    for name, value in report.items():
+        assert report1[name] == pytest.approx(value, rel=1e-13, abs=0,
+                                              nan_ok=True), name
+    assert abs(b1 - b) <= 1e-13 * abs(b)
 
 
 class TestResolvedRegimeRates:

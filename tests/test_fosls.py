@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
+import helmfosls.fosls as fosls
 from conftest import polynomial_problem, zero_problem
 from helmfosls.fosls import (
-    _Coo,
+    _scatter,
     assemble_classical_fem,
     assemble_fosls,
     difference,
@@ -16,7 +17,15 @@ from helmfosls.fosls import (
 from helmfosls.mesh import Mesh, build_interval_mesh, build_square_mesh
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
 from helmfosls.solver import solve_general, solve_hpd
-from helmfosls.spaces import build_h1_space, build_hdiv_space
+from helmfosls.polyquad import simplex_quadrature
+from helmfosls.spaces import (
+    build_h1_space,
+    build_hdiv_space,
+    scalar_eval,
+    scalar_grad_eval,
+    vector_div_eval,
+    vector_eval,
+)
 
 
 def fosls_spaces(mesh, p):
@@ -277,24 +286,83 @@ class TestEvaluateB:
         assert abs(energy.imag) <= 1e-10 * energy.real
 
 
-def test_coo_scatter_matches_per_block_coo_arrays(rng):
-    """Duplicates are summed exactly as from concatenated per-block arrays."""
-    n, acc = 7, _Coo(7)
-    rows, cols, data = [], [], []
-    for i in range(30):
-        r, c = rng.integers(0, n, 3), rng.integers(0, n, 2)
-        block = rng.standard_normal((3, 2))
-        if i % 2:
-            block = block + 1j * rng.standard_normal((3, 2))
-        acc.add(r, c, block)
-        rows.append(np.repeat(r, len(c)))
-        cols.append(np.tile(c, len(r)))
-        data.append(np.asarray(block, dtype=complex).ravel())
+def test_scatter_matches_per_block_coo_arrays(rng):
+    """Signs are applied and duplicates summed exactly as from concatenated
+    per-block arrays."""
+    n, n_elems, m = 7, 30, 3
+    dofs = rng.integers(0, n, (n_elems, m))
+    signs = rng.choice([-1.0, 1.0], (n_elems, m))
+    blocks = rng.standard_normal((n_elems, m, m)) + 0j
+    blocks[1::2] += 1j * rng.standard_normal((n_elems // 2, m, m))
+    loads = rng.standard_normal((n_elems, m)) + 1j * rng.standard_normal((n_elems, m))
+    signed = [np.outer(s, s) * b for s, b in zip(signs, blocks)]
     want = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([b.ravel() for b in signed]),
+         (np.concatenate([np.repeat(d, m) for d in dofs]),
+          np.concatenate([np.tile(d, m) for d in dofs]))),
         shape=(n, n),
     ).tocsr()
-    got = acc.tocsr()
+    want_rhs = np.zeros(n, dtype=complex)
+    for d, s, load in zip(dofs, signs, loads):
+        for i, v in zip(d, s * load):
+            want_rhs[i] += v
+    got, got_rhs = _scatter(dofs, signs, blocks, loads, n)
+    assert got.indices.dtype == np.int32
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got_rhs, want_rhs)
+
+
+def _eval_cases():
+    h1_1d = lambda: build_h1_space(build_interval_mesh(-1, 1, 5), 3)  # noqa: E731
+    h1_2d = lambda: build_h1_space(build_square_mesh(2), 3)  # noqa: E731
+    bdm = lambda: build_hdiv_space(build_square_mesh(2), 2)  # noqa: E731
+    evals = (scalar_eval, scalar_grad_eval, vector_eval, vector_div_eval)
+    cases = [("1d-" + f.__name__, h1_1d, f) for f in evals]
+    cases += [("2d-h1-" + f.__name__, h1_2d, f) for f in evals[:2]]
+    cases += [("2d-bdm-" + f.__name__, bdm, f) for f in evals[2:]]
+    return [pytest.param(make, f, id=name) for name, make, f in cases]
+
+
+@pytest.mark.parametrize("make_space,evaluate", _eval_cases())
+def test_evaluators_batch_over_element_arrays(make_space, evaluate, rng):
+    """An element array gives the per-element results, stacked."""
+    space = make_space()
+    coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
+        space.n_dofs
+    )
+    ref = simplex_quadrature(space.mesh.dim, 5).points
+    elems = np.array([3, 0, 4, 1])
+    got = evaluate(space, coeffs, elems, ref)
+    want = np.stack([evaluate(space, coeffs, int(e), ref) for e in elems])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def _assembled(method, mesh, p, problem):
+    w = build_h1_space(mesh, p)
+    if method == "fem":
+        return assemble_classical_fem(w, problem)
+    v = build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
+    return assemble_fosls(v, w, problem)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("method", ["fosls", "fem"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_element_chunks_match_default_chunking(dim, p, method, monkeypatch):
+    """Chunk seams and the 1D breakpoint panels leave the system unchanged."""
+    if dim == 1:  # 7 elements: the kink x = 0 cuts the middle one
+        problem, mesh = piecewise_1d_problem(10.0), build_interval_mesh(-1, 1, 7)
+    else:
+        problem, mesh = plane_wave_problem(8.0), build_square_mesh(3)
+    default = _assembled(method, mesh, p, problem)
+    monkeypatch.setattr(fosls, "CHUNK_POINTS", 1)
+    single = _assembled(method, mesh, p, problem)
+    assert _rel(single.matrix.toarray(), default.matrix.toarray()) <= 1e-13
+    assert _rel(single.rhs, default.rhs) <= 1e-13

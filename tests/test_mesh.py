@@ -181,6 +181,9 @@ class TestMeshInvariants:
             np.testing.assert_allclose(
                 mapped, mesh.vertices[mesh.elements[e]], atol=1e-14
             )
+        # an element array maps by every element at once
+        mapped = element_map_apply(mesh, np.arange(len(mesh.elements)), ref)
+        np.testing.assert_allclose(mapped, mesh.vertices[mesh.elements], atol=1e-14)
 
 
 def test_mesh_is_immutable_after_construction():

@@ -117,6 +117,17 @@ class TestScalarBasis:
             scale = np.maximum(np.abs(grads[:, :, axis]), 1.0)
             assert np.max(np.abs(fd - grads[:, :, axis]) / scale) < 1e-5
 
+    def test_kept_tables_are_read_only_and_follow_the_points(self):
+        basis = make_scalar_basis(2, 3)
+        pts = simplex_quadrature(2, 4).points
+        vals, grads = basis.eval_with_grad(pts)
+        assert not vals.flags.writeable and not grads.flags.writeable
+        moved = pts.copy()
+        moved[0] = [0.5, 0.25]
+        np.testing.assert_array_equal(basis.eval(moved)[1:], vals[1:])
+        assert np.any(basis.eval(moved)[0] != vals[0])
+        np.testing.assert_array_equal(basis.eval(pts), vals)
+
     def test_rejects_p0_and_bad_dim(self):
         with pytest.raises(ValueError):
             make_scalar_basis(1, 0)
