@@ -66,14 +66,13 @@ class StudyConfig:
             )
         if self.method not in ("fosls", "fem", "both"):
             raise ConfigError("method must be one of fosls, fem, both")
-        if not self.k > 0:
-            raise ConfigError("k must be positive")
-        if not self.degrees or any(
-            int(p) != p or p < 1 for p in self.degrees
-        ):
+        real_k = isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
+        if not (real_k and 0 < self.k < math.inf):
+            raise ConfigError("k must be a positive finite number")
+        if not _counts(self.degrees):
             raise ConfigError("degrees must be a nonempty list of integers >= 1")
         ns = self.mesh_sequence
-        if not ns or any(int(n) != n or n < 1 for n in ns):
+        if not _counts(ns):
             raise ConfigError("mesh_sequence must be a nonempty list of counts")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("mesh_sequence must be strictly refining")
@@ -86,6 +85,13 @@ class StudyConfig:
                 )
         if not self.output_dir:
             raise ConfigError("output_dir must be set")
+
+
+def _counts(values):
+    # JSON true loads as a bool, which Python would take for the int 1
+    return isinstance(values, list) and len(values) > 0 and all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values
+    )
 
 
 def load_config(path, overrides=None):

@@ -91,6 +91,13 @@ def split_solution(system, x):
 CHUNK_POINTS = 4096
 
 
+def chunks(n_items, points_per_item):
+    """Consecutive slices of range(n_items), each holding at most
+    CHUNK_POINTS points (but at least one item)."""
+    step = max(1, CHUNK_POINTS // points_per_item)
+    return [slice(i, i + step) for i in range(0, n_items, step)]
+
+
 def element_groups(mesh, rule, breakpoints=()):
     """Element chunks that share one reference quadrature.
 
@@ -108,9 +115,8 @@ def element_groups(mesh, rule, breakpoints=()):
             for e in np.flatnonzero((0.0 < t) & (t < 1.0)):
                 cuts.setdefault(e, []).append(t[e])
     plain = np.setdiff1d(np.arange(len(mesh.elements)), list(cuts))
-    step = max(1, CHUNK_POINTS // len(rule.weights))
-    groups = [(plain[i:i + step], rule.points, rule.weights)
-              for i in range(0, len(plain), step)]
+    groups = [(plain[s], rule.points, rule.weights)
+              for s in chunks(len(plain), len(rule.weights))]
     for e, ts in sorted(cuts.items()):
         edges = np.array([0.0, *sorted(ts), 1.0])
         lo, hi = edges[:-1, None], edges[1:, None]

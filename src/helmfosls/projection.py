@@ -28,18 +28,21 @@ algebraically, so the rule is exact on polynomials.  The weighted term
 uses endpoint-split Gauss-Jacobi quadrature after factoring out the
 quadratic vanishing of the integrand.
 
-Gram matrices are precomputed once per degree and shared read-only;
-individual projections are independent of each other.
+Gram matrices are precomputed once per degree and shared read-only.  A
+stack of functions is projected at once, one row per function: every
+stage runs once for the whole stack, and the rows do not interact.
 """
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
-from .mesh import REFERENCE_VERTICES
+from .fosls import chunks
+from .mesh import REFERENCE_VERTICES, element_map_apply
 from .polyquad import (
     ScalarBasis,
     gauss01,
@@ -47,7 +50,7 @@ from .polyquad import (
     make_scalar_basis,
     simplex_quadrature,
 )
-from .spaces import KIND_HDIV
+from .spaces import KIND_HDIV, _scatter_local
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,7 @@ class _EdgeWork:
         self.X = np.repeat(x[:, None], n, axis=1)
         self.Y = x[:, None] * (1 - s)[None, :]
         self.XmY = x[:, None] * s[None, :]
+        self.XY = np.concatenate([self.X.ravel(), self.Y.ravel()])
         self.W = 2.0 * wx[:, None] * ws[None, :] * x[:, None]
         self.dd_bub = np.array(
             [
@@ -163,30 +167,22 @@ class _EdgeWork:
     def moments(self, r):
         """Objective moments of a residual trace r vanishing at 0 and 1."""
         p = self.p
-        if p == 1:
-            return np.zeros(0, dtype=complex)
-        m_l2 = np.einsum("q,q,qa->a", self.wq, r(self.tq), self.bub_l2)
-        rx = r(self.X.ravel()).reshape(self.X.shape)
-        ry = r(self.Y.ravel()).reshape(self.Y.shape)
-        dd_r = (rx - ry) / self.XmY
-        m_sem = np.einsum("xy,xy,axy->a", self.W, dd_r, self.dd_bub)
+        m_l2 = np.einsum("q,...q,qa->...a", self.wq, r(self.tq), self.bub_l2)
+        rx, ry = np.split(r(self.XY), 2, axis=-1)
+        dd_r = (rx - ry).reshape(rx.shape[:-1] + self.X.shape) / self.XmY
+        m_sem = np.einsum("xy,...xy,axy->...a", self.W, dd_r, self.dd_bub)
+        wd = self.w_dist * self.inv_left
         m_dist = np.einsum(
-            "q,q,aq->a", self.w_dist * self.inv_left, r(self.t_left), self.bub_left
-        ) + np.einsum(
-            "q,q,aq->a", self.w_dist * self.inv_left, r(self.t_right), self.bub_right
-        )
+            "q,...q,aq->...a", wd, r(self.t_left), self.bub_left
+        ) + np.einsum("q,...q,aq->...a", wd, r(self.t_right), self.bub_right)
         return p * m_l2 + (m_l2 + m_sem + m_dist)
 
-    def solve(self, r):
-        """Minimize the edge objective over bubbles; returns (coeffs, kkt)."""
+    def solve(self, r, batch):
+        """Minimize the edge objective over bubbles for every function of
+        the stack (leading shape ``batch``); returns (coeffs, kkt)."""
         if self.p == 1:
-            return np.zeros(0, dtype=complex), 0.0
-        m = self.moments(r)
-        c = scipy.linalg.cho_solve(self.chol, m)
-        kkt = np.linalg.norm(self.objective @ c - m) / (
-            self.norm_gram * np.linalg.norm(c) + np.linalg.norm(m) + 1e-300
-        )
-        return c, float(kkt)
+            return np.zeros(batch + (0,), dtype=complex), 0.0
+        return _minimize(self, self.moments(r))
 
 
 class _VolumeWork:
@@ -212,29 +208,28 @@ class _VolumeWork:
     def solve(self, r_vals, r_grads):
         p = self.p
         m = (p**2 + 1) * np.einsum(
-            "q,q,qi->i", self.weights, r_vals, self.Ni
-        ) + np.einsum("q,qa,qia->i", self.weights, r_grads, self.Gi)
-        c = scipy.linalg.cho_solve(self.chol, m)
-        kkt = np.linalg.norm(self.objective @ c - m) / (
-            self.norm_gram * np.linalg.norm(c) + np.linalg.norm(m) + 1e-300
-        )
-        return c, float(kkt)
+            "q,...q,qi->...i", self.weights, r_vals, self.Ni
+        ) + np.einsum("q,...qa,qia->...i", self.weights, r_grads, self.Gi)
+        return _minimize(self, m)
 
 
-_EDGE_CACHE = {}
-_VOLUME_CACHE = {}
+def _minimize(work, m):
+    """Solve ``work.objective c = m`` for every row of the moments m.
+
+    Returns (c, kkt) with kkt the largest relative KKT residual
+    |G c - m| / (|G| |c| + |m|) over the rows.
+    """
+    flat = m.reshape(-1, m.shape[-1])
+    c = scipy.linalg.cho_solve(work.chol, flat.T).T
+    kkt = np.linalg.norm(c @ work.objective - flat, axis=1) / (
+        work.norm_gram * np.linalg.norm(c, axis=1)
+        + np.linalg.norm(flat, axis=1) + 1e-300
+    )
+    return c.reshape(m.shape), float(np.max(kkt))
 
 
-def _edge_work(p):
-    if p not in _EDGE_CACHE:
-        _EDGE_CACHE[p] = _EdgeWork(p)
-    return _EDGE_CACHE[p]
-
-
-def _volume_work(p):
-    if p not in _VOLUME_CACHE:
-        _VOLUME_CACHE[p] = _VolumeWork(p)
-    return _VOLUME_CACHE[p]
+_edge_work = cache(_EdgeWork)
+_volume_work = cache(_VolumeWork)
 
 
 def h12_00_gram(p):
@@ -248,10 +243,13 @@ def h12_00_gram(p):
 def project_reference(u, d, p, grad_u=None):
     """Run the staged minimization for u on the reference simplex.
 
-    ``u`` maps reference points (n, d) to (complex) values; ``grad_u``
-    maps them to (n, d) gradients and is required only where an interior
-    stage exists (d = 2, p >= 3).  Smoothness sufficient for point
-    evaluation at vertices is the caller's responsibility.
+    ``u`` maps reference points (n, d) to (complex) values (..., n): the
+    leading axes, if any, stack functions that are projected at once, one
+    row each.  ``grad_u`` maps them to gradients (..., n, d) and is
+    required only where an interior stage exists (d = 2, p >= 3).
+    Smoothness sufficient for point evaluation at vertices is the
+    caller's responsibility.  Each ``kkt`` in the step trace is the
+    largest over the stack.
     """
     if d == 3:
         raise NotImplementedError(
@@ -266,59 +264,71 @@ def project_reference(u, d, p, grad_u=None):
     basis = make_scalar_basis(d, p)
     verts = REFERENCE_VERTICES[d]
     vertex_vals = np.asarray(u(verts), dtype=complex)
-    coeffs = np.zeros(basis.dim, dtype=complex)
-    coeffs[: d + 1] = vertex_vals
+    batch = vertex_vals.shape[:-1]
+    coeffs = np.zeros(batch + (basis.dim,), dtype=complex)
+    coeffs[..., : d + 1] = vertex_vals
     trace = {"vertex": vertex_vals, "edge": [], "volume": None}
     work = _edge_work(p)
 
-    if d == 1:
-        def r(t):
-            pts = np.asarray(t, dtype=float)[:, None]
-            lin = vertex_vals[0] * (1 - pts[:, 0]) + vertex_vals[1] * pts[:, 0]
-            return np.asarray(u(pts), dtype=complex) - lin
-
-        c, kkt = work.solve(r)
-        coeffs[2:] = c
-        trace["edge"].append({"coeffs": c, "kkt": kkt})
-        return ReferenceProjection(p=p, d=d, result=coeffs, step_trace=trace)
-
-    for l, (i, j) in enumerate(ScalarBasis.EDGES):
+    # the interval is its own single edge (0, 1): its bubbles are the
+    # interior dofs, and zip stops after the first local edge
+    slots = basis.dof_classes["edge"] or [basis.dof_classes["interior"]]
+    for (i, j), slot in zip(ScalarBasis.EDGES, slots):
         a, b = verts[i], verts[j]
-        ui, uj = vertex_vals[i], vertex_vals[j]
+        ui, uj = vertex_vals[..., i, None], vertex_vals[..., j, None]
 
         def r(t, a=a, b=b, ui=ui, uj=uj):
-            t = np.asarray(t, dtype=float)
             pts = a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
             return np.asarray(u(pts), dtype=complex) - (ui * (1 - t) + uj * t)
 
-        c, kkt = work.solve(r)
-        coeffs[basis.dof_classes["edge"][l]] = c
+        c, kkt = work.solve(r, batch)
+        coeffs[..., slot] = c
         trace["edge"].append({"coeffs": c, "kkt": kkt})
 
-    if p >= 3:
+    if d == 2 and p >= 3:
         if grad_u is None:
             raise ValueError("grad_u is required for the interior stage (d=2, p>=3)")
         vol = _volume_work(p)
         pts = vol.points
-        r_vals = np.asarray(u(pts), dtype=complex) - vol.N @ coeffs
+        r_vals = np.asarray(u(pts), dtype=complex) - (
+            vol.N @ coeffs[..., None]
+        )[..., 0]
         r_grads = np.asarray(grad_u(pts), dtype=complex) - np.einsum(
-            "qia,i->qa", vol.G, coeffs
+            "qia,...i->...qa", vol.G, coeffs
         )
         c, kkt = vol.solve(r_vals, r_grads)
-        coeffs[vol.interior] = c
+        coeffs[..., vol.interior] = c
         trace["volume"] = {"coeffs": c, "kkt": kkt}
     return ReferenceProjection(p=p, d=d, result=coeffs, step_trace=trace)
+
+
+def _pull(fn, mesh, elems, pts):
+    """Piola pull-back det A^-1 fn(F(x)) of values (n, 2) or Jacobians
+    (n, 2, 2) on every element of ``elems``: (elements, 2, n, ...)."""
+    phys = element_map_apply(mesh, elems, pts)
+    vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=complex)
+    vals = vals.reshape(phys.shape[:2] + vals.shape[1:])
+    return np.einsum("e,eij,enj...->ein...", mesh.det_A[elems], mesh.inv_A[elems], vals)
+
+
+def _pull_jac(jac_phi, mesh, elems, pts):
+    """Reference gradients of the pulled-back components (chain rule)."""
+    return _pull(jac_phi, mesh, elems, pts) @ mesh.maps_A[elems, None]
 
 
 def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     """Project a smooth vector field into the global flux space.
 
-    Per element the field is pulled back by the Piola transform, the
-    staged projection is applied componentwise and the result is pushed
-    into the global coefficient vector.  Because each edge stage depends
-    only on the trace there, the two elements adjacent to a facet assign
-    the same normal-moment dofs (up to roundoff, reported as the optional
-    mismatch), so the result is H(div)-conforming.
+    The elements are taken in chunks whose reference point sets fit in
+    ``fosls.CHUNK_POINTS``.  On a chunk the field is pulled back by the
+    Piola transform of every element, one staged projection runs on the
+    stack of (element, component) functions and the BDM coefficients of
+    all its elements come from one solve.  Because each edge stage
+    depends only on the trace there, the two elements adjacent to a facet
+    assign the same normal-moment dofs (up to roundoff, reported as the
+    optional mismatch: the largest difference between the global value of
+    a dof and the value one of its elements assigns), so the result is
+    H(div)-conforming.
 
     ``phi`` maps physical points (n, 2) to values (n, 2); ``jac_phi``
     returns (n, 2, 2) Jacobians d phi_i / d x_j and is required for
@@ -330,46 +340,19 @@ def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     if p >= 3 and jac_phi is None:
         raise ValueError("jac_phi is required for p >= 3")
     mesh = space.mesh
-    bdm = space.bdm
-    coeffs = np.zeros(space.n_dofs, dtype=complex)
-    written = np.zeros(space.n_dofs, dtype=bool)
-    mismatch = 0.0
-
-    for e in range(len(mesh.elements)):
-        A, det, inv, b0 = (
-            mesh.maps_A[e],
-            mesh.det_A[e],
-            mesh.inv_A[e],
-            mesh.maps_b[e],
-        )
-
-        def pull(pts):
-            phys = np.atleast_2d(pts) @ A.T + b0
-            return det * np.asarray(phi(phys), dtype=complex) @ inv.T
-
-        def pull_jac(pts):
-            phys = np.atleast_2d(pts) @ A.T + b0
-            J = np.asarray(jac_phi(phys), dtype=complex)
-            return det * np.einsum("ij,nja,ab->nib", inv, J, A)
-
-        comp = []
-        for i in (0, 1):
-            ui = lambda pts, i=i: pull(pts)[:, i]
-            gi = None
-            if jac_phi is not None:
-                gi = lambda pts, i=i: pull_jac(pts)[:, i, :]
-            comp.append(project_reference(ui, 2, p, grad_u=gi).result)
-        local = np.linalg.solve(bdm.coeffs.astype(complex), np.concatenate(comp))
-        glob = space.elem_dofs[e]
-        vals = space.elem_signs[e] * local
-        seen = written[glob]
-        if np.any(seen):
-            mismatch = max(mismatch, float(np.max(np.abs(
-                coeffs[glob][seen] - vals[seen]
-            ))))
-        coeffs[glob] = vals
-        written[glob] = True
-
+    elements = np.arange(len(mesh.elements))
+    local = []
+    # the largest reference point set is the Duffy grid of an edge stage
+    for s in chunks(len(elements), _edge_work(p).XY.size):
+        elems = elements[s]
+        grad = None if jac_phi is None else partial(_pull_jac, jac_phi, mesh, elems)
+        comp = project_reference(partial(_pull, phi, mesh, elems), 2, p, grad_u=grad)
+        local.append(np.linalg.solve(
+            space.bdm.coeffs, comp.result.reshape(len(elems), -1).T
+        ))
+    local = np.concatenate(local, axis=1)
+    coeffs = _scatter_local(space, local)
     if return_max_mismatch:
-        return coeffs, mismatch
+        mismatch = np.max(np.abs(space.elem_signs * coeffs[space.elem_dofs] - local.T))
+        return coeffs, float(mismatch)
     return coeffs

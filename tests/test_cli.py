@@ -56,11 +56,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="k"):
             cfg.validate()
 
+    def test_non_numeric_k(self):
+        for k in ("2", True, float("nan"), float("inf")):
+            cfg = StudyConfig(problem="piecewise-1d", k=k, degrees=[1],
+                              mesh_sequence=[2])
+            with pytest.raises(ConfigError, match="k"):
+                cfg.validate()
+
     def test_empty_or_bad_degrees(self):
-        for degrees in ([], [0], [1.5]):
+        for degrees in ([], [0], [1.5], [2.0], [True]):
             cfg = StudyConfig(problem="piecewise-1d", k=1.0, degrees=degrees,
                               mesh_sequence=[2])
             with pytest.raises(ConfigError, match="degrees"):
+                cfg.validate()
+
+    def test_empty_or_bad_mesh_sequence(self):
+        for ns in ([], [0, 3], [1.5], [2.0, 3], [True, 3]):
+            cfg = StudyConfig(problem="piecewise-1d", k=1.0, degrees=[1],
+                              mesh_sequence=ns)
+            with pytest.raises(ConfigError, match="mesh_sequence"):
                 cfg.validate()
 
     def test_non_refining_sequence(self):
@@ -216,6 +230,12 @@ class TestMainEntryPoint:
         write_config(cfg_path, method="bogus")
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_float_mesh_count_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        write_config(cfg_path, mesh_sequence=[5.0, 15])
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "mesh_sequence" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

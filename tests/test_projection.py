@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helmfosls.mesh import build_square_mesh
+from helmfosls import fosls
+from helmfosls.mesh import build_polygonal_disk_mesh, build_square_mesh
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.projection import (
     _edge_work,
@@ -274,6 +275,37 @@ class TestReferenceProjection:
         for a, b in zip(q, q[1:]):
             assert b <= 1.5 * a
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_stack_rows_match_single_projections(self, d, p):
+        """A stack of three functions projects as three separate calls."""
+        A = np.array([[2.1, 0.7], [-1.3, 0.4], [0.5, -2.2]])[:, :d]
+        B = np.array([[0.9, -1.6], [1.7, 0.3], [-0.6, 1.1]])[:, :d]
+        C = np.array([0.7 - 0.2j, -1.1 + 0.5j, 0.3 + 1.4j])
+
+        def u(pts):
+            pts = np.atleast_2d(pts)
+            return C[:, None] * np.exp(1j * A @ pts.T) + np.sin(B @ pts.T)
+
+        def gu(pts):
+            pts = np.atleast_2d(pts)
+            wave = 1j * C[:, None] * np.exp(1j * A @ pts.T)
+            return (wave[..., None] * A[:, None, :]
+                    + np.cos(B @ pts.T)[..., None] * B[:, None, :])
+
+        stack = project_reference(u, d, p, grad_u=gu)
+        assert stack.result.shape == (3, make_scalar_basis(d, p).dim)
+        for m in range(3):
+            single = project_reference(
+                lambda q, m=m: u(q)[m], d, p, grad_u=lambda q, m=m: gu(q)[m]
+            ).result
+            err = np.max(np.abs(stack.result[m] - single))
+            assert err <= 1e-13 * np.linalg.norm(single)
+        volume = stack.step_trace["volume"]
+        steps = stack.step_trace["edge"] + ([volume] if volume else [])
+        assert len(steps) == (1 if d == 1 else 3 + (p >= 3))
+        assert all(step["kkt"] <= 1e-10 for step in steps)
+
     def test_kkt_residuals_recorded(self):
         u = lambda pts: np.sin(np.atleast_2d(pts)[:, 0] * 2.0).astype(complex)
         gu = lambda pts: np.column_stack([
@@ -418,6 +450,44 @@ class TestHdivProjection:
             proj1d = project_reference(trace, 1, p)
             rhs = basis1.eval(tt[:, None]) @ proj1d.result
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh_name", ["square", "disk"])
+    def test_one_element_chunks_match_default_chunking(self, mesh_name, p,
+                                                       monkeypatch):
+        """Chunk seams leave coefficients and mismatch unchanged; the disk's
+        elements are not congruent, so a wrong per-element map shows."""
+        mesh = (build_square_mesh(3) if mesh_name == "square"
+                else build_polygonal_disk_mesh(8, 1))
+        space = build_hdiv_space(mesh, p)
+        phi, jac = self.smooth_field()
+        default, mismatch = project_hdiv_global(
+            phi, space, jac_phi=jac, return_max_mismatch=True
+        )
+        monkeypatch.setattr(fosls, "CHUNK_POINTS", 1)
+        single, single_mismatch = project_hdiv_global(
+            phi, space, jac_phi=jac, return_max_mismatch=True
+        )
+        scale = np.max(np.abs(default))
+        assert np.max(np.abs(single - default)) <= 1e-13 * scale
+        assert abs(single_mismatch - mismatch) <= 1e-13 * scale
+
+    def test_mismatch_reports_disagreeing_neighbours(self, monkeypatch):
+        """A field that shifts on every call gives neighbouring elements
+        different data on their shared edge; the mismatch must show it."""
+        smooth, _ = self.smooth_field()
+        calls = []
+
+        def drifting(pts):
+            calls.append(len(pts))
+            return smooth(pts) + 1e-3 * len(calls)
+
+        monkeypatch.setattr(fosls, "CHUNK_POINTS", 1)
+        space = build_hdiv_space(build_square_mesh(3), 2)
+        _, mismatch = project_hdiv_global(
+            drifting, space, return_max_mismatch=True
+        )
+        assert mismatch >= 1e-4
 
     def test_requires_hdiv_space_and_jacobian(self):
         from helmfosls.mesh import build_interval_mesh
