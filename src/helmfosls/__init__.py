@@ -44,12 +44,7 @@ from .projection import (
     project_reference,
 )
 from .solver import SolveReport, SolverError, solve_general, solve_hpd
-from .spaces import (
-    FunctionSpace,
-    build_h1_space,
-    build_hdiv_space,
-    piola_transform,
-)
+from .spaces import FunctionSpace, build_h1_space, build_hdiv_space
 from .cli import StudyConfig, run_study
 
 __version__ = "0.1.0"

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 from .mesh import element_map_apply
 from .polyquad import gauss01, simplex_quadrature
 from .spaces import (
-    KIND_HDIV,
+    basis_tables,
+    check_flux_space,
     edge_reference_points,
     scalar_eval,
     scalar_grad_eval,
@@ -159,28 +160,9 @@ def _check_same_mesh(v_space, w_space):
 # -- batched assembly ----------------------------------------------------
 
 
-def _basis_tables(space, elems, ref):
-    """Physical values and first derivatives of the element basis, without
-    orientation signs (:func:`_scatter` applies them).
-
-    H1: (u, grad u) of shapes (E, q, 1, n) and (E, q, d, n); H(div), by
-    the Piola map: (phi, div phi) of shapes (E, q, d, n) and (E, q, 1, n).
-    In 1D the H1 pair doubles as the flux pair (phi, div phi).
-    """
-    mesh = space.mesh
-    if space.kind == KIND_HDIV:
-        det = mesh.det_A[elems][:, None, None]
-        vals = np.einsum("eab,qib->eqai", mesh.maps_A[elems] / det,
-                         space.bdm.eval(ref), optimize=True)
-        return vals, space.bdm.div(ref)[None, :, None] / det[..., None]
-    vals, grads = space.basis.eval_with_grad(ref)
-    grads = np.einsum("qib,eba->eqai", grads, mesh.inv_A[elems], optimize=True)
-    return np.broadcast_to(vals[:, None], (len(elems),) + vals[:, None].shape), grads
-
-
 def _gram(wts, X, Y):
-    """Element blocks sum_q wts X^T Y of real (E, q, c, n) tables."""
-    Xw = (X * wts[:, :, None, None]).reshape(len(wts), -1, X.shape[-1])
+    """Element blocks sum_q wts X^T Y of real (E, c, q, n) tables."""
+    Xw = (X * wts[:, None, :, None]).reshape(len(wts), -1, X.shape[-1])
     return np.swapaxes(Xw, 1, 2) @ Y.reshape(len(wts), -1, Y.shape[-1])
 
 
@@ -218,10 +200,10 @@ def _scatter(dofs, signs, blocks, loads, n):
 
 
 def _ls_tables(v_space, w_space, elems, ref, k):
-    """Real tables R1 = [k phi | grad u] (E, q, d, m) and
-    R2 = [div phi | k u] (E, q, 1, m) of the [V | W] element basis."""
-    phi, dphi = _basis_tables(v_space, elems, ref)
-    u, gu = _basis_tables(w_space, elems, ref)
+    """Real tables R1 = [k phi | grad u] (E, d, q, m) and
+    R2 = [div phi | k u] (E, 1, q, m) of the [V | W] element basis."""
+    phi, dphi = basis_tables(v_space, elems, ref)
+    u, gu = basis_tables(w_space, elems, ref)
     return (np.concatenate([k * phi, gu], axis=3),
             np.concatenate([dphi, k * u], axis=3))
 
@@ -236,6 +218,7 @@ def assemble_fosls(v_space, w_space, problem):
     sum_j conj(Dj) (Rj^T W Rj) Dj needs only real Gram matrices.
     """
     _check_same_mesh(v_space, w_space)
+    check_flux_space(v_space)
     if problem.k <= 0:
         raise ValueError("wavenumber k must be positive")
     mesh = v_space.mesh
@@ -259,18 +242,18 @@ def assemble_fosls(v_space, w_space, problem):
                          + _gram(wdet, r2, r2) * np.outer(d2.conj(), d2))
     # (-i f / k, ik v + div psi), panel-split so discontinuous f stays exact
     for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        _, dphi = _basis_tables(v_space, elems, ref)
-        u, _ = _basis_tables(w_space, elems, ref)
-        r2 = np.concatenate([dphi, k * u], axis=3)[:, :, 0]
+        _, dphi = basis_tables(v_space, elems, ref)
+        u, _ = basis_tables(w_space, elems, ref)
+        r2 = np.concatenate([dphi, k * u], axis=3)[:, 0]
         loads[elems] = _load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
 
     # boundary terms k(phi.n + u, psi.n + v) and (i g, psi.n + v)
     for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
-        phi, _ = _basis_tables(v_space, elems, ref)
-        u, _ = _basis_tables(w_space, elems, ref)
-        phin = np.einsum("eqan,ea->eqn", phi, normals)
-        trace = np.concatenate([phin, u[:, :, 0]], axis=2)
-        blocks[elems] += k * _gram(wj, trace[:, :, None], trace[:, :, None])
+        phi, _ = basis_tables(v_space, elems, ref)
+        u, _ = basis_tables(w_space, elems, ref)
+        phin = np.einsum("eaqn,ea->eqn", phi, normals)
+        trace = np.concatenate([phin, u[:, 0]], axis=2)
+        blocks[elems] += k * _gram(wj, trace[:, None], trace[:, None])
         loads[elems] += _load(wj, 1j * _data(problem.g, phys, normals), trace)
 
     matrix, rhs = _scatter(dofs, signs, blocks, loads, nv + w_space.n_dofs)
@@ -293,16 +276,16 @@ def assemble_classical_fem(w_space, problem):
     loads = np.empty((len(dofs), m), dtype=complex)
 
     for elems, ref, _, wdet in element_groups(mesh, rule):
-        u, gu = _basis_tables(w_space, elems, ref)
+        u, gu = basis_tables(w_space, elems, ref)
         blocks[elems] = _gram(wdet, gu, gu) - k**2 * _gram(wdet, u, u)
     for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        u, _ = _basis_tables(w_space, elems, ref)
-        loads[elems] = _load(wdet, _data(problem.f, phys), u[:, :, 0])
+        u, _ = basis_tables(w_space, elems, ref)
+        loads[elems] = _load(wdet, _data(problem.f, phys), u[:, 0])
 
     for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
-        u, _ = _basis_tables(w_space, elems, ref)
+        u, _ = basis_tables(w_space, elems, ref)
         blocks[elems] += -1j * k * _gram(wj, u, u)
-        loads[elems] += _load(wj, _data(problem.g, phys, normals), u[:, :, 0])
+        loads[elems] += _load(wj, _data(problem.g, phys, normals), u[:, 0])
 
     matrix, rhs = _scatter(dofs, w_space.elem_signs, blocks, loads, w_space.n_dofs)
     return AssembledSystem(matrix, rhs, CLASSICAL_FEM, k, None, w_space)

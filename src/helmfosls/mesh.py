@@ -97,19 +97,15 @@ class Mesh:
         self.maps_A = np.empty((ne, d, d))
         for j in range(d):
             self.maps_A[:, :, j] = v[e[:, j + 1]] - v[e[:, 0]]
+        A = self.maps_A
         if d == 1:
-            self.det_A = self.maps_A[:, 0, 0].copy()
-            self.inv_A = 1.0 / self.maps_A
+            self.det_A, adj = A[:, 0, 0].copy(), np.ones_like(A)
         else:
-            A = self.maps_A
             self.det_A = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-            self.inv_A = np.empty_like(A)
-            self.inv_A[:, 0, 0] = A[:, 1, 1] / self.det_A
-            self.inv_A[:, 1, 1] = A[:, 0, 0] / self.det_A
-            self.inv_A[:, 0, 1] = -A[:, 0, 1] / self.det_A
-            self.inv_A[:, 1, 0] = -A[:, 1, 0] / self.det_A
+            adj = np.stack([A[:, 1, 1], -A[:, 0, 1], -A[:, 1, 0], A[:, 0, 0]], axis=1)
         if np.any(self.det_A <= 0):
             raise ValueError("degenerate element: det(A_K) <= 0")
+        self.inv_A = adj.reshape(A.shape) / self.det_A[:, None, None]
         self.element_measures = np.abs(self.det_A) * REFERENCE_MEASURE[d]
 
     def _build_facets(self):

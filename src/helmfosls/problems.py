@@ -25,7 +25,6 @@ class ExactBundle:
     phi: Callable
     div_phi: Callable
     laplacian_u: Optional[Callable] = None
-    residual_checkable: bool = True
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .polyquad import (
     make_scalar_basis,
     simplex_quadrature,
 )
-from .spaces import KIND_HDIV, _scatter_local
+from .spaces import KIND_HDIV, _scatter_local, pull_back
 
 
 @dataclass(frozen=True)
@@ -302,18 +302,13 @@ def project_reference(u, d, p, grad_u=None):
     return ReferenceProjection(p=p, d=d, result=coeffs, step_trace=trace)
 
 
-def _pull(fn, mesh, elems, pts):
-    """Piola pull-back det A^-1 fn(F(x)) of values (n, 2) or Jacobians
-    (n, 2, 2) on every element of ``elems``: (elements, 2, n, ...)."""
+def _pull(mesh, elems, fn, jacobian, pts):
+    """Piola pull-back of the values (n, 2), or Jacobians (n, 2, 2), of
+    ``fn`` on every element of ``elems``: (elements, 2, n, ...)."""
     phys = element_map_apply(mesh, elems, pts)
     vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=complex)
     vals = vals.reshape(phys.shape[:2] + vals.shape[1:])
-    return np.einsum("e,eij,enj...->ein...", mesh.det_A[elems], mesh.inv_A[elems], vals)
-
-
-def _pull_jac(jac_phi, mesh, elems, pts):
-    """Reference gradients of the pulled-back components (chain rule)."""
-    return _pull(jac_phi, mesh, elems, pts) @ mesh.maps_A[elems, None]
+    return pull_back(mesh, elems, vals, jacobian).swapaxes(1, 2)
 
 
 def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
@@ -340,13 +335,13 @@ def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     if p >= 3 and jac_phi is None:
         raise ValueError("jac_phi is required for p >= 3")
     mesh = space.mesh
-    elements = np.arange(len(mesh.elements))
     local = []
     # the largest reference point set is the Duffy grid of an edge stage
-    for s in chunks(len(elements), _edge_work(p).XY.size):
-        elems = elements[s]
-        grad = None if jac_phi is None else partial(_pull_jac, jac_phi, mesh, elems)
-        comp = project_reference(partial(_pull, phi, mesh, elems), 2, p, grad_u=grad)
+    for s in chunks(len(mesh.elements), _edge_work(p).XY.size):
+        elems = np.arange(len(mesh.elements))[s]
+        pull = partial(_pull, mesh, elems)
+        grad = None if jac_phi is None else partial(pull, jac_phi, True)
+        comp = project_reference(partial(pull, phi, False), 2, p, grad_u=grad)
         local.append(np.linalg.solve(
             space.bdm.coeffs, comp.result.reshape(len(elems), -1).T
         ))

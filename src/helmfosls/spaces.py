@@ -1,9 +1,17 @@
-"""Global conforming finite element spaces.
+"""Global conforming finite element spaces and their element map.
 
 Two kinds are provided: the scalar space S_p (continuous, H1-conforming)
 and the vector space BDM_p = P_p^2 per element (normal-trace continuous,
-H(div)-conforming), mapped from the reference triangle by the
-contravariant Piola transform
+H(div)-conforming).  In 1D, H(div) coincides with H1 and the scalar space
+doubles as the flux space (the normal trace at an endpoint is +/- the
+point value), so ``build_hdiv_space`` is reserved for 2D meshes.
+
+Fields move between the reference element and the physical one through
+one map, :func:`push_forward` and its inverse :func:`pull_back`; a field
+is evaluated by contracting its local coefficients with the reference
+table first and mapping the result afterwards.  H1 values are unchanged
+and gradients map by A^{-T}; H(div) fields map by the contravariant
+Piola transform
 
     phi(F(x)) = A phi_hat(x) / det A,   div phi o F = div_hat phi_hat / det A.
 
@@ -12,10 +20,6 @@ edge function whose Legendre kernel has odd degree flips sign when the
 local edge direction disagrees with the global one (ascending vertex
 index), and a normal-trace dof additionally flips with the orientation
 of the global facet normal.
-
-In 1D, H(div) coincides with H1 and the scalar space doubles as the flux
-space (the normal trace at an endpoint is +/- the point value), so
-``build_hdiv_space`` is reserved for 2D meshes.
 """
 
 import numpy as np
@@ -92,10 +96,7 @@ class BdmBasis:
         """Vector basis values; shape (n_points, dim, 2)."""
         sv = self.scalar.eval(points)
         ns = self.scalar.dim
-        out = np.empty((sv.shape[0], self.dim, 2))
-        out[:, :, 0] = sv @ self.coeffs[:ns]
-        out[:, :, 1] = sv @ self.coeffs[ns:]
-        return out
+        return np.stack([sv @ self.coeffs[:ns], sv @ self.coeffs[ns:]], axis=-1)
 
     def div(self, points):
         """Reference divergences; shape (n_points, dim)."""
@@ -228,37 +229,68 @@ def build_hdiv_space(mesh, p):
                          bdm.scalar, bdm=bdm)
 
 
-def piola_transform(A, phi_hat):
-    """Contravariant Piola push-forward of a reference vector field.
-
-    Returns a callable giving phi o F_K at reference points, where
-    phi = A phi_hat / det A.  Rejects singular or orientation-reversing
-    maps.
-    """
-    A = np.asarray(A, dtype=float)
-    det = np.linalg.det(A)
-    if det <= 0:
-        raise ValueError("Piola transform requires det A > 0")
-
-    def pushed(points):
-        vals = np.asarray(phi_hat(np.atleast_2d(points)))
-        return vals @ A.T / det
-
-    return pushed
+# -- the element map and field evaluation.  ``elem`` is one element index
+# or an int array of them, which adds a leading element axis to a field;
+# a unit leading axis instead holds a reference table shared by all.
 
 
-def piola_divergence(A, div_hat):
-    """Divergence of a Piola-mapped field: (div phi) o F = div_hat / det A."""
-    det = np.linalg.det(np.asarray(A, dtype=float))
-    if det <= 0:
-        raise ValueError("Piola transform requires det A > 0")
-    return lambda points: np.asarray(div_hat(np.atleast_2d(points))) / det
+def _matvec(m, v):
+    """Vectors (last axis) of ``v`` mapped by per-element matrices ``m``."""
+    if m.ndim == 3 and len(v) == 1:  # one BLAS product maps the table
+        mv = np.tensordot(m, v[0], axes=(2, -1))
+        return mv.transpose(0, *range(2, mv.ndim), 1)
+    return v @ np.swapaxes(m, -1, -2)
 
 
-# -- evaluation of global fields --------------------------------------
-#
-# ``elem`` is one element index or an int array of them; an array adds a
-# leading element axis to every result.
+def push_forward(space, elem, field, derivative=False):
+    """Physical values (or first derivatives) of ``space`` on ``elem``
+    from reference ones.  H1: u is unchanged, grad u = A^{-T} grad_hat u.
+    H(div), by the contravariant Piola map: phi = A phi_hat / det A and
+    div phi = div_hat phi_hat / det A."""
+    mesh = space.mesh
+    if space.kind == KIND_H1:
+        inv_t = np.swapaxes(mesh.inv_A[elem], -1, -2)
+        return _matvec(inv_t, field) if derivative else field
+    det = np.asarray(mesh.det_A[elem])
+    if derivative:
+        return field / det.reshape(det.shape + (1,) * (field.ndim - det.ndim))
+    return _matvec(mesh.maps_A[elem] / det[..., None, None], field)
+
+
+def pull_back(mesh, elem, field, jacobian=False):
+    """Reference H(div) values phi_hat = det A A^{-1} (phi o F) on ``elem``
+    from physical ones; with ``jacobian``, the reference Jacobians
+    det A A^{-1} J A of phi_hat from the Jacobians J of phi (chain rule)."""
+    m = np.asarray(mesh.det_A[elem])[..., None, None] * mesh.inv_A[elem]
+    if jacobian:
+        return np.einsum("...ij,...njk,...kl->...nil", m, field, mesh.maps_A[elem],
+                         optimize=True)
+    return _matvec(m, field)
+
+
+def basis_tables(space, elems, ref):
+    """Physical values and first derivatives of the basis on every element
+    of ``elems``, without orientation signs, for assembly: H1 (u, grad u)
+    of shapes (E, 1, q, n) and (E, d, q, n), H(div) (phi, div phi) of
+    shapes (E, d, q, n) and (E, 1, q, n); in 1D the H1 pair doubles as
+    the flux pair."""
+    if space.kind == KIND_HDIV:
+        tables = space.bdm.eval(ref), space.bdm.div(ref)
+    else:
+        tables = space.basis.eval_with_grad(ref)
+    out = []
+    for t, derivative in zip(tables, (False, True)):
+        t = push_forward(space, elems, t[None], derivative)
+        t = t[:, None] if t.ndim == 3 else t.transpose(0, 3, 1, 2)
+        out.append(np.broadcast_to(t, (len(elems),) + t.shape[1:]))
+    return tuple(out)
+
+
+def check_flux_space(space):
+    """Reject a flux space of the wrong kind: BDM_p in 2D, S_p in 1D."""
+    if space.kind != (KIND_HDIV if space.mesh.dim == 2 else KIND_H1):
+        raise ValueError(f"{space.kind} is not a flux space on a "
+                         f"{space.mesh.dim}D mesh (BDM_p in 2D, S_p in 1D)")
 
 
 def local_coeffs(space, coeffs, elem):
@@ -272,34 +304,32 @@ def _combine(table, lc):
 
 
 def scalar_eval(space, coeffs, elem, ref_points):
-    return local_coeffs(space, coeffs, elem) @ space.basis.eval(ref_points).T
+    values = local_coeffs(space, coeffs, elem) @ space.basis.eval(ref_points).T
+    return push_forward(space, elem, values)
 
 
 def scalar_grad_eval(space, coeffs, elem, ref_points):
-    """Physical gradients of a scalar field: grad = A^{-T} grad_hat."""
+    """Physical gradients of a scalar field."""
     g_ref = _combine(space.basis.grad(ref_points), local_coeffs(space, coeffs, elem))
-    return g_ref @ space.mesh.inv_A[elem]
+    return push_forward(space, elem, g_ref, derivative=True)
 
 
 def vector_eval(space, coeffs, elem, ref_points):
-    """Physical values of a flux field (Piola-mapped in 2D)."""
-    lc = local_coeffs(space, coeffs, elem)
-    if space.kind == KIND_H1:  # 1D flux space
-        return (lc @ space.basis.eval(ref_points).T)[..., None]
-    vals = _combine(space.bdm.eval(ref_points), lc)
-    mesh = space.mesh
-    det = np.asarray(mesh.det_A[elem])[..., None, None]
-    return vals @ np.swapaxes(mesh.maps_A[elem], -1, -2) / det
+    """Physical values of a flux field (S_p is the flux space in 1D)."""
+    check_flux_space(space)
+    if space.kind == KIND_H1:
+        return scalar_eval(space, coeffs, elem, ref_points)[..., None]
+    vals = _combine(space.bdm.eval(ref_points), local_coeffs(space, coeffs, elem))
+    return push_forward(space, elem, vals)
 
 
 def vector_div_eval(space, coeffs, elem, ref_points):
     """Physical divergence of a flux field."""
-    lc = local_coeffs(space, coeffs, elem)
-    mesh = space.mesh
+    check_flux_space(space)
     if space.kind == KIND_H1:
-        return (_combine(space.basis.grad(ref_points), lc) @ mesh.inv_A[elem])[..., 0]
-    det = np.asarray(mesh.det_A[elem])[..., None]
-    return (lc @ space.bdm.div(ref_points).T) / det
+        return scalar_grad_eval(space, coeffs, elem, ref_points)[..., 0]
+    div = local_coeffs(space, coeffs, elem) @ space.bdm.div(ref_points).T
+    return push_forward(space, elem, div, derivative=True)
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)
@@ -349,10 +379,8 @@ def interpolate_hdiv_polynomial(space, phi):
     """
     if space.kind != KIND_HDIV:
         raise ValueError("expected a vector-hdiv space")
-    mesh = space.mesh
     V, vals = _lattice_values(space, phi)
-    pulled = mesh.det_A[:, None, None] * vals @ np.swapaxes(mesh.inv_A, 1, 2)
+    pulled = pull_back(space.mesh, np.arange(len(vals)), vals)
     # scalar coefficients of both components, stacked as in bdm.coeffs
-    comp = np.linalg.solve(V, pulled.transpose(1, 2, 0).reshape(len(V), -1))
-    comp = comp.reshape(len(V), 2, -1).transpose(1, 0, 2).reshape(2 * len(V), -1)
+    comp = np.linalg.solve(V, pulled.transpose(2, 1, 0)).reshape(2 * len(V), -1)
     return _scatter_local(space, np.linalg.solve(space.bdm.coeffs, comp))

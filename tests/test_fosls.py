@@ -88,6 +88,18 @@ class TestFoslsMatrixStructure:
         with pytest.raises(ValueError, match="mesh"):
             assemble_fosls(v, w, piecewise_1d_problem(1.0))
 
+    def test_flux_space_kind_rejected(self):
+        # the flux space is BDM_p in 2D; a scalar space there is an error,
+        # not a (q, 1) "flux"
+        w = build_h1_space(build_square_mesh(2), 1)
+        coeffs = np.zeros(w.n_dofs)
+        ref = simplex_quadrature(2, 2).points
+        with pytest.raises(ValueError, match="flux space"):
+            assemble_fosls(w, w, plane_wave_problem(2.0))
+        for evaluate in (vector_eval, vector_div_eval):
+            with pytest.raises(ValueError, match="flux space"):
+                evaluate(w, coeffs, 0, ref)
+
     def test_element_order_does_not_matter(self, rng):
         # vertex and facet dofs are numbered canonically, so at p = 1 the
         # assembled entries must agree up to rounding

@@ -113,6 +113,21 @@ class TestDiskMesh:
 
 
 class TestElementMap:
+    def test_flipped_element_reoriented_degenerate_rejected(self):
+        # the element maps always have det A > 0, so the Piola map is defined
+        verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # clockwise
+        mesh = Mesh(2, verts, np.array([[0, 1, 2]]), 0.5)
+        assert mesh.det_A[0] == pytest.approx(1.0, abs=1e-15)
+        assert list(mesh.elements[0]) == [0, 2, 1]
+        interval = Mesh(1, np.array([[1.0], [0.0]]), np.array([[0, 1]]), 1.0)
+        assert interval.det_A[0] == pytest.approx(1.0, abs=1e-15)
+        assert list(interval.elements[0]) == [1, 0]
+        with pytest.raises(ValueError, match="degenerate"):
+            Mesh(2, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                 np.array([[0, 1, 2]]), 1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            Mesh(1, np.array([[0.5], [0.5]]), np.array([[0, 1]]), 1.0)
+
     def test_identity_on_reference_mesh(self):
         mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]), 0.5)

@@ -13,8 +13,8 @@ from helmfosls.spaces import (
     build_hdiv_space,
     interpolate_h1_polynomial,
     interpolate_hdiv_polynomial,
-    piola_divergence,
-    piola_transform,
+    pull_back,
+    push_forward,
     scalar_eval,
     vector_eval,
 )
@@ -176,79 +176,107 @@ class TestConformity:
             np.testing.assert_allclose(vals[:, 1], 0.0, atol=1e-12)
 
 
+def triangles(verts):
+    """A mesh of disjoint triangles, one per vertex triple of ``verts``."""
+    verts = np.asarray(verts, dtype=float).reshape(-1, 3, 2)
+    area = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])).sum() / 2
+    return Mesh(2, verts.reshape(-1, 2), np.arange(verts.size // 2).reshape(-1, 3), area)
+
+
 class TestPiola:
-    def test_identity_map(self):
-        phi_hat = lambda pts: np.column_stack(
-            [pts[:, 0] ** 2, pts[:, 1]]
-        )
-        pushed = piola_transform(np.eye(2), phi_hat)
-        pts = np.array([[0.1, 0.2], [0.3, 0.3]])
-        np.testing.assert_allclose(pushed(pts), phi_hat(pts), atol=1e-15)
+    """The element map: push_forward and pull_back."""
+
+    def test_identity_map(self, rng):
+        mesh = triangles([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        vecs, scalars = rng.random((4, 2)), rng.random(4)
+        # (values, derivatives): H(div) (vectors, divergences), H1 (scalars, gradients)
+        for space, fields in ((build_hdiv_space(mesh, 1), (vecs, scalars)),
+                              (build_h1_space(mesh, 1), (scalars, vecs))):
+            for elem in (0, np.array([0])):
+                for f, derivative in zip(fields, (False, True)):
+                    got = push_forward(space, elem, f.reshape(np.shape(elem) + f.shape),
+                                       derivative)
+                    np.testing.assert_allclose(got.reshape(f.shape), f, atol=1e-15)
+        np.testing.assert_allclose(pull_back(mesh, 0, vecs), vecs, atol=1e-15)
+        jac = rng.random((4, 2, 2))
+        np.testing.assert_allclose(pull_back(mesh, 0, jac, jacobian=True), jac, atol=1e-15)
 
     def test_scaling_map(self):
-        pushed = piola_transform(2 * np.eye(2), lambda pts: np.tile(
-            [1.0, 0.0], (len(pts), 1)
-        ))
-        vals = pushed(np.array([[0.2, 0.2]]))
+        # A = 2 I, det A = 4
+        mesh = triangles([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        v_space, w_space = build_hdiv_space(mesh, 1), build_h1_space(mesh, 1)
+        vals = push_forward(v_space, 0, np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(vals, [[0.5, 0.0]], atol=1e-15)
+        div = push_forward(v_space, 0, np.array([1.0]), derivative=True)
+        np.testing.assert_allclose(div, [0.25], atol=1e-15)
+        grad = push_forward(w_space, 0, np.array([[1.0, 0.0]]), derivative=True)
+        np.testing.assert_allclose(grad, [[0.5, 0.0]], atol=1e-15)
+        back = pull_back(mesh, 0, np.array([[0.5, 0.0]]))
+        np.testing.assert_allclose(back, [[1.0, 0.0]], atol=1e-15)
 
     def test_divergence_of_linear_field(self, rng):
         # phi_hat = (x, y) has reference divergence 2
         A = np.array([[1.3, 0.4], [-0.2, 0.9]])
-        div = piola_divergence(A, lambda pts: np.full(len(pts), 2.0))
-        pts = rng.random((7, 2)) * 0.4
-        np.testing.assert_allclose(
-            div(pts), 2.0 / np.linalg.det(A), atol=1e-14
-        )
-
-    def test_rejects_singular_or_flipped(self):
-        with pytest.raises(ValueError):
-            piola_transform(np.zeros((2, 2)), lambda pts: pts)
-        with pytest.raises(ValueError):
-            piola_divergence(np.diag([1.0, -1.0]), lambda pts: pts[:, 0])
+        mesh = triangles([[0.0, 0.0], A[:, 0], A[:, 1]])
+        np.testing.assert_allclose(mesh.maps_A[0], A, atol=1e-15)
+        div = push_forward(build_hdiv_space(mesh, 1), np.array([0]),
+                           np.full((1, 7), 2.0), derivative=True)
+        np.testing.assert_allclose(div, 2.0 / np.linalg.det(A), atol=1e-14)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_divergence_and_flux_commute(self, p, rng):
-        """Volume divergence and edge fluxes are preserved by the map."""
+        """Volume divergence and edge fluxes are preserved by the map,
+        element by element, for one batched call over five triangles."""
+        from helmfosls.spaces import REF_EDGE_LENGTHS, REF_EDGE_NORMALS, \
+            edge_reference_points
         sb = make_scalar_basis(2, p)
         rule = simplex_quadrature(2, 2 * p + 2)
         t, wt = gauss01(p + 2)
-        for trial in range(5):
-            verts = rng.standard_normal((3, 2))
-            mesh = Mesh(2, verts, np.array([[0, 1, 2]]), abs(
-                np.linalg.det(verts[1:] - verts[0]) / 2
-            ))
-            A, det = mesh.maps_A[0], mesh.det_A[0]
-            c = rng.standard_normal((sb.dim, 2))
-            phi_hat = lambda pts: sb.eval(pts) @ c
-            div_hat = lambda pts: np.einsum("qid,id->q", sb.grad(pts), c)
-            pushed = piola_transform(A, phi_hat)
+        mesh = triangles(rng.standard_normal((5, 3, 2)))
+        space = build_hdiv_space(mesh, p)
+        elems = np.arange(5)
+        c = rng.standard_normal((5, sb.dim, 2))
+        phi_hat = lambda pts: np.einsum("qi,eid->eqd", sb.eval(pts), c)
+        div_hat = np.einsum("qid,eid->eq", sb.grad(rule.points), c)
 
-            # int_K div phi dx = int_Khat div_hat phi_hat dxhat
-            ref_int = np.sum(rule.weights * div_hat(rule.points))
-            phys_int = np.sum(
-                rule.weights * det * piola_divergence(A, div_hat)(rule.points)
-            )
-            assert abs(ref_int - phys_int) <= 1e-12 * max(1.0, abs(ref_int))
+        # int_K div phi dx = int_Khat div_hat phi_hat dxhat
+        ref_int = div_hat @ rule.weights
+        div = push_forward(space, elems, div_hat, derivative=True)
+        phys_int = (div * mesh.det_A[:, None]) @ rule.weights
+        assert np.all(np.abs(ref_int - phys_int) <= 1e-12 * np.maximum(1.0, np.abs(ref_int)))
 
-            # per-facet flux preservation
-            from helmfosls.spaces import REF_EDGE_LENGTHS, REF_EDGE_NORMALS, \
-                edge_reference_points
-            for l in range(3):
-                fid = mesh.elem_facets[0, l]
+        # per-facet flux preservation
+        for l in range(3):
+            ref_pts = edge_reference_points(l, t)
+            pushed = push_forward(space, elems, phi_hat(ref_pts))
+            flux_ref = (phi_hat(ref_pts) @ REF_EDGE_NORMALS[l]) @ wt * REF_EDGE_LENGTHS[l]
+            for e in elems:
+                fid = mesh.elem_facets[e, l]
                 facet = mesh.facets[fid]
-                ref_pts = edge_reference_points(l, t)
-                flux_ref = np.sum(
-                    wt * REF_EDGE_LENGTHS[l]
-                    * (phi_hat(ref_pts) @ REF_EDGE_NORMALS[l])
-                )
-                n_phys = mesh.facet_element_side(fid, 0)[1] * facet.normal
-                flux_phys = np.sum(
-                    wt * facet.measure * (pushed(ref_pts) @ n_phys)
-                )
-                assert abs(flux_ref - flux_phys) <= 1e-12 * max(
-                    1.0, abs(flux_ref)
-                )
+                n_phys = mesh.facet_element_side(fid, e)[1] * facet.normal
+                flux_phys = np.sum(wt * facet.measure * (pushed[e] @ n_phys))
+                assert abs(flux_ref[e] - flux_phys) <= 1e-12 * max(1.0, abs(flux_ref[e]))
+
+    def test_pull_back_inverts_push_forward(self, rng):
+        mesh = triangles(rng.standard_normal((4, 3, 2)))
+        space = build_hdiv_space(mesh, 1)
+        elems = np.array([2, 0, 3])
+        vals = rng.standard_normal((3, 6, 2))
+        pushed = push_forward(space, elems, vals)
+        np.testing.assert_allclose(pull_back(mesh, elems, pushed), vals, atol=1e-12)
+        # pulled-back Jacobians are the reference derivatives of the
+        # pulled-back field (central differences of phi = sin(x + 2y) (1, -1))
+        phi = lambda x: np.sin(x @ [1.0, 2.0])[..., None] * [1.0, -1.0]
+        jac = lambda x: np.cos(x @ [1.0, 2.0])[..., None, None] * np.outer([1, -1], [1, 2])
+        xhat, h = np.array([[0.3, 0.2]]), 1e-5
+        for e in elems:
+            F = lambda y: y @ mesh.maps_A[e].T + mesh.maps_b[e]
+            got = pull_back(mesh, e, jac(F(xhat)), jacobian=True)[0]
+            for j in range(2):
+                step = h * np.eye(2)[j]
+                fd = (pull_back(mesh, e, phi(F(xhat + step)))
+                      - pull_back(mesh, e, phi(F(xhat - step)))) / (2 * h)
+                np.testing.assert_allclose(got[:, j], fd[0], rtol=1e-7, atol=1e-7)
 
 
 class TestPolynomialInterpolation:
