@@ -18,7 +18,6 @@ from .fosls import (
     split_solution,
 )
 from .mesh import (
-    Facet,
     Mesh,
     build_interval_mesh,
     build_polygonal_disk_mesh,

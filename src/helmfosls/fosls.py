@@ -136,12 +136,11 @@ def boundary_groups(mesh, n_points):
     (F, q, d), weights times facet measure (F, q), outward normals
     (F, d)).  In 1D a facet is a point with a single unit weight.
     """
-    fids = np.array(mesh.boundary_facets)
-    facets = [mesh.facets[f] for f in fids]
-    elems = np.array([f.elems[0] for f in facets])
+    fids = mesh.boundary_facets
+    elems = mesh.facet_elems[fids, 0]
     local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
-    normals = np.array([f.normal for f in facets])
-    measures = np.array([f.measure for f in facets])
+    normals = mesh.facet_normals[fids]
+    measures = mesh.facet_measures[fids]
     t, w = gauss01(n_points) if mesh.dim == 2 else (None, np.ones(1))
     for li in range(mesh.elem_facets.shape[1]):
         sel = local == li

@@ -1,14 +1,29 @@
 """Simplicial meshes on intervals and polygons with affine element maps.
 
-A mesh stores vertices, element connectivity, oriented facets and the
-per-element affine maps F_K(x) = A x + b from the reference simplex
-([0, 1] in 1D, the unit triangle conv{(0,0), (1,0), (0,1)} in 2D).
-Instances are immutable after construction and safe to share across
-threads.
+A mesh stores vertices, element connectivity, the per-element affine
+maps F_K(x) = A x + b from the reference simplex ([0, 1] in 1D, the unit
+triangle conv{(0,0), (1,0), (0,1)} in 2D) and a facet table.  A facet is
+a vertex in 1D and an edge in 2D; facet ``f`` is row ``f`` of these
+arrays:
+
+- ``facet_vertices`` (F, d): its global vertex ids, ascending;
+- ``facet_elems`` (F, 2): its adjacent elements, ascending, with -1 in
+  the second column where there is no second element (a boundary facet);
+- ``facet_normals`` (F, d): the unit normal, pointing out of the element
+  ``facet_elems[f, 0]`` (out of the domain on the boundary);
+- ``facet_measures`` (F,): the edge length in 2D, 1.0 (counting measure)
+  in 1D.
+
+Facets are sorted by their ``facet_vertices`` rows, so facet numbering
+does not depend on the element ordering.  ``elem_facets`` (E, d+1) holds
+the facet of each local facet (``LOCAL_FACETS``) of each element, and
+``elem_facet_signs`` (E, d+1) is +1 where the stored normal points out of
+that element and -1 where it points in.  Instances are immutable after
+construction and safe to share across threads.
 """
 
+import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,39 +43,21 @@ LOCAL_FACETS = {
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5}
 
 
-@dataclass(frozen=True)
-class Facet:
-    """A mesh facet: a vertex in 1D, an edge in 2D.
-
-    The normal of a boundary facet points out of the domain; the normal
-    of an interior facet points from the lower- into the higher-indexed
-    adjacent element.  ``measure`` is the edge length in 2D and the
-    counting measure 1.0 in 1D.
-    """
-
-    vertex_ids: tuple
-    elems: tuple
-    normal: np.ndarray
-    measure: float
-    boundary: bool
-
-
 class Mesh:
-    """Simplicial mesh with per-element affine maps.
+    """Simplicial mesh with per-element affine maps and a facet table.
 
-    Vertex order within each element is normalized so det(A_K) > 0.
-    Facets are enumerated in a canonical order (sorted by their vertex
-    index tuples) so that facet-attached degree-of-freedom numbering does
-    not depend on the element ordering.
+    Vertex order within each element is normalized so det(A_K) > 0.  The
+    facet arrays (see the module docstring) are built in one pass over
+    all elements; a facet shared by more than two elements is rejected.
+    The caller's ``vertices`` and ``elements`` are copied, never changed.
     """
 
     def __init__(self, dim, vertices, elements, domain_measure):
         if dim not in (1, 2):
             raise ValueError(f"unsupported spatial dimension {dim}")
         self.dim = dim
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        elements = np.ascontiguousarray(elements, dtype=int)
-        self.elements = self._normalize_orientation(elements)
+        self.vertices = np.array(vertices, dtype=float)
+        self.elements = self._normalize_orientation(np.array(elements, dtype=int))
         self.domain_measure = float(domain_measure)
 
         self._build_maps()
@@ -68,7 +65,9 @@ class Mesh:
         self.h = float(max(self.element_diameters()))
         for arr in (self.vertices, self.elements, self.maps_A, self.maps_b,
                     self.det_A, self.inv_A, self.element_measures,
-                    self.elem_facets):
+                    self.elem_facets, self.elem_facet_signs, self.facet_vertices,
+                    self.facet_elems, self.facet_normals, self.facet_measures,
+                    self.boundary_facets, self.interior_facets):
             arr.flags.writeable = False
 
     # -- construction -------------------------------------------------
@@ -109,49 +108,42 @@ class Mesh:
         self.element_measures = np.abs(self.det_A) * REFERENCE_MEASURE[d]
 
     def _build_facets(self):
-        local = LOCAL_FACETS[self.dim]
-        seen = {}
-        for ei, elem in enumerate(self.elements):
-            for li, loc in enumerate(local):
-                key = tuple(sorted(int(elem[i]) for i in loc))
-                seen.setdefault(key, []).append((ei, li))
-        facets = []
-        n_local = len(local)
-        self.elem_facets = np.full((len(self.elements), n_local), -1, dtype=int)
-        for fi, key in enumerate(sorted(seen)):
-            adj = sorted(seen[key])
-            if len(adj) > 2:
-                raise ValueError(f"facet {key} shared by more than two elements")
-            elems = tuple(ei for ei, _ in adj)
-            boundary = len(elems) == 1
-            facets.append(self._make_facet(key, elems, boundary))
-            for ei, li in adj:
-                self.elem_facets[ei, li] = fi
-        self.facets = tuple(facets)
-        self.boundary_facets = tuple(
-            i for i, f in enumerate(self.facets) if f.boundary
-        )
-        self.interior_facets = tuple(
-            i for i, f in enumerate(self.facets) if not f.boundary
-        )
+        d, v, ne = self.dim, self.vertices, len(self.elements)
+        # every (element, local facet) slot as its ascending vertex tuple;
+        # np.unique sorts the tuples, which fixes the canonical facet order
+        slots = np.sort(self.elements[:, LOCAL_FACETS[d]], axis=2).reshape(-1, d)
+        self.facet_vertices, inverse, counts = np.unique(
+            slots, axis=0, return_inverse=True, return_counts=True)
+        if np.any(counts > 2):
+            key = tuple(self.facet_vertices[np.argmax(counts > 2)].tolist())
+            raise ValueError(f"facet {key} shared by more than two elements")
+        self.elem_facets = inverse.reshape(ne, d + 1)
+        nf = len(counts)
 
-    def _make_facet(self, key, elems, boundary):
-        v = self.vertices
-        if self.dim == 1:
-            # out of elems[0]: outward for boundary facets, lower-to-higher
-            # adjacent element otherwise
-            x = v[key[0], 0]
-            centroid = v[self.elements[elems[0]], 0].mean()
-            normal = np.array([1.0 if x > centroid else -1.0])
-            return Facet(key, elems, normal, 1.0, boundary)
-        a, b = v[key[0]], v[key[1]]
-        tang = b - a
-        length = float(np.linalg.norm(tang))
-        normal = np.array([tang[1], -tang[0]]) / length
-        ref = self.vertices[self.elements[elems[0]]].mean(axis=0)  # centroid
-        if normal @ (0.5 * (a + b) - ref) < 0:
-            normal = -normal
-        return Facet(key, elems, normal, length, boundary)
+        # slots grouped by facet, elements ascending within a facet (stable)
+        slot_elems = np.argsort(inverse, kind="stable") // (d + 1)
+        first = np.cumsum(counts) - counts
+        self.facet_elems = np.full((nf, 2), -1)
+        self.facet_elems[:, 0] = slot_elems[first]
+        shared = counts == 2
+        self.facet_elems[shared, 1] = slot_elems[first[shared] + 1]
+        self.boundary_facets = np.flatnonzero(~shared)
+        self.interior_facets = np.flatnonzero(shared)
+
+        # orient each normal out of its first element
+        corners = v[self.facet_vertices]
+        if d == 1:
+            normals, self.facet_measures = np.ones((nf, 1)), np.ones(nf)
+        else:
+            tang = corners[:, 1] - corners[:, 0]
+            self.facet_measures = np.linalg.norm(tang, axis=1)
+            normals = tang[:, ::-1] * [1.0, -1.0] / self.facet_measures[:, None]
+        centroids = v[self.elements[self.facet_elems[:, 0]]].mean(axis=1)
+        inward = np.einsum("fd,fd->f", normals, corners.mean(axis=1) - centroids) < 0
+        normals[inward] *= -1.0
+        self.facet_normals = normals
+        self.elem_facet_signs = np.where(
+            self.facet_elems[self.elem_facets, 0] == np.arange(ne)[:, None], 1.0, -1.0)
 
     # -- queries -------------------------------------------------------
 
@@ -164,28 +156,16 @@ class Mesh:
         d12 = np.linalg.norm(v[e[:, 2]] - v[e[:, 1]], axis=1)
         return np.max([d01, d02, d12], axis=0)
 
-    def facet_element_side(self, facet_id, elem):
-        """Return (local facet index, outward sign) of ``facet_id`` seen
-        from ``elem``.
-
-        The sign is +1 when the stored facet normal is the outward normal
-        of ``elem`` and -1 otherwise.
-        """
-        facet = self.facets[facet_id]
-        li = int(np.where(self.elem_facets[elem] == facet_id)[0][0])
-        sigma = 1.0 if facet.elems[0] == elem or facet.boundary else -1.0
-        return li, sigma
-
     def facet_points(self, facet_id, t):
         """Physical points on a facet at parameters ``t`` in [0, 1].
 
         The parameterization runs from the lower to the higher global
         vertex index; in 1D it collapses to the single facet vertex.
         """
-        f = self.facets[facet_id]
+        ids = self.facet_vertices[facet_id]
         if self.dim == 1:
-            return np.repeat(self.vertices[[f.vertex_ids[0]]], len(t), axis=0)
-        a, b = self.vertices[f.vertex_ids[0]], self.vertices[f.vertex_ids[1]]
+            return np.repeat(self.vertices[ids], len(t), axis=0)
+        a, b = self.vertices[ids]
         t = np.asarray(t, dtype=float)
         return a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
 
@@ -232,16 +212,11 @@ def build_square_mesh(n_per_side):
     g = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(g, g, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    return Mesh(2, vertices, np.array(elements), 1.0)
+    # each grid cell (v00, v10, v11, v01) splits along its diagonal v00-v11
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = np.column_stack([v00, v00 + 1, v00 + n + 2, v00 + n + 1])
+    elements = cells[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return Mesh(2, vertices, elements, 1.0)
 
 
 def build_polygonal_disk_mesh(n_boundary, n_refine):
@@ -255,39 +230,28 @@ def build_polygonal_disk_mesh(n_boundary, n_refine):
     """
     if n_boundary < 8:
         raise ValueError("n_boundary must be at least 8")
-    theta = 2 * np.pi * np.arange(n_boundary) / n_boundary
+    i = np.arange(n_boundary)
+    theta = 2 * np.pi * i / n_boundary
     vertices = np.vstack([[0.0, 0.0], np.column_stack([np.cos(theta), np.sin(theta)])])
-    elements = [(0, 1 + i, 1 + (i + 1) % n_boundary) for i in range(n_boundary)]
-    vertices, elements = list(map(np.asarray, (vertices, elements)))
+    elements = np.column_stack([np.zeros_like(i), 1 + i, 1 + (i + 1) % n_boundary])
 
     for _ in range(n_refine):
-        counts = {}
-        for tri in elements:
-            for pair in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-                counts[tuple(sorted(map(int, pair)))] = (
-                    counts.get(tuple(sorted(map(int, pair))), 0) + 1
-                )
-        verts = list(vertices)
-        midpoint = {}
-        for pair, cnt in sorted(counts.items()):
-            m = 0.5 * (vertices[pair[0]] + vertices[pair[1]])
-            if cnt == 1:  # boundary edge: project midpoint onto the circle
-                m = m / np.linalg.norm(m)
-            midpoint[pair] = len(verts)
-            verts.append(m)
-        new_elements = []
-        for tri in elements:
-            a, b, c = (int(t) for t in tri)
-            mab = midpoint[tuple(sorted((a, b)))]
-            mac = midpoint[tuple(sorted((a, c)))]
-            mbc = midpoint[tuple(sorted((b, c)))]
-            new_elements += [(a, mab, mac), (b, mbc, mab), (c, mac, mbc), (mab, mbc, mac)]
-        vertices = np.asarray(verts)
-        elements = np.asarray(new_elements)
+        # one new vertex per edge, numbered in ascending order of the edges
+        pairs = np.sort(elements[:, LOCAL_FACETS[2]], axis=2).reshape(-1, 2)
+        edges, inverse, counts = np.unique(
+            pairs, axis=0, return_inverse=True, return_counts=True)
+        mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
+        boundary = counts == 1  # boundary edge: project midpoint onto the circle
+        mid[boundary] /= np.linalg.norm(mid[boundary], axis=1)[:, None]
+        a, b, c = elements.T
+        mab, mac, mbc = (len(vertices) + inverse.reshape(-1, 3)).T
+        elements = np.column_stack([a, mab, mac, b, mbc, mab, c, mac, mbc,
+                                    mab, mbc, mac]).reshape(-1, 3)
+        vertices = np.vstack([vertices, mid])
 
     sides = n_boundary * 2**n_refine
     area = 0.5 * sides * math.sin(2 * math.pi / sides)
-    return Mesh(2, vertices, np.asarray(elements), area)
+    return Mesh(2, vertices, elements, area)
 
 
 def mesh_to_text(mesh):
@@ -297,9 +261,8 @@ def mesh_to_text(mesh):
     coordinates, element lines hold 0-based vertex indices.  Debugging
     aid only.
     """
-    lines = [f"{mesh.dim} {len(mesh.vertices)} {len(mesh.elements)}"]
-    for v in mesh.vertices:
-        lines.append(" ".join(f"{x:.17g}" for x in v))
-    for e in mesh.elements:
-        lines.append(" ".join(str(int(i)) for i in e))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.write(f"{mesh.dim} {len(mesh.vertices)} {len(mesh.elements)}\n")
+    np.savetxt(out, mesh.vertices, fmt="%.17g")
+    np.savetxt(out, mesh.elements, fmt="%d")
+    return out.getvalue()

@@ -108,9 +108,11 @@ class BdmBasis:
 class FunctionSpace:
     """Global conforming space over a mesh.
 
-    ``elem_dofs``/``elem_signs`` map local basis indices to (global dof,
-    orientation sign) per element; ``boundary_dof_info`` lists the global
-    dofs supported on each boundary facet.  Immutable after construction.
+    ``elem_dofs``/``elem_signs`` (E, local dim) map local basis indices to
+    (global dof, orientation sign) per element.  Global dofs are numbered
+    by entity: vertices (S_p only, by vertex id), then facets (a block per
+    facet, in facet order), then element interiors (a contiguous block per
+    element, in element order).  Immutable after construction.
     """
 
     def __init__(self, kind, mesh, p, n_dofs, elem_dofs, elem_signs, basis,
@@ -123,29 +125,30 @@ class FunctionSpace:
         self.elem_signs = elem_signs
         self.basis = basis
         self.bdm = bdm
-        self.boundary_dof_info = self._collect_boundary_dofs()
         self.elem_dofs.flags.writeable = False
         self.elem_signs.flags.writeable = False
 
-    def _collect_boundary_dofs(self):
-        info = {}
-        for fid in self.mesh.boundary_facets:
-            elem = self.mesh.facets[fid].elems[0]
-            li, _ = self.mesh.facet_element_side(fid, elem)
-            if self.kind == KIND_H1:
-                if self.mesh.dim == 1:
-                    local = [li]  # facet vertex is local vertex li
-                else:
-                    i, j = ScalarBasis.EDGES[li]
-                    local = [i, j] + self.basis.dof_classes["edge"][li]
-            else:
-                nle = self.bdm.n_edge
-                local = list(range(li * nle, (li + 1) * nle))
-            info[fid] = [int(self.elem_dofs[elem, l]) for l in local]
-        return info
-
     def local_dim(self):
         return self.elem_dofs.shape[1]
+
+
+def _interior_dofs(offset, n_elems, n_per_elem):
+    """(E, n) dofs of element interiors: one contiguous block per element."""
+    return offset + np.arange(n_elems * n_per_elem).reshape(n_elems, n_per_elem)
+
+
+def _edge_dofs(mesh, offset, n_per_edge):
+    """(E, 3 n) dofs of the three local edges: the block of each edge's facet."""
+    dofs = offset + mesh.elem_facets[:, :, None] * n_per_edge + np.arange(n_per_edge)
+    return dofs.reshape(len(dofs), -1)
+
+
+def _edge_parity(mesh, n_per_edge):
+    """(E, 3, n) signs (-1)^m of the m-th Legendre kernel on local edges
+    whose direction opposes the global one (ascending vertex index)."""
+    i, j = np.array(ScalarBasis.EDGES).T
+    reversed_ = mesh.elements[:, i] > mesh.elements[:, j]
+    return np.where(reversed_[:, :, None], (-1.0) ** np.arange(n_per_edge), 1.0)
 
 
 def build_h1_space(mesh, p):
@@ -154,33 +157,19 @@ def build_h1_space(mesh, p):
     nv = len(mesh.vertices)
     ne = len(mesh.elements)
     if mesh.dim == 1:
-        n_int = p - 1
-        n_dofs = nv + ne * n_int
-        elem_dofs = np.empty((ne, basis.dim), dtype=int)
-        elem_dofs[:, :2] = mesh.elements
-        for e in range(ne):
-            elem_dofs[e, 2:] = nv + e * n_int + np.arange(n_int)
+        n_dofs = nv + ne * (p - 1)
+        elem_dofs = np.hstack([mesh.elements, _interior_dofs(nv, ne, p - 1)])
         elem_signs = np.ones((ne, basis.dim))
         return FunctionSpace(KIND_H1, mesh, p, n_dofs, elem_dofs, elem_signs, basis)
 
     n_edge = p - 1
     n_int = (p - 1) * (p - 2) // 2
-    nf = len(mesh.facets)
-    n_dofs = nv + nf * n_edge + ne * n_int
-    elem_dofs = np.empty((ne, basis.dim), dtype=int)
-    elem_signs = np.ones((ne, basis.dim))
-    kernel_parity = np.array([(-1.0) ** m for m in range(n_edge)])
-    for e in range(ne):
-        elem = mesh.elements[e]
-        elem_dofs[e, :3] = elem
-        col = 3
-        for l, (i, j) in enumerate(ScalarBasis.EDGES):
-            fid = mesh.elem_facets[e, l]
-            elem_dofs[e, col:col + n_edge] = nv + fid * n_edge + np.arange(n_edge)
-            if elem[i] > elem[j]:  # local direction opposes the global one
-                elem_signs[e, col:col + n_edge] = kernel_parity
-            col += n_edge
-        elem_dofs[e, col:] = nv + nf * n_edge + e * n_int + np.arange(n_int)
+    n_edge_dofs = len(mesh.facet_vertices) * n_edge
+    n_dofs = nv + n_edge_dofs + ne * n_int
+    elem_dofs = np.hstack([mesh.elements, _edge_dofs(mesh, nv, n_edge),
+                           _interior_dofs(nv + n_edge_dofs, ne, n_int)])
+    elem_signs = np.hstack([np.ones((ne, 3)), _edge_parity(mesh, n_edge).reshape(ne, -1),
+                            np.ones((ne, n_int))])
     return FunctionSpace(KIND_H1, mesh, p, n_dofs, elem_dofs, elem_signs, basis)
 
 
@@ -195,36 +184,22 @@ def build_hdiv_space(mesh, p):
         raise ValueError("degree p must be at least 1")
     bdm = BdmBasis(p)
     ne = len(mesh.elements)
-    nf = len(mesh.facets)
     nle = bdm.n_edge
-    n_int = bdm.n_interior
-    n_dofs = nf * nle + ne * n_int
-    elem_dofs = np.empty((ne, bdm.dim), dtype=int)
-    elem_signs = np.ones((ne, bdm.dim))
-    moment_parity = np.array([(-1.0) ** m for m in range(nle)])
+    n_edge_dofs = len(mesh.facet_vertices) * nle
+    n_dofs = n_edge_dofs + ne * bdm.n_interior
 
     # normal-trace dofs are oriented by a canonical per-facet normal built
     # from vertex ids alone (rotate the ascending-vertex tangent), so the
     # numbering and signs do not depend on the element ordering
-    canon_match = np.empty(nf)
-    for fid, facet in enumerate(mesh.facets):
-        a, b = mesh.vertices[facet.vertex_ids[0]], mesh.vertices[facet.vertex_ids[1]]
-        canon = np.array([b[1] - a[1], a[0] - b[0]])
-        canon_match[fid] = 1.0 if facet.normal @ canon > 0 else -1.0
+    corners = mesh.vertices[mesh.facet_vertices]
+    canon = (corners[:, 1] - corners[:, 0])[:, ::-1] * [1.0, -1.0]
+    canon_match = np.where(np.einsum("fd,fd->f", mesh.facet_normals, canon) > 0, 1.0, -1.0)
+    sigma = mesh.elem_facet_signs * canon_match[mesh.elem_facets]
 
-    for e in range(ne):
-        elem = mesh.elements[e]
-        for l, (i, j) in enumerate(ScalarBasis.EDGES):
-            fid = mesh.elem_facets[e, l]
-            _, side = mesh.facet_element_side(fid, e)
-            sigma = side * canon_match[fid]
-            cols = slice(l * nle, (l + 1) * nle)
-            elem_dofs[e, cols] = fid * nle + np.arange(nle)
-            signs = np.full(nle, sigma)
-            if elem[i] > elem[j]:
-                signs = signs * moment_parity
-            elem_signs[e, cols] = signs
-        elem_dofs[e, 3 * nle:] = nf * nle + e * n_int + np.arange(n_int)
+    elem_dofs = np.hstack([_edge_dofs(mesh, 0, nle),
+                           _interior_dofs(n_edge_dofs, ne, bdm.n_interior)])
+    elem_signs = np.hstack([(sigma[:, :, None] * _edge_parity(mesh, nle)).reshape(ne, -1),
+                            np.ones((ne, bdm.n_interior))])
     return FunctionSpace(KIND_HDIV, mesh, p, n_dofs, elem_dofs, elem_signs,
                          bdm.scalar, bdm=bdm)
 

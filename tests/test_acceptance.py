@@ -341,14 +341,13 @@ def _piola_deviation():
         worst = max(worst, abs(ref_int - phys_int) / max(1.0, abs(ref_int)))
         for l in range(3):
             fid = mesh.elem_facets[0, l]
-            facet = mesh.facets[fid]
             ref_pts = edge_reference_points(l, t)
             flux_ref = np.sum(
                 wt * REF_EDGE_LENGTHS[l] * (phi_hat(ref_pts)[0] @ REF_EDGE_NORMALS[l])
             )
-            n_phys = mesh.facet_element_side(fid, 0)[1] * facet.normal
+            n_phys = mesh.elem_facet_signs[0, l] * mesh.facet_normals[fid]
             pushed = push_forward(space, elems, phi_hat(ref_pts))[0]
-            flux_phys = np.sum(wt * facet.measure * (pushed @ n_phys))
+            flux_phys = np.sum(wt * mesh.facet_measures[fid] * (pushed @ n_phys))
             worst = max(worst, abs(flux_ref - flux_phys) / max(1.0, abs(flux_ref)))
     return worst
 
@@ -362,10 +361,9 @@ def _conformity_deviations():
     scale = np.linalg.norm(coeffs, axis=0).min()
     h1_worst = 0.0
     for fid in mesh.interior_facets:
-        f = mesh.facets[fid]
         phys = mesh.facet_points(fid, t)
         vals = []
-        for e in f.elems:
+        for e in mesh.facet_elems[fid]:
             local = space.elem_signs[e][:, None] * coeffs[space.elem_dofs[e]]
             vals.append(space.basis.eval(mesh.to_reference(e, phys)) @ local)
         h1_worst = max(h1_worst, np.max(np.abs(vals[0] - vals[1])) / scale)
@@ -375,15 +373,14 @@ def _conformity_deviations():
     scale = np.linalg.norm(coeffs, axis=0).min()
     hd_worst = 0.0
     for fid in mesh.interior_facets:
-        f = mesh.facets[fid]
         phys = mesh.facet_points(fid, t)
         traces = []
-        for e in f.elems:
+        for e in mesh.facet_elems[fid]:
             B = vspace.bdm.eval(mesh.to_reference(e, phys))
             local = vspace.elem_signs[e][:, None] * coeffs[vspace.elem_dofs[e]]
             vals = np.einsum("qid,ic->qcd", B, local)
             vals = vals @ mesh.maps_A[e].T / mesh.det_A[e]
-            traces.append(vals @ f.normal)
+            traces.append(vals @ mesh.facet_normals[fid])
         hd_worst = max(hd_worst, np.max(np.abs(traces[0] - traces[1])) / scale)
     return h1_worst, hd_worst
 

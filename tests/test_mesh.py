@@ -13,6 +13,16 @@ from helmfosls.mesh import (
 )
 
 
+def adjacent(mesh, fid):
+    """Elements adjacent to facet ``fid`` (-1 marks a missing neighbour)."""
+    return [int(e) for e in mesh.facet_elems[fid] if e >= 0]
+
+
+def side(mesh, fid, elem):
+    """+1 if the stored normal of ``fid`` points out of ``elem``, else -1."""
+    return mesh.elem_facet_signs[elem, list(mesh.elem_facets[elem]).index(fid)]
+
+
 def all_test_meshes():
     return [
         build_interval_mesh(-1, 1, 5),
@@ -48,9 +58,8 @@ class TestIntervalMesh:
     def test_boundary_normals(self):
         mesh = build_interval_mesh(-1, 1, 5)
         for fid in mesh.boundary_facets:
-            f = mesh.facets[fid]
-            x = mesh.vertices[f.vertex_ids[0], 0]
-            assert f.normal[0] == (-1.0 if x < 0 else 1.0)
+            x = mesh.vertices[mesh.facet_vertices[fid, 0], 0]
+            assert mesh.facet_normals[fid, 0] == (-1.0 if x < 0 else 1.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -96,7 +105,7 @@ class TestDiskMesh:
         mesh = build_polygonal_disk_mesh(8, 1)
         assert len(mesh.elements) == 32
         for fid in mesh.boundary_facets:
-            for vid in mesh.facets[fid].vertex_ids:
+            for vid in mesh.facet_vertices[fid]:
                 r = np.linalg.norm(mesh.vertices[vid])
                 assert abs(r - 1.0) <= 1e-14
 
@@ -164,28 +173,27 @@ class TestMeshInvariants:
         assert np.all(mesh.det_A > 0)
 
     def test_unit_normals(self, mesh):
-        for f in mesh.facets:
-            assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-14)
+        for normal in mesh.facet_normals:
+            assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_normals_outward(self, mesh):
         for fid in mesh.boundary_facets:
-            f = mesh.facets[fid]
-            centroid = mesh.vertices[mesh.elements[f.elems[0]]].mean(axis=0)
-            mid = mesh.vertices[list(f.vertex_ids)].mean(axis=0)
-            assert f.normal @ (mid - centroid) > 0
+            centroid = mesh.vertices[mesh.elements[adjacent(mesh, fid)[0]]].mean(axis=0)
+            mid = mesh.vertices[mesh.facet_vertices[fid]].mean(axis=0)
+            assert mesh.facet_normals[fid] @ (mid - centroid) > 0
 
     def test_interior_facets_have_two_elements(self, mesh):
         for fid in mesh.interior_facets:
-            assert len(mesh.facets[fid].elems) == 2
+            assert len(adjacent(mesh, fid)) == 2
         for fid in mesh.boundary_facets:
-            assert len(mesh.facets[fid].elems) == 1
+            assert len(adjacent(mesh, fid)) == 1
 
     def test_interior_normals_opposite_sides(self, mesh):
         # the two adjacent elements see the stored normal with opposite signs
         for fid in mesh.interior_facets:
-            f = mesh.facets[fid]
-            s0 = mesh.facet_element_side(fid, f.elems[0])[1]
-            s1 = mesh.facet_element_side(fid, f.elems[1])[1]
+            e0, e1 = adjacent(mesh, fid)
+            s0 = side(mesh, fid, e0)
+            s1 = side(mesh, fid, e1)
             assert s0 == -s1
             assert s0 == 1.0  # normal points away from the lower element
 
@@ -207,6 +215,25 @@ def test_mesh_is_immutable_after_construction():
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         mesh.elements[0, 0] = 3
+
+
+def test_mesh_copies_caller_arrays():
+    # the clockwise element is reoriented and the arrays are frozen, both
+    # on the mesh's own copies
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    elems = np.array([[0, 2, 1]])
+    mesh = Mesh(2, verts, elems, 0.5)
+    assert list(mesh.elements[0]) == [0, 1, 2]
+    assert elems.tolist() == [[0, 2, 1]]
+    assert verts.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert verts.flags.writeable and elems.flags.writeable
+
+
+def test_rejects_facet_shared_by_three_elements():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0], [0.5, -1.0]])
+    elems = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match=r"facet \(0, 1\) shared by more than two"):
+        Mesh(2, verts, elems, 1.5)
 
 
 def test_mesh_to_text_format():

@@ -380,26 +380,24 @@ class TestHdivProjection:
         t, w = gauss01(4)
         total, right = 0.0 + 0j, 0.0 + 0j
         for fid in mesh.boundary_facets:
-            f = mesh.facets[fid]
-            e = f.elems[0]
-            li, sigma = mesh.facet_element_side(fid, e)
+            e = mesh.facet_elems[fid, 0]
+            li = list(mesh.elem_facets[e]).index(fid)
+            sigma, normal = mesh.elem_facet_signs[e, li], mesh.facet_normals[fid]
             vals = vector_eval(space, coeffs, e, edge_reference_points(li, t))
-            flux = np.sum(w * f.measure * (vals @ (sigma * f.normal)))
+            flux = np.sum(w * mesh.facet_measures[fid] * (vals @ (sigma * normal)))
             total += flux
-            if abs(f.normal[0] - 1.0) < 1e-12:
+            if abs(normal[0] - 1.0) < 1e-12:
                 right += flux
         assert abs(total) <= 1e-13          # divergence theorem
         assert right == pytest.approx(1.0, abs=1e-13)  # outflow face width
 
         jump = 0.0
         for fid in mesh.interior_facets:
-            f = mesh.facets[fid]
+            ea, eb = mesh.facet_elems[fid]
             phys = mesh.facet_points(fid, t)
-            va = vector_eval(space, coeffs, f.elems[0],
-                             mesh.to_reference(f.elems[0], phys))
-            vb = vector_eval(space, coeffs, f.elems[1],
-                             mesh.to_reference(f.elems[1], phys))
-            jump = max(jump, np.max(np.abs((va - vb) @ f.normal)))
+            va = vector_eval(space, coeffs, ea, mesh.to_reference(ea, phys))
+            vb = vector_eval(space, coeffs, eb, mesh.to_reference(eb, phys))
+            jump = max(jump, np.max(np.abs((va - vb) @ mesh.facet_normals[fid])))
         assert jump <= 1e-13
 
     @pytest.mark.parametrize("p", [2, 4])
@@ -415,13 +413,11 @@ class TestHdivProjection:
         t = gauss01(5)[0]
         scale = np.max(np.abs(coeffs))
         for fid in mesh.interior_facets:
-            f = mesh.facets[fid]
+            ea, eb = mesh.facet_elems[fid]
             phys = mesh.facet_points(fid, t)
-            va = vector_eval(space, coeffs, f.elems[0],
-                             mesh.to_reference(f.elems[0], phys))
-            vb = vector_eval(space, coeffs, f.elems[1],
-                             mesh.to_reference(f.elems[1], phys))
-            assert np.max(np.abs((va - vb) @ f.normal)) <= 1e-10 * scale
+            va = vector_eval(space, coeffs, ea, mesh.to_reference(ea, phys))
+            vb = vector_eval(space, coeffs, eb, mesh.to_reference(eb, phys))
+            assert np.max(np.abs((va - vb) @ mesh.facet_normals[fid])) <= 1e-10 * scale
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_normal_trace_commutes_with_edge_projection(self, p):

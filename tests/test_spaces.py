@@ -7,7 +7,7 @@ from helmfosls.mesh import (
     build_polygonal_disk_mesh,
     build_square_mesh,
 )
-from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
+from helmfosls.polyquad import ScalarBasis, gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.spaces import (
     build_h1_space,
     build_hdiv_space,
@@ -28,10 +28,9 @@ def scalar_facet_jump(space, coeff_matrix, n_t=6):
     t = gauss01(n_t)[0] if mesh.dim == 2 else np.array([0.5])
     worst = 0.0
     for fid in mesh.interior_facets:
-        f = mesh.facets[fid]
         phys = mesh.facet_points(fid, t)
         vals = []
-        for e in f.elems:
+        for e in mesh.facet_elems[fid]:
             ref = mesh.to_reference(e, phys)
             local = space.elem_signs[e][:, None] * coeff_matrix[space.elem_dofs[e]]
             vals.append(space.basis.eval(ref) @ local)
@@ -45,16 +44,15 @@ def hdiv_normal_jump(space, coeff_matrix, n_t=6):
     t = gauss01(n_t)[0]
     worst = 0.0
     for fid in mesh.interior_facets:
-        f = mesh.facets[fid]
         phys = mesh.facet_points(fid, t)
         traces = []
-        for e in f.elems:
+        for e in mesh.facet_elems[fid]:
             ref = mesh.to_reference(e, phys)
             B = space.bdm.eval(ref)
             local = space.elem_signs[e][:, None] * coeff_matrix[space.elem_dofs[e]]
             vals = np.einsum("qid,ic->qcd", B, local)
             vals = vals @ mesh.maps_A[e].T / mesh.det_A[e]
-            traces.append(vals @ f.normal)
+            traces.append(vals @ mesh.facet_normals[fid])
         worst = max(worst, np.max(np.abs(traces[0] - traces[1])))
     return worst
 
@@ -79,10 +77,26 @@ class TestDofCounts:
         for p in (1, 2, 3, 4):
             space = build_h1_space(mesh, p)
             nv = len(mesh.vertices)
-            nf = len(mesh.facets)
+            nf = len(mesh.facet_vertices)
             ne = len(mesh.elements)
             expected = nv + (p - 1) * nf + (p - 1) * (p - 2) // 2 * ne
             assert space.n_dofs == expected
+
+    def test_numbering_independent_of_element_order(self, rng):
+        # vertex and facet dofs and their signs follow an element to its
+        # new row when the element rows are permuted
+        mesh = build_square_mesh(4)
+        perm = rng.permutation(len(mesh.elements))
+        shuffled = Mesh(2, mesh.vertices, mesh.elements[perm], 1.0)
+        np.testing.assert_array_equal(shuffled.facet_vertices, mesh.facet_vertices)
+        for p in (1, 2, 3):
+            for build, n_shared in ((build_h1_space, 3 + 3 * (p - 1)),
+                                    (build_hdiv_space, 3 * (p + 1))):
+                a, b = build(mesh, p), build(shuffled, p)
+                for attr in ("elem_dofs", "elem_signs"):
+                    np.testing.assert_array_equal(
+                        getattr(b, attr)[:, :n_shared],
+                        getattr(a, attr)[perm, :n_shared])
 
     def test_hdiv_requires_2d(self):
         mesh = build_interval_mesh(-1, 1, 3)
@@ -91,20 +105,21 @@ class TestDofCounts:
 
 
 class TestBoundaryDofInfo:
+    """The local dofs of a boundary facet's local index are all the basis
+    functions with a (normal) trace on that facet."""
+
     def test_h1_counts_and_traces(self):
         mesh = build_square_mesh(2)
         p = 3
         space = build_h1_space(mesh, p)
         t = np.linspace(0.1, 0.9, 5)
-        for fid, dofs in space.boundary_dof_info.items():
-            assert len(dofs) == 2 + (p - 1)
-            elem = mesh.facets[fid].elems[0]
+        for fid in mesh.boundary_facets:
+            elem = mesh.facet_elems[fid, 0]
+            li = list(mesh.elem_facets[elem]).index(fid)
+            listed_local = [*ScalarBasis.EDGES[li], *space.basis.dof_classes["edge"][li]]
+            assert len(listed_local) == 2 + (p - 1)
             ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
             vals = space.basis.eval(ref)
-            listed_local = [
-                l for l in range(space.local_dim())
-                if space.elem_dofs[elem, l] in dofs
-            ]
             unlisted = [l for l in range(space.local_dim())
                         if l not in listed_local]
             # everything with a trace on the facet is listed
@@ -115,16 +130,18 @@ class TestBoundaryDofInfo:
         p = 2
         space = build_hdiv_space(mesh, p)
         t = np.linspace(0.1, 0.9, 5)
-        for fid, dofs in space.boundary_dof_info.items():
-            assert len(dofs) == p + 1
-            facet = mesh.facets[fid]
-            elem = facet.elems[0]
+        nle = space.bdm.n_edge
+        for fid in mesh.boundary_facets:
+            elem = mesh.facet_elems[fid, 0]
+            li = list(mesh.elem_facets[elem]).index(fid)
+            listed_local = range(li * nle, (li + 1) * nle)
+            assert len(listed_local) == p + 1
             ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
             B = space.bdm.eval(ref)
             phys = np.einsum("qid,ad->qia", B, mesh.maps_A[elem])
-            traces = np.einsum("qia,a->qi", phys, facet.normal)
+            traces = np.einsum("qia,a->qi", phys, mesh.facet_normals[fid])
             unlisted = [l for l in range(space.local_dim())
-                        if space.elem_dofs[elem, l] not in dofs]
+                        if l not in listed_local]
             assert np.max(np.abs(traces[:, unlisted])) <= 1e-11
 
 
@@ -252,9 +269,8 @@ class TestPiola:
             flux_ref = (phi_hat(ref_pts) @ REF_EDGE_NORMALS[l]) @ wt * REF_EDGE_LENGTHS[l]
             for e in elems:
                 fid = mesh.elem_facets[e, l]
-                facet = mesh.facets[fid]
-                n_phys = mesh.facet_element_side(fid, e)[1] * facet.normal
-                flux_phys = np.sum(wt * facet.measure * (pushed[e] @ n_phys))
+                n_phys = mesh.elem_facet_signs[e, l] * mesh.facet_normals[fid]
+                flux_phys = np.sum(wt * mesh.facet_measures[fid] * (pushed[e] @ n_phys))
                 assert abs(flux_ref[e] - flux_phys) <= 1e-12 * max(1.0, abs(flux_ref[e]))
 
     def test_pull_back_inverts_push_forward(self, rng):
