@@ -9,6 +9,9 @@ numbers are visible.  The least-squares residual components
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}
 
 are tracked separately because they converge at different orders.
+On each element chunk the exact solution is sampled by one jet call
+(``ExactBundle.fields``) and every squared norm of the chunk comes from
+one weighted reduction of re^2 + im^2 over all fields at once.
 Everything here is pure post-processing over immutable solutions.
 """
 
@@ -82,10 +85,13 @@ class ConvergenceTable:
         return out
 
 
-def _sq(wts, field):
-    """Quadrature of |field|^2 over (element, point) axes and components."""
-    sq = (np.abs(field) ** 2).reshape(wts.shape + (-1,)).sum(axis=-1)
-    return float(np.sum(wts * sq))
+def _sq_sums(wts, fields):
+    """Quadrature of |field|^2 over (element, point) axes and components,
+    for every field at once: one weighted reduction of re^2 + im^2."""
+    cols = [f.reshape(wts.size, -1) for f in fields]
+    z = np.concatenate(cols, axis=1, dtype=complex).view(float)
+    starts = np.cumsum([0] + [2 * c.shape[1] for c in cols[:-1]])
+    return np.add.reduceat(wts.reshape(-1) @ (z * z), starts)
 
 
 def _accumulate(sol, problem, exactness):
@@ -93,37 +99,32 @@ def _accumulate(sol, problem, exactness):
     exact = problem.exact
     rule = simplex_quadrature(mesh.dim, exactness)
 
-    acc = dict.fromkeys(
-        ("u2", "eu2", "geu2", "e12", "e22", "ephi2", "bnd_eu2", "imp2"), 0.0
-    )
+    vol = np.zeros(6)
     for elems, ref, phys, wdet in element_groups(mesh, rule, problem.breakpoints):
         ex = pair_fields(exact, elems, ref, phys)
         err = [a - b for a, b in zip(ex, pair_fields(sol, elems, ref, phys))]
         e1, e2 = ls_residuals(err, problem.k)
-        acc["u2"] += _sq(wdet, ex[2])
-        acc["eu2"] += _sq(wdet, err[2])
-        acc["geu2"] += _sq(wdet, err[3])
-        acc["e12"] += _sq(wdet, e1)
-        acc["e22"] += _sq(wdet, e2)
-        acc["ephi2"] += _sq(wdet, err[0])
+        vol += _sq_sums(wdet, (ex[2], err[2], err[3], e1, e2, err[0]))
+    u2, eu2, geu2, e12, e22, ephi2 = vol
 
     err = difference(exact, sol)
+    bnd = np.zeros(2)
     for elems, ref, phys, wj, normals in boundary_groups(mesh, sol.w_space.p + 6):
         fields = pair_fields(err, elems, ref, phys)
-        acc["bnd_eu2"] += _sq(wj, fields[2])
-        acc["imp2"] += _sq(wj, impedance_trace(fields, normals))
+        bnd += _sq_sums(wj, (fields[2], impedance_trace(fields, normals)))
+    bnd_eu2, imp2 = bnd
 
     has_flux = sol.phi_coeffs is not None
     nan = float("nan")
     return {
-        "l2_rel": math.sqrt(acc["eu2"] / acc["u2"]) if acc["u2"] > 0 else nan,
-        "h1_err": math.sqrt(acc["geu2"]),
-        "bnd_l2": math.sqrt(acc["bnd_eu2"]),
-        "e1": math.sqrt(acc["e12"]) if has_flux else nan,
-        "e2": math.sqrt(acc["e22"]) if has_flux else nan,
-        "flux_l2": math.sqrt(acc["ephi2"]) if has_flux else nan,
-        "e_bnd": math.sqrt(acc["imp2"]) if has_flux else nan,
-        "u_l2": math.sqrt(acc["u2"]),
+        "l2_rel": math.sqrt(eu2 / u2) if u2 > 0 else nan,
+        "h1_err": math.sqrt(geu2),
+        "bnd_l2": math.sqrt(bnd_eu2),
+        "e1": math.sqrt(e12) if has_flux else nan,
+        "e2": math.sqrt(e22) if has_flux else nan,
+        "flux_l2": math.sqrt(ephi2) if has_flux else nan,
+        "e_bnd": math.sqrt(imp2) if has_flux else nan,
+        "u_l2": math.sqrt(u2),
     }
 
 

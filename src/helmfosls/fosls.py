@@ -166,8 +166,10 @@ def _gram(wts, X, Y):
 
 
 def _load(wts, values, X):
-    """Element load vectors sum_q wts values X of real (E, q, n) tables."""
-    return np.einsum("eq,eqn->en", wts * values, X, optimize=True)
+    """Element load vectors sum_q wts values X of real (E, q, n) tables,
+    one stacked real product on the (re, im) pairs of wts values."""
+    wv = (wts * values).view(float).reshape(wts.shape + (2,))
+    return (np.swapaxes(X, 1, 2) @ wv).view(complex)[..., 0]
 
 
 def _data(fn, phys, normals=None):
@@ -323,12 +325,10 @@ def pair_fields(pair, elems, ref, phys):
         phi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref)
         dphi = vector_div_eval(pair.v_space, pair.phi_coeffs, elems, ref)
         return phi, dphi, u, gu
-    pts = phys.reshape(-1, phys.shape[-1])
-    return tuple(
-        np.asarray(fn(pts), dtype=complex).reshape(shape)
-        for fn, shape in ((pair.phi, phys.shape), (pair.div_phi, phys.shape[:2]),
-                          (pair.u, phys.shape[:2]), (pair.grad_u, phys.shape))
-    )
+    vector, scalar = phys.shape, phys.shape[:2]
+    fields = pair.fields(phys.reshape(-1, phys.shape[-1]))
+    return tuple(np.asarray(f, dtype=complex).reshape(shape)
+                 for f, shape in zip(fields, (vector, scalar, scalar, vector)))
 
 
 def ls_residuals(fields, k):

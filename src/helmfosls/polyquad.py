@@ -11,13 +11,21 @@ traces on sub-entities are controlled by dedicated coefficients:
 On the interval the same family appears as {1-t, t} plus the bubbles
 t(1-t) P_m(2t-1), which are exactly the edge traces of the triangle
 functions.  Bases and quadrature rules are immutable value objects.
+
+Quadrature rules are built once per argument and cached: ``gauss01``
+and ``simplex_quadrature`` return the same read-only arrays to every
+caller, so no caller can corrupt a shared rule.  The Gauss-Jacobi rule
+behind the collapsed triangle rule is computed in numpy by Golub-Welsch
+(eigenvalues of the symmetric tridiagonal Jacobi matrix), which keeps
+scipy.special out of the import.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import roots_jacobi
 
 
 def legendre_table(x, n):
@@ -172,25 +180,70 @@ class QuadratureRule:
     exactness: int
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
 def gauss01(n):
-    """Gauss-Legendre nodes/weights on [0, 1]; exact to degree 2n-1."""
+    """Gauss-Legendre nodes/weights on [0, 1]; exact to degree 2n-1.
+    Cached; the arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1), 0.5 * w
+    return _read_only(0.5 * (x + 1), 0.5 * w)
+
+
+def _jacobi_orthonormal(x, diag, off, mu0):
+    """Orthonormal polynomials q_0..q_n of the Jacobi matrix (diagonal
+    a_0..a_{n-1}, off-diagonal b_1..b_n, weight mass ``mu0``) and their
+    derivatives at x, by the three-term recurrence
+    b_{j+1} q_{j+1} = (x - a_j) q_j - b_j q_{j-1}; shapes (n+1, len(x))."""
+    n = len(off)
+    q = np.zeros((n + 2, len(x)))
+    dq = np.zeros_like(q)
+    q[1] = 1.0 / math.sqrt(mu0)  # row 0 holds q_{-1} = 0
+    prev = np.concatenate([[0.0], off])  # b_0 = 0
+    for j in range(n):
+        t = x - diag[j]
+        q[j + 2] = (t * q[j + 1] - prev[j] * q[j]) / off[j]
+        dq[j + 2] = (q[j + 1] + t * dq[j + 1] - prev[j] * dq[j]) / off[j]
+    return q[1:], dq[1:]
 
 
 def gauss_jacobi01(n, alpha, beta):
-    """Nodes/weights for int_0^1 f(s) (1-s)^alpha s^beta ds."""
-    x, w = roots_jacobi(n, alpha, beta)
-    return 0.5 * (x + 1), w / 2 ** (alpha + beta + 1)
+    """Nodes/weights for int_0^1 f(s) (1-s)^alpha s^beta ds; alpha, beta >= 0.
+
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of (1-x)^alpha (1+x)^beta,
+    polished by one Newton step on the orthonormal q_n.  The weights are
+    1 / sum_{j<n} q_j(x)^2 (the Christoffel function), which is accurate
+    to a few ulps where the squared eigenvector components are not.
+    """
+    a, b = float(alpha), float(beta)
+    m = np.arange(1.0, n + 1)
+    s = 2 * m + a + b
+    # recurrence coefficients a_0..a_{n-1} (diagonal) and b_1..b_n
+    diag = np.concatenate([[(b - a) / (a + b + 2)],
+                           (b * b - a * a) / (s[:-1] * (s[:-1] + 2))])
+    off = np.sqrt(4 * m * (m + a) * (m + b) * (m + a + b) / (s * s * (s + 1) * (s - 1)))
+    mu0 = 2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    q, dq = _jacobi_orthonormal(x, diag, off, mu0)
+    x = x - q[n] / dq[n]
+    q, _ = _jacobi_orthonormal(x, diag, off, mu0)
+    w = 1.0 / np.sum(q[:n] ** 2, axis=0)
+    return 0.5 * (x + 1), w / 2 ** (a + b + 1)
 
 
+@functools.cache
 def simplex_quadrature(d, exactness):
     """Quadrature on the reference simplex exact to the given degree.
 
     1D: Gauss-Legendre on [0, 1].  2D: collapsed tensor rule on the unit
     triangle, Gauss-Legendre in the collapsed direction and Gauss-Jacobi
     (weight 1-v) in the other, so the Duffy Jacobian is absorbed into
-    the weight function.
+    the weight function.  Cached; the arrays are read-only.
     """
     if d not in (1, 2):
         raise ValueError(f"unsupported dimension {d}")
@@ -206,7 +259,7 @@ def simplex_quadrature(d, exactness):
     x = (uu * (1 - vv)).ravel()
     y = vv.ravel()
     w = np.outer(wu, wv).ravel()
-    return QuadratureRule(np.column_stack([x, y]), w, exactness)
+    return QuadratureRule(*_read_only(np.column_stack([x, y]), w), exactness)
 
 
 def make_scalar_basis(d, p):

@@ -2,8 +2,12 @@
 
 Each problem bundles the wavenumber k, the volume source f, the
 impedance datum g (with g = du/dn - i k u on the boundary) and, when the
-exact solution is known in closed form, an ``ExactBundle`` carrying
-u, its gradient, the scaled flux phi = i grad(u) / k and div(phi).
+exact solution is known in closed form, an ``ExactBundle``.  A problem
+writes its closed form once, as a jet ``points -> (u, grad u, laplacian
+u)`` that costs one ``exp`` or one ``cos``/``sin`` pair per point set.
+Every exact field (u, grad u, the scaled flux phi = i grad(u) / k,
+div(phi) = i laplacian(u) / k) is a view of that jet, and
+``ExactBundle.fields`` returns all four from one jet call.
 
 All data callables are vectorized: points arrive as (n, d) arrays,
 normals as (n, d), and values return as complex (n,) or (n, d) arrays.
@@ -18,13 +22,31 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ExactBundle:
-    """Closed-form exact solution with derived fields."""
+    """Closed-form exact solution: the jet ``points -> (u (n,), grad u
+    (n, d), laplacian u (n,))`` and the wavenumber k of phi = i grad u / k."""
 
-    u: Callable
-    grad_u: Callable
-    phi: Callable
-    div_phi: Callable
-    laplacian_u: Optional[Callable] = None
+    jet: Callable
+    k: float
+
+    def u(self, points):
+        return self.jet(points)[0]
+
+    def grad_u(self, points):
+        return self.jet(points)[1]
+
+    def laplacian_u(self, points):
+        return self.jet(points)[2]
+
+    def phi(self, points):
+        return 1j / self.k * self.jet(points)[1]
+
+    def div_phi(self, points):
+        return 1j / self.k * self.jet(points)[2]
+
+    def fields(self, points):
+        """(phi, div phi, u, grad u) at the points from one jet call."""
+        u, gu, lap = self.jet(points)
+        return 1j / self.k * gu, 1j / self.k * lap, u, gu
 
 
 @dataclass(frozen=True)
@@ -47,27 +69,15 @@ class WaveProblem:
             raise ValueError("wavenumber k must be positive")
 
 
-def robin_data_from_exact(u, grad_u, k):
-    """Impedance datum g(x, n) = grad u(x) . n(x) - i k u(x)."""
+def robin_data_from_exact(jet, k):
+    """Impedance datum g(x, n) = grad u(x) . n(x) - i k u(x) of the jet
+    ``points -> (u, grad u, ...)``, from one jet call."""
 
     def g(points, normals):
-        gu = np.asarray(grad_u(points))
-        return np.einsum("nd,nd->n", gu, np.asarray(normals)) - 1j * k * np.asarray(
-            u(points)
-        )
+        u, gu = jet(points)[:2]
+        return np.einsum("nd,nd->n", gu, np.asarray(normals)) - 1j * k * u
 
     return g
-
-
-def _bundle_from_u(u, grad_u, laplacian_u, k):
-    def phi(points):
-        return 1j / k * np.asarray(grad_u(points))
-
-    def div_phi(points):
-        return 1j / k * np.asarray(laplacian_u(points))
-
-    return ExactBundle(u=u, grad_u=grad_u, phi=phi, div_phi=div_phi,
-                       laplacian_u=laplacian_u)
 
 
 def plane_wave_problem(k, domain="unit-square"):
@@ -83,23 +93,16 @@ def plane_wave_problem(k, domain="unit-square"):
     k2 = -k1
     kv = np.array([k1, k2])
 
-    def u(points):
-        pts = np.atleast_2d(points)
-        return np.exp(1j * (pts @ kv))
-
-    def grad_u(points):
-        return 1j * np.outer(u(points), kv)
-
-    def laplacian_u(points):
-        return -(k1**2 + k2**2) * u(points)
+    def jet(points):
+        u = np.exp(1j * (np.atleast_2d(points) @ kv))
+        return u, 1j * np.outer(u, kv), -(k1**2 + k2**2) * u
 
     def f(points):
         return np.zeros(len(np.atleast_2d(points)), dtype=complex)
 
-    g = robin_data_from_exact(u, grad_u, k)
     return WaveProblem(
-        name="plane-wave-2d", dim=2, k=k, f=f, g=g,
-        exact=_bundle_from_u(u, grad_u, laplacian_u, k), domain=domain,
+        name="plane-wave-2d", dim=2, k=k, f=f, g=robin_data_from_exact(jet, k),
+        exact=ExactBundle(jet, k), domain=domain,
     )
 
 
@@ -119,30 +122,22 @@ def piecewise_1d_problem(k):
         raise ValueError("wavenumber k must be positive")
     amp = 1.0 + 2.0 / k**2
 
-    def u(points):
+    def jet(points):
         x = np.atleast_2d(points)[:, 0]
-        return np.where(x <= 0, np.cos(k * x) + 1 / k**2,
-                        amp * np.cos(k * x) - 1 / k**2).astype(complex)
-
-    def grad_u(points):
-        x = np.atleast_2d(points)[:, 0]
-        du = np.where(x <= 0, -k * np.sin(k * x), -k * amp * np.sin(k * x))
-        return du.astype(complex)[:, None]
-
-    def laplacian_u(points):
-        x = np.atleast_2d(points)[:, 0]
-        return np.where(x <= 0, -k**2 * np.cos(k * x),
-                        -k**2 * amp * np.cos(k * x)).astype(complex)
+        c, s = np.cos(k * x), np.sin(k * x)
+        left = x <= 0
+        a = np.where(left, 1.0, amp)
+        u = np.where(left, c + 1 / k**2, amp * c - 1 / k**2)
+        return (u.astype(complex), (-k * a * s).astype(complex)[:, None],
+                (-k**2 * a * c).astype(complex))
 
     def f(points):
         x = np.atleast_2d(points)[:, 0]
         return np.where(x <= 0, -1.0, 1.0).astype(complex)
 
-    g = robin_data_from_exact(u, grad_u, k)
     return WaveProblem(
-        name="piecewise-1d", dim=1, k=k, f=f, g=g,
-        exact=_bundle_from_u(u, grad_u, laplacian_u, k),
-        breakpoints=(0.0,), domain="(-1,1)",
+        name="piecewise-1d", dim=1, k=k, f=f, g=robin_data_from_exact(jet, k),
+        exact=ExactBundle(jet, k), breakpoints=(0.0,), domain="(-1,1)",
     )
 
 

@@ -275,7 +275,7 @@ def local_coeffs(space, coeffs, elem):
 
 def _combine(table, lc):
     """Fields sum_i lc_i table[:, i] of (points, basis, d) reference tables."""
-    return np.einsum("nid,...i->...nd", table, lc, optimize=True)
+    return np.tensordot(lc, table, axes=(-1, 1))
 
 
 def scalar_eval(space, coeffs, elem, ref_points):

@@ -10,41 +10,24 @@ def polynomial_problem(dim, k=3.0):
     Any degree >= 2 discretization must reproduce it to roundoff, which
     makes it a sharp consistency probe for assembly and error norms.
     """
-    if dim == 1:
-        def u(pts):
-            x = np.atleast_2d(pts)[:, 0]
-            return (x**2 + 2 * x + 3).astype(complex)
-
-        def grad_u(pts):
-            x = np.atleast_2d(pts)[:, 0]
-            return (2 * x + 2).astype(complex)[:, None]
-    else:
-        def u(pts):
-            pts = np.atleast_2d(pts)
-            x, y = pts[:, 0], pts[:, 1]
-            return (1 + x + x**2 + x * y).astype(complex)
-
-        def grad_u(pts):
-            pts = np.atleast_2d(pts)
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([1 + 2 * x + y, x]).astype(complex)
-
-    def laplacian_u(pts):
-        return np.full(len(np.atleast_2d(pts)), 2.0, dtype=complex)
+    def jet(pts):
+        pts = np.atleast_2d(pts)
+        x = pts[:, 0]
+        if dim == 1:
+            u, grad_u = x**2 + 2 * x + 3, (2 * x + 2)[:, None]
+        else:
+            y = pts[:, 1]
+            u, grad_u = 1 + x + x**2 + x * y, np.column_stack([1 + 2 * x + y, x])
+        lap = np.full(len(pts), 2.0)
+        return u.astype(complex), grad_u.astype(complex), lap.astype(complex)
 
     def f(pts):
-        return -laplacian_u(pts) - k**2 * u(pts)
+        u, _, lap = jet(pts)
+        return -lap - k**2 * u
 
-    bundle = ExactBundle(
-        u=u,
-        grad_u=grad_u,
-        phi=lambda pts: 1j / k * grad_u(pts),
-        div_phi=lambda pts: 1j / k * laplacian_u(pts),
-        laplacian_u=laplacian_u,
-    )
     return WaveProblem(
-        name=f"poly-{dim}d", dim=dim, k=k, f=f, g=robin_data_from_exact(u, grad_u, k),
-        exact=bundle,
+        name=f"poly-{dim}d", dim=dim, k=k, f=f, g=robin_data_from_exact(jet, k),
+        exact=ExactBundle(jet, k),
     )
 
 

@@ -1,7 +1,12 @@
 import math
+import pathlib
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from helmfosls.polyquad import (
     gauss01,
@@ -176,6 +181,20 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             simplex_quadrature(2, -1)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rules_are_cached_and_read_only(self, d):
+        rule = simplex_quadrature(d, 5)
+        assert simplex_quadrature(d, 5) is rule
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert gauss01(4) is gauss01(4)
+        for arr in gauss01(4):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestHelperRules:
     def test_gauss01_moments(self):
@@ -188,3 +207,48 @@ class TestHelperRules:
         s, w = gauss_jacobi01(5, 0, 1)
         for a in range(9):
             assert np.sum(w * s**a) == pytest.approx(1 / (a + 2), abs=1e-14)
+
+
+def _mp_gauss_jacobi(n, alpha, beta, guesses):
+    """30-digit Gauss-Jacobi nodes/weights on [0, 1] for the weight
+    (1-s)^alpha s^beta, from the closed-form weight
+    c / ((1 - x^2) P_n'(x)^2) at the roots x of P_n on [-1, 1]."""
+    a, b = alpha, beta
+    with mpmath.workdps(30):
+        c = (mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1) * 2 ** (a + b + 1)
+             / (mpmath.gamma(n + a + b + 1) * mpmath.factorial(n)))
+        nodes, weights = [], []
+        for s in guesses:
+            x = mpmath.findroot(lambda t: mpmath.jacobi(n, a, b, t), 2 * mpmath.mpf(s) - 1)
+            dp = (n + a + b + 1) / mpmath.mpf(2) * mpmath.jacobi(n - 1, a + 1, b + 1, x)
+            nodes.append(float((x + 1) / 2))
+            weights.append(float(c / ((1 - x * x) * dp**2) / 2 ** (a + b + 1)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 0), (0, 1)])
+class TestGaussJacobi:
+    def test_nodes_and_weights_match_scipy(self, alpha, beta):
+        # scipy's weights are themselves off the 30-digit ones by up to
+        # 1.6e-12 relative for n <= 40, hence the weight tolerance here
+        for n in range(1, 41):
+            s, w = gauss_jacobi01(n, alpha, beta)
+            x, wx = roots_jacobi(n, alpha, beta)
+            np.testing.assert_allclose(s, 0.5 * (x + 1), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(w, wx / 2 ** (alpha + beta + 1), rtol=5e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 25, 40])
+    def test_weights_match_30_digit_reference(self, alpha, beta, n):
+        s, w = gauss_jacobi01(n, alpha, beta)
+        s_ref, w_ref = _mp_gauss_jacobi(n, alpha, beta, s)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=2.5e-16)  # about 2 ulps
+        np.testing.assert_allclose(w, w_ref, rtol=1e-13)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import helmfosls; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

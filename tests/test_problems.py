@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import polynomial_problem
 
 from helmfosls.problems import (
     WaveProblem,
@@ -130,7 +131,7 @@ class TestRobinData:
         k, c = 3.0, 2.5 - 1.0j
         u = lambda pts: np.full(len(np.atleast_2d(pts)), c)
         gu = lambda pts: np.zeros((len(np.atleast_2d(pts)), 1), dtype=complex)
-        g = robin_data_from_exact(u, gu, k)
+        g = robin_data_from_exact(lambda pts: (u(pts), gu(pts)), k)
         val = g(np.array([[0.3]]), np.array([[1.0]]))
         assert val[0] == pytest.approx(-1j * k * c, abs=1e-14)
 
@@ -138,7 +139,7 @@ class TestRobinData:
         k = 1.0
         u = lambda pts: np.atleast_2d(pts)[:, 0].astype(complex)
         gu = lambda pts: np.ones((len(np.atleast_2d(pts)), 1), dtype=complex)
-        g = robin_data_from_exact(u, gu, k)
+        g = robin_data_from_exact(lambda pts: (u(pts), gu(pts)), k)
         g1 = g(np.array([[1.0]]), np.array([[1.0]]))[0]
         g0 = g(np.array([[0.0]]), np.array([[-1.0]]))[0]
         assert g1 == pytest.approx(1 - 1j, abs=1e-14)
@@ -147,11 +148,40 @@ class TestRobinData:
     def test_reproduces_plane_wave_datum(self, rng):
         k = 6.0
         prob = plane_wave_problem(k)
-        g_manufactured = robin_data_from_exact(prob.exact.u, prob.exact.grad_u, k)
+        g_manufactured = robin_data_from_exact(
+            lambda pts: (prob.exact.u(pts), prob.exact.grad_u(pts)), k)
         pts, normals = square_boundary_samples(rng, 40)
         np.testing.assert_allclose(
             prob.g(pts, normals), g_manufactured(pts, normals), atol=1e-13
         )
+
+
+def _fields_cases(rng):
+    x1 = np.concatenate([-rng.random(20), [0.0], rng.random(20)])[:, None]
+    return [
+        (plane_wave_problem(8.0), rng.random((50, 2))),
+        (piecewise_1d_problem(10.0), x1),
+        (polynomial_problem(1), 2 * rng.random((30, 1)) - 1),
+        (polynomial_problem(2), rng.random((30, 2))),
+    ]
+
+
+class TestExactBundle:
+    def test_fields_match_separate_callables(self, rng):
+        for prob, pts in _fields_cases(rng):
+            ex = prob.exact
+            fields = ex.fields(pts)
+            separate = (ex.phi(pts), ex.div_phi(pts), ex.u(pts), ex.grad_u(pts))
+            for got, want in zip(fields, separate):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_flux_is_scaled_gradient(self, rng):
+        for prob, pts in _fields_cases(rng):
+            ex, k = prob.exact, prob.k
+            np.testing.assert_allclose(ex.phi(pts), 1j / k * ex.grad_u(pts), rtol=1e-15)
+            np.testing.assert_allclose(ex.div_phi(pts), 1j / k * ex.laplacian_u(pts),
+                                       rtol=1e-15)
 
 
 class TestRegistry:
