@@ -59,12 +59,14 @@ class StudyConfig:
     svg: bool = False
 
     def validate(self):
-        if self.problem not in MESH_BUILDERS:
+        if not isinstance(self.problem, str) or self.problem not in MESH_BUILDERS:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; known: "
                 f"{', '.join(sorted(MESH_BUILDERS))}"
             )
-        if self.method not in ("fosls", "fem", "both"):
+        if not isinstance(self.method, str) or self.method not in (
+            "fosls", "fem", "both"
+        ):
             raise ConfigError("method must be one of fosls, fem, both")
         real_k = isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
         if not (real_k and 0 < self.k < math.inf):
@@ -76,6 +78,9 @@ class StudyConfig:
             raise ConfigError("mesh_sequence must be a nonempty list of counts")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("mesh_sequence must be strictly refining")
+        for name in ("avoid_node_at_zero", "svg"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         if self.avoid_node_at_zero and self.problem == "piecewise-1d":
             even = [n for n in ns if n % 2 == 0]
             if even:
@@ -83,8 +88,8 @@ class StudyConfig:
                     f"avoid_node_at_zero requires odd element counts on "
                     f"piecewise-1d; got {even}"
                 )
-        if not self.output_dir:
-            raise ConfigError("output_dir must be set")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a nonempty string")
 
 
 def _counts(values):
@@ -100,6 +105,8 @@ def load_config(path, overrides=None):
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:

@@ -22,15 +22,17 @@ product, the Aronszajn-Slobodeckij seminorm
 
 and the endpoint-distance weighted product int u v / dist(t, {0,1}) dt.
 The double integral is split along the diagonal and collapsed by the
-Duffy substitution y = x(1-s); polynomial factors enter through their
-divided-difference form (q(x)-q(y))/(x-y), which removes the singularity
-algebraically, so the rule is exact on polynomials.  The weighted term
-uses endpoint-split Gauss-Jacobi quadrature after factoring out the
-quadratic vanishing of the integrand.
+Duffy substitution y = x(1-s), under which each factor enters as its
+divided difference (q(x)-q(y))/(x-y), formed from values.  Gauss nodes
+never hit s = 0 and the divided difference of a polynomial is a
+polynomial, so the rule is exact on polynomials.  The weighted term uses
+endpoint-split Gauss-Jacobi quadrature after factoring out the quadratic
+vanishing of the integrand.
 
-Gram matrices are precomputed once per degree and shared read-only.  A
-stack of functions is projected at once, one row per function: every
-stage runs once for the whole stack, and the rows do not interact.
+Each stage writes its inner product once, as the moments of a residual
+against its basis; its Gram is the moments of that basis itself, built
+once per degree and shared read-only.  A stack of functions is projected
+at once, one row per function, and the rows do not interact.
 """
 
 from dataclasses import dataclass
@@ -38,13 +40,12 @@ from functools import cache, partial
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 from .fosls import chunks
 from .mesh import REFERENCE_VERTICES, element_map_apply
 from .polyquad import (
     ScalarBasis,
+    _read_only,
     gauss01,
     gauss_jacobi01,
     make_scalar_basis,
@@ -80,102 +81,72 @@ class ReferenceProjection:
     step_trace: dict
 
 
-def _edge_bubble_polys(p):
-    """Monomial form of the bubbles t(1-t) P_m(2t-1), m = 0..p-2."""
-    shift = nppoly.Polynomial([-1.0, 2.0])
-    weight = nppoly.Polynomial([0.0, 1.0, -1.0])
-    out = []
-    for m in range(p - 1):
-        leg = nppoly.Polynomial(npleg.leg2poly([0.0] * m + [1.0]))
-        out.append(weight * leg(shift))
-    return out
-
-
-def _divided_difference_coeffs(poly):
-    """Bivariate coefficients of (q(x) - q(y)) / (x - y)."""
-    c = poly.coef
-    deg = len(c) - 1
-    size = max(deg, 1)
-    D = np.zeros((size, size))
-    for k in range(1, deg + 1):
-        for i in range(k):
-            D[i, k - 1 - i] += c[k]
-    return D
-
-
 class _EdgeWork:
     """Quadrature tables and Grams for the edge minimization at degree p."""
 
     def __init__(self, p):
         self.p = p
-        nb = p - 1
-        bubbles = _edge_bubble_polys(p)
+        basis = make_scalar_basis(1, p)
+
+        def bubbles(t):  # t(1-t) P_m(2t-1) at t, one row per bubble
+            return basis.eval(t[:, None])[:, 2:].T
 
         # plain Gauss data for L2 terms (and the full trace-basis Gram)
-        tq, wq = gauss01(p + 6)
-        self.tq, self.wq = tq, wq
-        vals = np.column_stack([1 - tq, tq] + [b(tq) for b in bubbles])
-        self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, vals, vals)
-        self.bub_l2 = vals[:, 2:]
+        self.tq, self.wq = gauss01(p + 6)
+        trace = basis.eval(self.tq[:, None])
+        self.gram_l2_full = np.einsum("q,qi,qj->ij", self.wq, trace, trace)
+        self.bub_l2 = trace[:, 2:]
 
         # diagonal-split Duffy grid for the Slobodeckij double integral
-        n = 2 * p + 6
-        x, wx = gauss01(n)
-        s, ws = gauss01(n)
-        self.X = np.repeat(x[:, None], n, axis=1)
-        self.Y = x[:, None] * (1 - s)[None, :]
-        self.XmY = x[:, None] * s[None, :]
+        x, w = gauss01(2 * p + 6)
+        self.X = np.repeat(x[:, None], len(x), axis=1)
+        self.Y = x[:, None] * (1 - x)[None, :]
+        self.XmY = x[:, None] * x[None, :]
         self.XY = np.concatenate([self.X.ravel(), self.Y.ravel()])
-        self.W = 2.0 * wx[:, None] * ws[None, :] * x[:, None]
-        self.dd_bub = np.array(
-            [
-                nppoly.polyval2d(self.X, self.Y, _divided_difference_coeffs(b))
-                for b in bubbles
-            ]
-        ).reshape(nb, n, n)
+        self.W = 2.0 * w[:, None] * w[None, :] * x[:, None]
+        self.dd_bub = self._divided_difference(bubbles)
 
         # endpoint-split Gauss-Jacobi data for the distance-weighted term:
-        # int_0^(1/2) F(t) t dt with F = uv / t^2 smooth for bubble pairs
+        # int_0^(1/2) F(t) t dt with F = uv / t^2 smooth for bubble pairs;
+        # the weight mirrors under t -> 1-t
         sj, wj = gauss_jacobi01(p + 6, 0, 1)
         self.t_left = sj / 2
         self.w_dist = wj / 4
         self.t_right = 1 - self.t_left
-        self.bub_left = np.array(
-            [b(self.t_left) for b in bubbles]
-        ).reshape(nb, len(self.t_left))
-        self.bub_right = np.array(
-            [b(self.t_right) for b in bubbles]
-        ).reshape(nb, len(self.t_right))
-        inv_left = 1.0 / self.t_left**2
-        inv_right = inv_left  # dist weight mirrors under t -> 1-t
+        self.inv_left = 1.0 / self.t_left**2
+        self.bub_left = bubbles(self.t_left)
+        self.bub_right = bubbles(self.t_right)
 
-        gram_sem = np.einsum("xy,axy,bxy->ab", self.W, self.dd_bub, self.dd_bub)
-        gram_dist = np.einsum(
-            "q,aq,bq->ab", self.w_dist * inv_left, self.bub_left, self.bub_left
-        ) + np.einsum(
-            "q,aq,bq->ab", self.w_dist * inv_right, self.bub_right, self.bub_right
-        )
-        gram_l2_bub = self.gram_l2_full[2:, 2:]
-        self.gram_h12 = gram_l2_bub + gram_sem + gram_dist
-        self.inv_left = inv_left
+        # the Grams are the moments of the bubbles themselves
+        self.gram_h12 = self._h12_moments(bubbles)[1]
+        self.objective = self.moments(bubbles)
+        self.chol = scipy.linalg.cho_factor(self.objective) if p > 1 else None
+        self.norm_gram = np.linalg.norm(self.objective)
+        _read_only(self.gram_l2_full, self.gram_h12, self.objective)
 
-        # objective Gram p*L2 + H12_00 on bubbles, factorized once
-        self.objective = p * gram_l2_bub + self.gram_h12
-        self.chol = scipy.linalg.cho_factor(self.objective) if nb else None
-        self.norm_gram = np.linalg.norm(self.objective) if nb else 0.0
-
-    def moments(self, r):
-        """Objective moments of a residual trace r vanishing at 0 and 1."""
-        p = self.p
-        m_l2 = np.einsum("q,...q,qa->...a", self.wq, r(self.tq), self.bub_l2)
+    def _divided_difference(self, r):
+        """(r(X) - r(Y)) / (X - Y) on the Duffy grid, from values."""
         rx, ry = np.split(r(self.XY), 2, axis=-1)
-        dd_r = (rx - ry).reshape(rx.shape[:-1] + self.X.shape) / self.XmY
-        m_sem = np.einsum("xy,...xy,axy->...a", self.W, dd_r, self.dd_bub)
+        return (rx - ry).reshape(rx.shape[:-1] + self.X.shape) / self.XmY
+
+    def _h12_moments(self, r):
+        """L2 and H^{1/2}_00 moments of traces r vanishing at 0 and 1
+        against the bubbles: (m_L2, m_H12)."""
+        m_l2 = np.einsum("q,...q,qa->...a", self.wq, r(self.tq), self.bub_l2)
+        m_sem = np.einsum(
+            "xy,...xy,axy->...a", self.W, self._divided_difference(r), self.dd_bub
+        )
         wd = self.w_dist * self.inv_left
         m_dist = np.einsum(
             "q,...q,aq->...a", wd, r(self.t_left), self.bub_left
         ) + np.einsum("q,...q,aq->...a", wd, r(self.t_right), self.bub_right)
-        return p * m_l2 + (m_l2 + m_sem + m_dist)
+        return m_l2, m_l2 + m_sem + m_dist
+
+    def moments(self, r):
+        """Objective moments p L2 + H^{1/2}_00 of traces r vanishing at
+        0 and 1 against the bubbles."""
+        m_l2, m_h12 = self._h12_moments(r)
+        return self.p * m_l2 + m_h12
 
     def solve(self, r, batch):
         """Minimize the edge objective over bubbles for every function of
@@ -190,27 +161,26 @@ class _VolumeWork:
 
     def __init__(self, p):
         self.p = p
-        self.basis = make_scalar_basis(2, p)
+        basis = make_scalar_basis(2, p)
         rule = simplex_quadrature(2, 2 * p + 8)
-        self.points = rule.points
-        self.weights = rule.weights
-        self.N, self.G = self.basis.eval_with_grad(rule.points)
-        self.interior = self.basis.dof_classes["interior"]
-        Ni = self.N[:, self.interior]
-        Gi = self.G[:, self.interior, :]
-        mass = np.einsum("q,qi,qj->ij", self.weights, Ni, Ni)
-        stiff = np.einsum("q,qia,qja->ij", self.weights, Gi, Gi)
-        self.objective = (p**2 + 1) * mass + stiff
+        self.points, self.weights = rule.points, rule.weights
+        self.N, self.G = basis.eval_with_grad(rule.points)
+        self.interior = basis.dof_classes["interior"]
+        self.Ni, self.Gi = self.N[:, self.interior], self.G[:, self.interior]
+        # the Gram is the moment functional applied to the interior basis
+        self.objective = self.moments(self.Ni.T, self.Gi.swapaxes(0, 1))
         self.chol = scipy.linalg.cho_factor(self.objective)
         self.norm_gram = np.linalg.norm(self.objective)
-        self.Ni, self.Gi = Ni, Gi
 
-    def solve(self, r_vals, r_grads):
-        p = self.p
-        m = (p**2 + 1) * np.einsum(
+    def moments(self, r_vals, r_grads):
+        """Objective moments p^2 L2 + H1 of residuals with values
+        (..., q) and gradients (..., q, 2) against the interior basis."""
+        return (self.p**2 + 1) * np.einsum(
             "q,...q,qi->...i", self.weights, r_vals, self.Ni
         ) + np.einsum("q,...qa,qia->...i", self.weights, r_grads, self.Gi)
-        return _minimize(self, m)
+
+    def solve(self, r_vals, r_grads):
+        return _minimize(self, self.moments(r_vals, r_grads))
 
 
 def _minimize(work, m):

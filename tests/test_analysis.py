@@ -153,6 +153,16 @@ class TestComputeErrors:
         err = compute_errors(sol, prob)
         assert err.quad_drift < 1e-3
 
+    def test_boundary_rule_follows_exactness(self):
+        """bnd_l2 and e_bnd use a facet rule that grows with ``exactness``,
+        so the doubled pass behind quad_drift covers them too."""
+        prob = plane_wave_problem(8.0)
+        sol = solve_method("fosls", build_square_mesh(4), 2, prob)
+        coarse = compute_errors(sol, prob, exactness=2)
+        default = compute_errors(sol, prob)
+        assert coarse.bnd_l2 != default.bnd_l2
+        assert coarse.e_bnd != default.e_bnd
+
     def test_all_entries_nonnegative_finite_for_fosls(self):
         prob = piecewise_1d_problem(10.0)
         mesh = build_interval_mesh(-1, 1, 15)

@@ -237,6 +237,25 @@ class TestMainEntryPoint:
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "mesh_sequence" in capsys.readouterr().err
 
+    def test_top_level_list_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps([{"problem": "piecewise-1d"}]))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("problem", ["plane-wave-2d"]),
+        ("output_dir", 5),
+        ("method", ["fosls"]),
+        ("svg", "yes"),
+        ("avoid_node_at_zero", 1),
+    ])
+    def test_wrong_json_type_exit_code(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "study.json"
+        write_config(cfg_path, **{field: value})
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
 

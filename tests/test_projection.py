@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,71 @@ from helmfosls.spaces import (
     interpolate_hdiv_polynomial,
     vector_eval,
 )
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_trace_basis(p):
+    """Integer coefficients (ascending) of 1-t, t and the bubbles
+    t(1-t) P_m(2t-1), with P_m(2t-1) = sum_k (-1)^(m+k) C(m,k) C(m+k,k) t^k."""
+    out = [[Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)]]
+    for m in range(p - 1):
+        leg = [Fraction((-1) ** (m + k) * comb(m, k) * comb(m + k, k))
+               for k in range(m + 1)]
+        out.append(_poly_mul([0, 1, -1], leg))
+    return out
+
+
+def _exact_divided_difference(q):
+    """{(i, j): c} with (q(x) - q(y)) / (x - y) = sum c x^i y^j."""
+    out = {}
+    for k, c in enumerate(q):
+        for i in range(k):
+            out[i, k - 1 - i] = out.get((i, k - 1 - i), 0) + c
+    return out
+
+
+def _exact_edge_grams(p):
+    """L2 Gram of the trace basis and H^{1/2}_00 Gram of its bubbles,
+    in rational arithmetic."""
+    basis = _exact_trace_basis(p)
+    dd = [_exact_divided_difference(q) for q in basis]
+
+    def l2(u, v):
+        return sum(c / (k + 1) for k, c in enumerate(_poly_mul(u, v)))
+
+    def sem(du, dv):
+        # 2 int_0^1 int_0^x x^a y^b dy dx = 2 / ((b+1)(a+b+2))
+        return sum(
+            2 * cu * cv / ((j + l + 1) * (i + k + j + l + 2))
+            for (i, j), cu in du.items() for (k, l), cv in dv.items()
+        )
+
+    def dist_half(w):
+        # int_0^(1/2) w(t) / t dt for w vanishing at 0
+        return sum(c * Fraction(1, 2) ** k / k for k, c in enumerate(w) if k)
+
+    def dist(u, v):
+        w = _poly_mul(u, v)
+        mirrored = [
+            sum(c * comb(k, j) * (-1) ** j for k, c in enumerate(w) if k >= j)
+            for j in range(len(w))
+        ]
+        return dist_half(w) + dist_half(mirrored)
+
+    gram_l2 = [[l2(u, v) for v in basis] for u in basis]
+    gram_h12 = [
+        [gram_l2[a][b] + sem(dd[a], dd[b]) + dist(basis[a], basis[b])
+         for b in range(2, p + 1)]
+        for a in range(2, p + 1)
+    ]
+    return gram_l2, gram_h12
 
 
 def eval_projection(proj, points):
@@ -61,6 +129,23 @@ class TestEdgeNormGram:
     def test_rejects_p0(self):
         with pytest.raises(ValueError):
             h12_00_gram(0)
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_matches_exact_rational_oracle(self, p):
+        exact_l2, exact_h12 = _exact_edge_grams(p)
+        g = h12_00_gram(p)
+        for got, exact in ((g.gram_L2, exact_l2), (g.gram_H12_00, exact_h12)):
+            exact = np.array(exact, dtype=float)
+            err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
+            assert err <= 1e-14
+
+    def test_shared_grams_are_read_only(self):
+        g = h12_00_gram(3)
+        before = g.gram_H12_00.copy()
+        for gram in (g.gram_L2, g.gram_H12_00):
+            with pytest.raises(ValueError):
+                gram[0, 0] += 1
+        np.testing.assert_array_equal(h12_00_gram(3).gram_H12_00, before)
 
 
 class TestReferenceProjection:
