@@ -10,7 +10,10 @@ traces on sub-entities are controlled by dedicated coefficients:
 
 On the interval the same family appears as {1-t, t} plus the bubbles
 t(1-t) P_m(2t-1), which are exactly the edge traces of the triangle
-functions.  Bases and quadrature rules are immutable value objects.
+functions.  Bases and quadrature rules are immutable value objects; a
+basis keeps the read-only tables of its most recently used point sets
+in a small bounded cache, so kernels that ask for one rule per element
+chunk and field evaluate it once.
 
 Quadrature rules are built once per argument and cached: ``gauss01``
 and ``simplex_quadrature`` return the same read-only arrays to every
@@ -20,6 +23,7 @@ behind the collapsed triangle rule is computed in numpy by Golub-Welsch
 scipy.special out of the import.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -75,7 +79,8 @@ class ScalarBasis:
                 "edge": edge,
                 "interior": list(range(3 + 3 * nb_edge, self.dim)),
             }
-        self._last = None  # (points, tables) of the last evaluation
+        # read-only tables per point set, least recently used first
+        self._tables = collections.OrderedDict()
         # interior kernel index pairs (a, b) with a + b <= p - 3 in 2D
         if d == 2:
             self._bubble_pairs = [
@@ -84,6 +89,10 @@ class ScalarBasis:
 
     # local edges of the reference triangle, ascending local vertex pairs
     EDGES = ((0, 1), (0, 2), (1, 2))
+    # point sets whose tables are kept: a 2D study asks one basis for at
+    # most 15 (volume rules, boundary-edge sets, both error passes), and
+    # the bound keeps ad-hoc point sets from growing the cache without limit
+    TABLE_CACHE_SIZE = 16
 
     def eval(self, points):
         """Basis values at reference points; shape (n_points, dim)."""
@@ -94,17 +103,21 @@ class ScalarBasis:
         return self.eval_with_grad(points)[1]
 
     def eval_with_grad(self, points):
-        """(values, gradients), read-only.  The tables of the last point set
-        are kept: batched kernels ask for the same reference points once
-        per element chunk and field."""
+        """(values, gradients), read-only.  The tables are kept per point
+        set, for the ``TABLE_CACHE_SIZE`` most recently used sets: batched
+        kernels ask for the same reference rules once per element chunk
+        and field."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        last = self._last
-        if last is not None and np.array_equal(last[0], pts):
-            return last[1]
+        key = (pts.shape, pts.tobytes())
+        tables = self._tables.get(key)
+        if tables is not None:
+            self._tables.move_to_end(key)
+            return tables
         tables = self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)
-        for table in tables:
-            table.flags.writeable = False
-        self._last = (pts.copy(), tables)
+        _read_only(*tables)
+        self._tables[key] = tables
+        if len(self._tables) > self.TABLE_CACHE_SIZE:
+            self._tables.popitem(last=False)
         return tables
 
     def _eval_1d(self, pts):

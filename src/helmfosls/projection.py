@@ -29,10 +29,16 @@ polynomial, so the rule is exact on polynomials.  The weighted term uses
 endpoint-split Gauss-Jacobi quadrature after factoring out the quadratic
 vanishing of the integrand.
 
-Each stage writes its inner product once, as the moments of a residual
-against its basis; its Gram is the moments of that basis itself, built
-once per degree and shared read-only.  A stack of functions is projected
-at once, one row per function, and the rows do not interact.
+Each stage evaluates its residual once, on one point set.  For an edge
+that set joins the Gauss nodes of the L2 term, the Gauss-Jacobi nodes of
+the weighted term and the Duffy nodes: each x and each y = x(1-s)
+once, since every row of the (x, y) grid shares its x.  Each stage
+writes its inner product once, as the moments of a residual against its
+basis: products of the residual values (and, for the edge, its divided
+differences; for the volume, its gradients) with read-only weighted
+tables, built lazily once per degree.  Its Gram is the moments of that
+basis itself.  A stack of functions is projected at once, one row per
+function, and the rows do not interact.
 """
 
 from dataclasses import dataclass
@@ -82,78 +88,83 @@ class ReferenceProjection:
 
 
 class _EdgeWork:
-    """Quadrature tables and Grams for the edge minimization at degree p."""
+    """Quadrature tables and Grams for the edge minimization at degree p.
+
+    Every term of the edge inner product reads the trace at one point
+    set, ``points``: the Gauss nodes of the L2 term, the endpoint-split
+    Gauss-Jacobi nodes of the distance-weighted term, and the Duffy nodes
+    x and y = x(1-s) of the Slobodeckij double integral.  A stage
+    evaluates its residual there once.
+    """
 
     def __init__(self, p):
         self.p = p
         basis = make_scalar_basis(1, p)
 
-        def bubbles(t):  # t(1-t) P_m(2t-1) at t, one row per bubble
-            return basis.eval(t[:, None])[:, 2:].T
-
-        # plain Gauss data for L2 terms (and the full trace-basis Gram)
-        self.tq, self.wq = gauss01(p + 6)
-        trace = basis.eval(self.tq[:, None])
-        self.gram_l2_full = np.einsum("q,qi,qj->ij", self.wq, trace, trace)
-        self.bub_l2 = trace[:, 2:]
-
-        # diagonal-split Duffy grid for the Slobodeckij double integral
-        x, w = gauss01(2 * p + 6)
-        self.X = np.repeat(x[:, None], len(x), axis=1)
-        self.Y = x[:, None] * (1 - x)[None, :]
-        self.XmY = x[:, None] * x[None, :]
-        self.XY = np.concatenate([self.X.ravel(), self.Y.ravel()])
-        self.W = 2.0 * w[:, None] * w[None, :] * x[:, None]
-        self.dd_bub = self._divided_difference(bubbles)
+        # plain Gauss data for the L2 term (and the full trace-basis Gram)
+        tq, wq = gauss01(p + 6)
+        trace = basis.eval(tq[:, None])
+        self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, trace, trace)
 
         # endpoint-split Gauss-Jacobi data for the distance-weighted term:
         # int_0^(1/2) F(t) t dt with F = uv / t^2 smooth for bubble pairs;
         # the weight mirrors under t -> 1-t
         sj, wj = gauss_jacobi01(p + 6, 0, 1)
-        self.t_left = sj / 2
-        self.w_dist = wj / 4
-        self.t_right = 1 - self.t_left
-        self.inv_left = 1.0 / self.t_left**2
-        self.bub_left = bubbles(self.t_left)
-        self.bub_right = bubbles(self.t_right)
+        t_left = sj / 2
+        w_dist = wj / (4 * t_left**2)
 
-        # the Grams are the moments of the bubbles themselves
-        self.gram_h12 = self._h12_moments(bubbles)[1]
-        self.objective = self.moments(bubbles)
+        # diagonal-split Duffy grid for the Slobodeckij double integral:
+        # y = x(1-s), so x - y = xs never vanishes at Gauss nodes
+        x, w = gauss01(2 * p + 6)
+        self.XmY = x[:, None] * x[None, :]
+        Y = x[:, None] * (1 - x)[None, :]
+        self.points = np.concatenate([tq, t_left, 1 - t_left, x, Y.ravel()])
+        self.n_lin = len(tq) + 2 * len(t_left)
+
+        # one row per bubble t(1-t) P_m(2t-1) at every point
+        bub_lin, bub_dd = self._split(basis.eval(self.points[:, None])[:, 2:].T)
+        w_l2 = np.concatenate([wq, np.zeros(2 * len(t_left))])
+        w_d = np.concatenate([np.zeros(len(tq)), w_dist, w_dist])
+        w_sem = (2.0 * w[:, None] * w[None, :] * x[:, None]).ravel()
+
+        # the moment functionals as weighted tables: the objective
+        # p L2 + H^{1/2}_00 is k_lin, k_sem; H^{1/2}_00 alone swaps k_lin
+        # for k_h12.  The Grams are the moments of the bubbles themselves.
+        self.k_lin = ((p + 1) * w_l2 + w_d)[:, None] * bub_lin.T
+        k_h12 = (w_l2 + w_d)[:, None] * bub_lin.T
+        self.k_sem = w_sem[:, None] * bub_dd.T
+        self.gram_h12 = bub_lin @ k_h12 + bub_dd @ self.k_sem
+        self.objective = bub_lin @ self.k_lin + bub_dd @ self.k_sem
         self.chol = scipy.linalg.cho_factor(self.objective) if p > 1 else None
         self.norm_gram = np.linalg.norm(self.objective)
-        _read_only(self.gram_l2_full, self.gram_h12, self.objective)
+        _read_only(self.gram_l2_full, self.gram_h12, self.objective,
+                   self.k_lin, self.k_sem)
 
-    def _divided_difference(self, r):
-        """(r(X) - r(Y)) / (X - Y) on the Duffy grid, from values."""
-        rx, ry = np.split(r(self.XY), 2, axis=-1)
-        return (rx - ry).reshape(rx.shape[:-1] + self.X.shape) / self.XmY
+    def _split(self, vals):
+        """Values (..., points) -> (values at the L2 and distance nodes,
+        divided differences (r(x) - r(y)) / (x - y) on the flattened Duffy
+        grid), formed from values: the difference is taken before the
+        division, so nothing cancels where xs is small."""
+        nx = len(self.XmY)
+        lin, rx, ry = np.split(vals, [self.n_lin, self.n_lin + nx], axis=-1)
+        ry = ry.reshape(ry.shape[:-1] + (nx, nx))
+        dd = (rx[..., :, None] - ry) / self.XmY
+        return lin, dd.reshape(dd.shape[:-2] + (nx * nx,))
 
-    def _h12_moments(self, r):
-        """L2 and H^{1/2}_00 moments of traces r vanishing at 0 and 1
-        against the bubbles: (m_L2, m_H12)."""
-        m_l2 = np.einsum("q,...q,qa->...a", self.wq, r(self.tq), self.bub_l2)
-        m_sem = np.einsum(
-            "xy,...xy,axy->...a", self.W, self._divided_difference(r), self.dd_bub
-        )
-        wd = self.w_dist * self.inv_left
-        m_dist = np.einsum(
-            "q,...q,aq->...a", wd, r(self.t_left), self.bub_left
-        ) + np.einsum("q,...q,aq->...a", wd, r(self.t_right), self.bub_right)
-        return m_l2, m_l2 + m_sem + m_dist
-
-    def moments(self, r):
-        """Objective moments p L2 + H^{1/2}_00 of traces r vanishing at
-        0 and 1 against the bubbles."""
-        m_l2, m_h12 = self._h12_moments(r)
-        return self.p * m_l2 + m_h12
+    def moments(self, vals):
+        """Objective moments p L2 + H^{1/2}_00 against the bubbles of
+        traces vanishing at 0 and 1, given by their values (..., points)
+        at ``points``."""
+        lin, dd = self._split(vals)
+        return lin @ self.k_lin + dd @ self.k_sem
 
     def solve(self, r, batch):
         """Minimize the edge objective over bubbles for every function of
-        the stack (leading shape ``batch``); returns (coeffs, kkt)."""
+        the stack (leading shape ``batch``); returns (coeffs, kkt).  The
+        trace ``r`` is called once, on ``points``."""
         if self.p == 1:
             return np.zeros(batch + (0,), dtype=complex), 0.0
-        return _minimize(self, self.moments(r))
+        return _minimize(self, self.moments(r(self.points)))
 
 
 class _VolumeWork:
@@ -163,21 +174,29 @@ class _VolumeWork:
         self.p = p
         basis = make_scalar_basis(2, p)
         rule = simplex_quadrature(2, 2 * p + 8)
-        self.points, self.weights = rule.points, rule.weights
-        self.N, self.G = basis.eval_with_grad(rule.points)
+        self.points, w = rule.points, rule.weights
+        N, G = basis.eval_with_grad(rule.points)
+        # the basis as rows: values (basis, q) and gradients (basis, 2q),
+        # whose columns are (point, component) pairs as in grad_u(...)
+        # flattened over its last two axes
+        self.N_rows = N.T
+        self.G_rows = G.transpose(1, 0, 2).reshape(basis.dim, -1)
         self.interior = basis.dof_classes["interior"]
-        self.Ni, self.Gi = self.N[:, self.interior], self.G[:, self.interior]
+        Ni, Gi = self.N_rows[self.interior], self.G_rows[self.interior]
+        # the moment functional p^2 L2 + H1 as weighted tables
+        self.k_val = (p**2 + 1) * w[:, None] * Ni.T
+        self.k_grad = np.repeat(w, 2)[:, None] * Gi.T
         # the Gram is the moment functional applied to the interior basis
-        self.objective = self.moments(self.Ni.T, self.Gi.swapaxes(0, 1))
+        self.objective = self.moments(Ni, Gi)
         self.chol = scipy.linalg.cho_factor(self.objective)
         self.norm_gram = np.linalg.norm(self.objective)
+        _read_only(self.G_rows, self.k_val, self.k_grad, self.objective)
 
     def moments(self, r_vals, r_grads):
         """Objective moments p^2 L2 + H1 of residuals with values
-        (..., q) and gradients (..., q, 2) against the interior basis."""
-        return (self.p**2 + 1) * np.einsum(
-            "q,...q,qi->...i", self.weights, r_vals, self.Ni
-        ) + np.einsum("q,...qa,qia->...i", self.weights, r_grads, self.Gi)
+        (..., q) and flattened gradients (..., 2q) against the interior
+        basis."""
+        return r_vals @ self.k_val + r_grads @ self.k_grad
 
     def solve(self, r_vals, r_grads):
         return _minimize(self, self.moments(r_vals, r_grads))
@@ -230,6 +249,8 @@ def project_reference(u, d, p, grad_u=None):
         raise ValueError(f"unsupported dimension {d}")
     if p < 1:
         raise ValueError("degree p must be at least 1")
+    if d == 2 and p >= 3 and grad_u is None:
+        raise ValueError("grad_u is required for the interior stage (d=2, p>=3)")
 
     basis = make_scalar_basis(d, p)
     verts = REFERENCE_VERTICES[d]
@@ -256,16 +277,11 @@ def project_reference(u, d, p, grad_u=None):
         trace["edge"].append({"coeffs": c, "kkt": kkt})
 
     if d == 2 and p >= 3:
-        if grad_u is None:
-            raise ValueError("grad_u is required for the interior stage (d=2, p>=3)")
         vol = _volume_work(p)
         pts = vol.points
-        r_vals = np.asarray(u(pts), dtype=complex) - (
-            vol.N @ coeffs[..., None]
-        )[..., 0]
-        r_grads = np.asarray(grad_u(pts), dtype=complex) - np.einsum(
-            "qia,...i->...qa", vol.G, coeffs
-        )
+        r_vals = np.asarray(u(pts), dtype=complex) - coeffs @ vol.N_rows
+        grads = np.asarray(grad_u(pts), dtype=complex)
+        r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - coeffs @ vol.G_rows
         c, kkt = vol.solve(r_vals, r_grads)
         coeffs[..., vol.interior] = c
         trace["volume"] = {"coeffs": c, "kkt": kkt}
@@ -284,15 +300,16 @@ def _pull(mesh, elems, fn, jacobian, pts):
 def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     """Project a smooth vector field into the global flux space.
 
-    The elements are taken in chunks whose reference point sets fit in
-    ``fosls.CHUNK_POINTS``.  On a chunk the field is pulled back by the
-    Piola transform of every element, one staged projection runs on the
-    stack of (element, component) functions and the BDM coefficients of
-    all its elements come from one solve.  Because each edge stage
-    depends only on the trace there, the two elements adjacent to a facet
-    assign the same normal-moment dofs (up to roundoff, reported as the
-    optional mismatch: the largest difference between the global value of
-    a dof and the value one of its elements assigns), so the result is
+    The elements are taken in chunks whose edge-stage point sets, the
+    largest a stage evaluates, fit in ``fosls.CHUNK_POINTS``.  On a chunk
+    the field is pulled back by the Piola transform of every element
+    once per stage, one staged projection runs on the stack of (element,
+    component) functions and the BDM coefficients of all its elements
+    come from one solve.  Because each edge stage depends only on the
+    trace there, the two elements adjacent to a facet assign the same
+    normal-moment dofs (up to roundoff, reported as the optional
+    mismatch: the largest difference between the global value of a dof
+    and the value one of its elements assigns), so the result is
     H(div)-conforming.
 
     ``phi`` maps physical points (n, 2) to values (n, 2); ``jac_phi``
@@ -306,8 +323,8 @@ def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
         raise ValueError("jac_phi is required for p >= 3")
     mesh = space.mesh
     local = []
-    # the largest reference point set is the Duffy grid of an edge stage
-    for s in chunks(len(mesh.elements), _edge_work(p).XY.size):
+    # the largest reference point set is that of an edge stage
+    for s in chunks(len(mesh.elements), _edge_work(p).points.size):
         elems = np.arange(len(mesh.elements))[s]
         pull = partial(_pull, mesh, elems)
         grad = None if jac_phi is None else partial(pull, jac_phi, True)

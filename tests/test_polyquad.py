@@ -133,6 +133,27 @@ class TestScalarBasis:
         assert np.any(basis.eval(moved)[0] != vals[0])
         np.testing.assert_array_equal(basis.eval(pts), vals)
 
+    def test_tables_are_kept_per_point_set(self, monkeypatch):
+        """Rules A, B, A build the tables twice; more than the cache holds
+        of other point sets evict A."""
+        basis = make_scalar_basis(2, 3)
+        builds = []
+        build = basis._eval_2d
+        monkeypatch.setattr(
+            basis, "_eval_2d", lambda pts: builds.append(len(pts)) or build(pts)
+        )
+        rule_a = simplex_quadrature(2, 4).points
+        rule_b = simplex_quadrature(2, 7).points
+        first = basis.eval_with_grad(rule_a)
+        basis.eval_with_grad(rule_b)
+        again = basis.eval_with_grad(rule_a.copy())
+        assert builds == [len(rule_a), len(rule_b)]
+        assert again[0] is first[0] and again[1] is first[1]
+        for i in range(basis.TABLE_CACHE_SIZE):
+            basis.eval_with_grad(np.full((1, 2), 0.01 * (i + 1)))
+        basis.eval_with_grad(rule_a)
+        assert len(builds) == 2 + basis.TABLE_CACHE_SIZE + 1
+
     def test_rejects_p0_and_bad_dim(self):
         with pytest.raises(ValueError):
             make_scalar_basis(1, 0)

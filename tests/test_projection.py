@@ -4,9 +4,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from helmfosls import fosls
+from helmfosls import fosls, projection
 from helmfosls.mesh import build_polygonal_disk_mesh, build_square_mesh
-from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
+from helmfosls.polyquad import (
+    gauss01,
+    gauss_jacobi01,
+    make_scalar_basis,
+    simplex_quadrature,
+)
 from helmfosls.projection import (
     _edge_work,
     h12_00_gram,
@@ -99,6 +104,52 @@ def h1_norm_on_reference(d, f, grad_f, exactness=30):
     return np.sqrt(np.sum(rule.weights * (vals + grads)))
 
 
+def _duffy_edge_rule(p):
+    """The edge-stage quadrature built from the public rules: Gauss nodes
+    tq for L2, the full Duffy grid (X, Y) with y = x(1-s), and the
+    endpoint-split Gauss-Jacobi nodes of the distance-weighted term."""
+    tq, wq = gauss01(p + 6)
+    x, w = gauss01(2 * p + 6)
+    sj, wj = gauss_jacobi01(p + 6, 0, 1)
+    t_left = sj / 2
+    return {
+        "tq": tq, "wq": wq,
+        "X": np.repeat(x[:, None], len(x), axis=1),
+        "Y": x[:, None] * (1 - x)[None, :],
+        "XmY": x[:, None] * x[None, :],
+        "W": 2.0 * w[:, None] * w[None, :] * x[:, None],
+        "t_left": t_left, "t_right": 1 - t_left,
+        "w_dist": wj / 4 / t_left**2,
+    }
+
+
+def _full_grid_edge_moments(p, r):
+    """Objective moments p L2 + H^{1/2}_00 of traces r (callable on
+    (n,) parameters, values (..., n)) against the bubbles, with the
+    divided differences formed on the full (X, Y) Duffy grid."""
+    rule = _duffy_edge_rule(p)
+    basis = make_scalar_basis(1, p)
+
+    def bubbles(t):
+        return basis.eval(t[:, None])[:, 2:].T
+
+    def divided_difference(f):
+        XY = np.concatenate([rule["X"].ravel(), rule["Y"].ravel()])
+        fx, fy = np.split(f(XY), 2, axis=-1)
+        return (fx - fy).reshape(fx.shape[:-1] + rule["X"].shape) / rule["XmY"]
+
+    m_l2 = np.einsum("q,...q,qa->...a", rule["wq"], r(rule["tq"]),
+                     bubbles(rule["tq"]).T)
+    m_sem = np.einsum("xy,...xy,axy->...a", rule["W"], divided_difference(r),
+                      divided_difference(bubbles))
+    m_dist = sum(
+        np.einsum("q,...q,aq->...a", rule["w_dist"], r(rule[side]),
+                  bubbles(rule[side]))
+        for side in ("t_left", "t_right")
+    )
+    return p * m_l2 + (m_l2 + m_sem + m_dist)
+
+
 class TestEdgeNormGram:
     def test_p1_has_no_bubbles(self):
         g = h12_00_gram(1)
@@ -138,6 +189,24 @@ class TestEdgeNormGram:
             exact = np.array(exact, dtype=float)
             err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
             assert err <= 1e-14
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_moments_match_full_grid_oracle(self, p):
+        """Moments from one evaluation on the deduplicated point set equal
+        those of the full Duffy grid for a stack of smooth traces that
+        vanish at 0 and 1."""
+        a = np.array([0.7, -2.3, 5.1, 11.0])
+
+        def r(t):
+            t = np.asarray(t)
+            return (t * (1 - t) * np.exp(1j * a[:, None] * t)
+                    + np.sin(np.pi * t) * np.cos(a[:, None] * t) ** 2)
+
+        work = _edge_work(p)
+        got = work.moments(r(work.points))
+        oracle = _full_grid_edge_moments(p, r)
+        assert got.shape == oracle.shape == (len(a), p - 1)
+        assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     def test_shared_grams_are_read_only(self):
         g = h12_00_gram(3)
@@ -302,7 +371,7 @@ class TestReferenceProjection:
             0.8 * np.atleast_2d(pts)[:, 0]
         ).astype(complex)
         proj = project_reference(u, 1, p)
-        work = _edge_work(p)
+        rule = _duffy_edge_rule(p)
         basis = make_scalar_basis(1, p)
         t, w = gauss01(30)
 
@@ -312,13 +381,12 @@ class TestReferenceProjection:
                     np.asarray(s)[:, None]
                 )
             l2 = np.sum(w * np.abs(err(t)) ** 2)
-            ex = err(work.X.ravel()).reshape(work.X.shape)
-            ey = err(work.Y.ravel()).reshape(work.Y.shape)
-            sem = np.sum(work.W * np.abs((ex - ey) / work.XmY) ** 2)
-            dist = np.sum(
-                work.w_dist * work.inv_left * np.abs(err(work.t_left)) ** 2
-            ) + np.sum(
-                work.w_dist * work.inv_left * np.abs(err(work.t_right)) ** 2
+            ex = err(rule["X"].ravel()).reshape(rule["X"].shape)
+            ey = err(rule["Y"].ravel()).reshape(rule["Y"].shape)
+            sem = np.sum(rule["W"] * np.abs((ex - ey) / rule["XmY"]) ** 2)
+            dist = sum(
+                np.sum(rule["w_dist"] * np.abs(err(rule[side])) ** 2)
+                for side in ("t_left", "t_right")
             )
             return p * l2 + (l2 + sem + dist)
 
@@ -413,6 +481,57 @@ class TestReferenceProjection:
         u = lambda pts: np.zeros(len(np.atleast_2d(pts)), dtype=complex)
         with pytest.raises(ValueError, match="grad"):
             project_reference(u, 2, 3)
+
+    def test_missing_gradient_is_rejected_before_any_evaluation(self):
+        calls = []
+
+        def u(pts):
+            calls.append(len(pts))
+            return np.zeros(len(pts), dtype=complex)
+
+        with pytest.raises(ValueError, match="grad"):
+            project_reference(u, 2, 3)
+        assert calls == []
+
+
+def _counted(fn, calls):
+    """``fn``, appending its positional arguments to ``calls`` per call."""
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class TestEvaluationBudget:
+    def test_each_stage_evaluates_once(self):
+        """d = 2, p = 3: one vertex call, one call per edge on its whole
+        point set, one volume value call and one gradient call."""
+        phi, jac = TestHdivProjection().smooth_field()
+        u_calls, grad_calls = [], []
+        u = _counted(lambda q: phi(q)[:, 0], u_calls)
+        gu = _counted(lambda q: jac(q)[:, 0, :], grad_calls)
+        project_reference(u, 2, 3, grad_u=gu)
+        edge_points = _edge_work(3).points.size
+        assert edge_points == 183
+        volume_points = len(simplex_quadrature(2, 14).points)
+        assert [len(a[0]) for a in u_calls] == (
+            [3] + 3 * [edge_points] + [volume_points]
+        )
+        assert [len(a[0]) for a in grad_calls] == [volume_points]
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_chunks_are_sized_by_the_edge_point_set(self, p, monkeypatch):
+        mesh = build_square_mesh(6)
+        space = build_hdiv_space(mesh, p)
+        phi, jac = TestHdivProjection().smooth_field()
+        reference_calls, phi_calls = [], []
+        monkeypatch.setattr(projection, "project_reference", _counted(
+            projection.project_reference, reference_calls))
+        project_hdiv_global(_counted(phi, phi_calls), space, jac_phi=jac)
+        per_chunk = fosls.CHUNK_POINTS // _edge_work(p).points.size
+        n_chunks = -(-len(mesh.elements) // per_chunk)
+        assert len(reference_calls) == n_chunks
+        assert len(phi_calls) == n_chunks * (1 if p == 1 else 5)
 
 
 class TestHdivProjection:
