@@ -23,7 +23,6 @@ from .mesh import (
     build_polygonal_disk_mesh,
     build_square_mesh,
     element_map_apply,
-    mesh_to_text,
 )
 from .polyquad import QuadratureRule, ScalarBasis, make_scalar_basis, simplex_quadrature
 from .problems import (

@@ -73,6 +73,8 @@ class StudyConfig:
             raise ConfigError("k must be a positive finite number")
         if not _counts(self.degrees):
             raise ConfigError("degrees must be a nonempty list of integers >= 1")
+        if len(set(self.degrees)) < len(self.degrees):
+            raise ConfigError(f"degrees must not repeat; got {self.degrees}")
         ns = self.mesh_sequence
         if not _counts(ns):
             raise ConfigError("mesh_sequence must be a nonempty list of counts")

@@ -343,17 +343,15 @@ def impedance_trace(fields, normals):
     return np.einsum("eqd,ed->eq", phi, normals) + u
 
 
-def evaluate_b(pair_a, pair_b, w_space, k, exactness=None, breakpoints=()):
+def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     """Evaluate b(pair_a, pair_b) by quadrature.
 
     Pairs may be DiscreteSolution instances, ExactBundle instances or
     differences of pairs (see :func:`difference`).  ``w_space`` provides
-    the mesh and the default quadrature exactness 2p + 8.
+    the mesh and the quadrature exactness 2p + 8.
     """
     mesh = w_space.mesh
-    if exactness is None:
-        exactness = 2 * w_space.p + 8
-    rule = simplex_quadrature(mesh.dim, exactness)
+    rule = simplex_quadrature(mesh.dim, 2 * w_space.p + 8)
     total = 0.0 + 0.0j
     for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
         ra1, ra2 = ls_residuals(pair_fields(pair_a, elems, ref, phys), k)

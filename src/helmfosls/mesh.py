@@ -22,7 +22,6 @@ that element and -1 where it points in.  Instances are immutable after
 construction and safe to share across threads.
 """
 
-import io
 import math
 
 import numpy as np
@@ -252,17 +251,3 @@ def build_polygonal_disk_mesh(n_boundary, n_refine):
     sides = n_boundary * 2**n_refine
     area = 0.5 * sides * math.sin(2 * math.pi / sides)
     return Mesh(2, vertices, elements, area)
-
-
-def mesh_to_text(mesh):
-    """Plain-text mesh dump: one vertex per line, one element per line.
-
-    First line is ``dim n_vertices n_elements``; vertex lines hold
-    coordinates, element lines hold 0-based vertex indices.  Debugging
-    aid only.
-    """
-    out = io.StringIO()
-    out.write(f"{mesh.dim} {len(mesh.vertices)} {len(mesh.elements)}\n")
-    np.savetxt(out, mesh.vertices, fmt="%.17g")
-    np.savetxt(out, mesh.elements, fmt="%d")
-    return out.getvalue()

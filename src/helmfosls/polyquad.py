@@ -10,10 +10,11 @@ traces on sub-entities are controlled by dedicated coefficients:
 
 On the interval the same family appears as {1-t, t} plus the bubbles
 t(1-t) P_m(2t-1), which are exactly the edge traces of the triangle
-functions.  Bases and quadrature rules are immutable value objects; a
-basis keeps the read-only tables of its most recently used point sets
-in a small bounded cache, so kernels that ask for one rule per element
-chunk and field evaluate it once.
+functions.  Bases and quadrature rules are immutable value objects.
+``make_scalar_basis`` returns one shared basis per (d, p) for the whole
+process, and a basis keeps the read-only tables of its most recently
+used point sets in a bounded ``functools.lru_cache``, so every space,
+flux basis and projection stage of that degree evaluates a rule once.
 
 Quadrature rules are built once per argument and cached: ``gauss01``
 and ``simplex_quadrature`` return the same read-only arrays to every
@@ -23,7 +24,6 @@ behind the collapsed triangle rule is computed in numpy by Golub-Welsch
 scipy.special out of the import.
 """
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -79,8 +79,8 @@ class ScalarBasis:
                 "edge": edge,
                 "interior": list(range(3 + 3 * nb_edge, self.dim)),
             }
-        # read-only tables per point set, least recently used first
-        self._tables = collections.OrderedDict()
+        # read-only tables per point set, keyed by (shape, bytes)
+        self._tables = functools.lru_cache(self.TABLE_CACHE_SIZE)(self._build_tables)
         # interior kernel index pairs (a, b) with a + b <= p - 3 in 2D
         if d == 2:
             self._bubble_pairs = [
@@ -89,9 +89,10 @@ class ScalarBasis:
 
     # local edges of the reference triangle, ascending local vertex pairs
     EDGES = ((0, 1), (0, 2), (1, 2))
-    # point sets whose tables are kept: a 2D study asks one basis for at
-    # most 15 (volume rules, boundary-edge sets, both error passes), and
-    # the bound keeps ad-hoc point sets from growing the cache without limit
+    # point sets whose tables are kept: the one (2, p) basis serves S_p
+    # and the BDM_p scalar tables, and a 2D study asks it for at most 15
+    # (volume rules, boundary-edge sets, both error passes); the bound
+    # keeps ad-hoc point sets from growing the cache without limit
     TABLE_CACHE_SIZE = 16
 
     def eval(self, points):
@@ -106,19 +107,13 @@ class ScalarBasis:
         """(values, gradients), read-only.  The tables are kept per point
         set, for the ``TABLE_CACHE_SIZE`` most recently used sets: batched
         kernels ask for the same reference rules once per element chunk
-        and field."""
+        and field.  Safe to call from several threads at once."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        key = (pts.shape, pts.tobytes())
-        tables = self._tables.get(key)
-        if tables is not None:
-            self._tables.move_to_end(key)
-            return tables
-        tables = self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)
-        _read_only(*tables)
-        self._tables[key] = tables
-        if len(self._tables) > self.TABLE_CACHE_SIZE:
-            self._tables.popitem(last=False)
-        return tables
+        return self._tables(pts.shape, pts.tobytes())
+
+    def _build_tables(self, shape, data):
+        pts = np.frombuffer(data).reshape(shape)
+        return _read_only(*(self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)))
 
     def _eval_1d(self, pts):
         t = pts[:, 0]
@@ -275,8 +270,10 @@ def simplex_quadrature(d, exactness):
     return QuadratureRule(*_read_only(np.column_stack([x, y]), w), exactness)
 
 
+@functools.cache
 def make_scalar_basis(d, p):
-    """Hierarchical basis of P_p; p >= 1 (vertex dofs are required)."""
+    """Hierarchical basis of P_p; p >= 1 (vertex dofs are required).
+    One shared instance per (d, p), built on first use."""
     if d not in (1, 2):
         raise ValueError(f"unsupported dimension {d}")
     if p < 1:

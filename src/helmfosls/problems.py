@@ -62,7 +62,6 @@ class WaveProblem:
     # interior 1D coordinates where data or solution lose smoothness;
     # quadrature panels are split there
     breakpoints: tuple = ()
-    domain: str = ""
 
     def __post_init__(self):
         if self.k <= 0:
@@ -80,7 +79,7 @@ def robin_data_from_exact(jet, k):
     return g
 
 
-def plane_wave_problem(k, domain="unit-square"):
+def plane_wave_problem(k):
     """Plane wave e^{i(k1 x + k2 y)} with k1 = -k2 = k/sqrt(2).
 
     Satisfies the homogeneous Helmholtz equation (f = 0); the impedance
@@ -102,7 +101,7 @@ def plane_wave_problem(k, domain="unit-square"):
 
     return WaveProblem(
         name="plane-wave-2d", dim=2, k=k, f=f, g=robin_data_from_exact(jet, k),
-        exact=ExactBundle(jet, k), domain=domain,
+        exact=ExactBundle(jet, k),
     )
 
 
@@ -137,7 +136,7 @@ def piecewise_1d_problem(k):
 
     return WaveProblem(
         name="piecewise-1d", dim=1, k=k, f=f, g=robin_data_from_exact(jet, k),
-        exact=ExactBundle(jet, k), breakpoints=(0.0,), domain="(-1,1)",
+        exact=ExactBundle(jet, k), breakpoints=(0.0,),
     )
 
 

@@ -330,7 +330,7 @@ def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
         grad = None if jac_phi is None else partial(pull, jac_phi, True)
         comp = project_reference(partial(pull, phi, False), 2, p, grad_u=grad)
         local.append(np.linalg.solve(
-            space.bdm.coeffs, comp.result.reshape(len(elems), -1).T
+            space.basis.coeffs, comp.result.reshape(len(elems), -1).T
         ))
     local = np.concatenate(local, axis=1)
     coeffs = _scatter_local(space, local)

@@ -6,6 +6,13 @@ H(div)-conforming).  In 1D, H(div) coincides with H1 and the scalar space
 doubles as the flux space (the normal trace at an endpoint is +/- the
 point value), so ``build_hdiv_space`` is reserved for 2D meshes.
 
+Every space reads its reference tables from one basis, shared by all
+spaces of its kind and degree: S_p holds the scalar basis of
+``make_scalar_basis(d, p)``, BDM_p one ``BdmBasis`` per p whose tables
+derive from that same scalar basis.  Both answer
+``eval_with_grad(points)`` with the values and first derivatives
+(gradients for S_p, divergences for BDM_p).
+
 Fields move between the reference element and the physical one through
 one map, :func:`push_forward` and its inverse :func:`pull_back`; a field
 is evaluated by contracting its local coefficients with the reference
@@ -22,11 +29,13 @@ index), and a normal-trace dof additionally flips with the orientation
 of the global facet normal.
 """
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .mesh import REFERENCE_VERTICES, element_map_apply
-from .polyquad import ScalarBasis, gauss01, make_scalar_basis
+from .polyquad import ScalarBasis, _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
 KIND_HDIV = "vector-hdiv"
@@ -56,7 +65,9 @@ class BdmBasis:
     remaining (p+1)(p-1) span the subspace with vanishing normal trace.
     Built numerically: the moment map is assembled on the vector-valued
     hierarchical basis, edge functions are its pseudo-inverse columns and
-    interior functions an orthonormal basis of its null space.
+    interior functions an orthonormal basis of its null space.  The
+    read-only ``coeffs`` (2 ns, dim) hold the x and y scalar coefficients
+    of every function; the tables come from the shared scalar basis.
     """
 
     def __init__(self, p):
@@ -91,18 +102,21 @@ class BdmBasis:
         target[:, : T.shape[0]] = np.eye(T.shape[0])
         if not np.allclose(check, target, atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
+        _read_only(self.coeffs)
 
     def eval(self, points):
         """Vector basis values; shape (n_points, dim, 2)."""
-        sv = self.scalar.eval(points)
-        ns = self.scalar.dim
-        return np.stack([sv @ self.coeffs[:ns], sv @ self.coeffs[ns:]], axis=-1)
+        return self.eval_with_grad(points)[0]
 
-    def div(self, points):
-        """Reference divergences; shape (n_points, dim)."""
-        sg = self.scalar.grad(points)
-        ns = self.scalar.dim
-        return sg[:, :, 0] @ self.coeffs[:ns] + sg[:, :, 1] @ self.coeffs[ns:]
+    def eval_with_grad(self, points):
+        """(values (n_points, dim, 2), divergences (n_points, dim)) on the
+        reference element, from the scalar tables of ``points``."""
+        sv, sg = self.scalar.eval_with_grad(points)
+        cx, cy = np.split(self.coeffs, 2)
+        return np.stack([sv @ cx, sv @ cy], axis=-1), sg[:, :, 0] @ cx + sg[:, :, 1] @ cy
+
+
+_bdm_basis = cache(BdmBasis)
 
 
 class FunctionSpace:
@@ -112,11 +126,12 @@ class FunctionSpace:
     (global dof, orientation sign) per element.  Global dofs are numbered
     by entity: vertices (S_p only, by vertex id), then facets (a block per
     facet, in facet order), then element interiors (a contiguous block per
-    element, in element order).  Immutable after construction.
+    element, in element order).  ``basis`` is the shared reference basis
+    (``ScalarBasis`` for S_p, ``BdmBasis`` for BDM_p).  Immutable after
+    construction.
     """
 
-    def __init__(self, kind, mesh, p, n_dofs, elem_dofs, elem_signs, basis,
-                 bdm=None):
+    def __init__(self, kind, mesh, p, n_dofs, elem_dofs, elem_signs, basis):
         self.kind = kind
         self.mesh = mesh
         self.p = p
@@ -124,7 +139,6 @@ class FunctionSpace:
         self.elem_dofs = elem_dofs
         self.elem_signs = elem_signs
         self.basis = basis
-        self.bdm = bdm
         self.elem_dofs.flags.writeable = False
         self.elem_signs.flags.writeable = False
 
@@ -182,7 +196,7 @@ def build_hdiv_space(mesh, p):
         )
     if p < 1:
         raise ValueError("degree p must be at least 1")
-    bdm = BdmBasis(p)
+    bdm = _bdm_basis(p)
     ne = len(mesh.elements)
     nle = bdm.n_edge
     n_edge_dofs = len(mesh.facet_vertices) * nle
@@ -200,8 +214,7 @@ def build_hdiv_space(mesh, p):
                            _interior_dofs(n_edge_dofs, ne, bdm.n_interior)])
     elem_signs = np.hstack([(sigma[:, :, None] * _edge_parity(mesh, nle)).reshape(ne, -1),
                             np.ones((ne, bdm.n_interior))])
-    return FunctionSpace(KIND_HDIV, mesh, p, n_dofs, elem_dofs, elem_signs,
-                         bdm.scalar, bdm=bdm)
+    return FunctionSpace(KIND_HDIV, mesh, p, n_dofs, elem_dofs, elem_signs, bdm)
 
 
 # -- the element map and field evaluation.  ``elem`` is one element index
@@ -249,12 +262,8 @@ def basis_tables(space, elems, ref):
     of shapes (E, 1, q, n) and (E, d, q, n), H(div) (phi, div phi) of
     shapes (E, d, q, n) and (E, 1, q, n); in 1D the H1 pair doubles as
     the flux pair."""
-    if space.kind == KIND_HDIV:
-        tables = space.bdm.eval(ref), space.bdm.div(ref)
-    else:
-        tables = space.basis.eval_with_grad(ref)
     out = []
-    for t, derivative in zip(tables, (False, True)):
+    for t, derivative in zip(space.basis.eval_with_grad(ref), (False, True)):
         t = push_forward(space, elems, t[None], derivative)
         t = t[:, None] if t.ndim == 3 else t.transpose(0, 3, 1, 2)
         out.append(np.broadcast_to(t, (len(elems),) + t.shape[1:]))
@@ -273,38 +282,39 @@ def local_coeffs(space, coeffs, elem):
     return space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
 
 
-def _combine(table, lc):
-    """Fields sum_i lc_i table[:, i] of (points, basis, d) reference tables."""
-    return np.tensordot(lc, table, axes=(-1, 1))
+def _field(space, coeffs, elem, ref_points, derivative):
+    """Physical values (or first derivatives) of a field: its local
+    coefficients contracted with the reference table, then mapped by
+    :func:`push_forward`."""
+    table = space.basis.eval_with_grad(ref_points)[derivative]
+    lc = local_coeffs(space, coeffs, elem)
+    # (points, basis) tables as a matrix product, (points, basis, d) ones
+    # over the basis axis
+    ref_field = lc @ table.T if table.ndim == 2 else np.tensordot(lc, table, axes=(-1, 1))
+    return push_forward(space, elem, ref_field, derivative)
 
 
 def scalar_eval(space, coeffs, elem, ref_points):
-    values = local_coeffs(space, coeffs, elem) @ space.basis.eval(ref_points).T
-    return push_forward(space, elem, values)
+    return _field(space, coeffs, elem, ref_points, False)
 
 
 def scalar_grad_eval(space, coeffs, elem, ref_points):
     """Physical gradients of a scalar field."""
-    g_ref = _combine(space.basis.grad(ref_points), local_coeffs(space, coeffs, elem))
-    return push_forward(space, elem, g_ref, derivative=True)
+    return _field(space, coeffs, elem, ref_points, True)
 
 
 def vector_eval(space, coeffs, elem, ref_points):
     """Physical values of a flux field (S_p is the flux space in 1D)."""
     check_flux_space(space)
-    if space.kind == KIND_H1:
-        return scalar_eval(space, coeffs, elem, ref_points)[..., None]
-    vals = _combine(space.bdm.eval(ref_points), local_coeffs(space, coeffs, elem))
-    return push_forward(space, elem, vals)
+    vals = _field(space, coeffs, elem, ref_points, False)
+    return vals[..., None] if space.kind == KIND_H1 else vals
 
 
 def vector_div_eval(space, coeffs, elem, ref_points):
     """Physical divergence of a flux field."""
     check_flux_space(space)
-    if space.kind == KIND_H1:
-        return scalar_grad_eval(space, coeffs, elem, ref_points)[..., 0]
-    div = local_coeffs(space, coeffs, elem) @ space.bdm.div(ref_points).T
-    return push_forward(space, elem, div, derivative=True)
+    div = _field(space, coeffs, elem, ref_points, True)
+    return div[..., 0] if space.kind == KIND_H1 else div
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)
@@ -317,14 +327,14 @@ def _lattice(d, q):
     return np.array(pts)
 
 
-def _lattice_values(space, fn):
-    """Reference lattice, its Vandermonde matrix and ``fn`` on every
-    element's image of the lattice, shape (elements, points, ...)."""
-    mesh = space.mesh
-    pts_ref = _lattice(mesh.dim, space.p)
+def _lattice_values(mesh, basis, fn):
+    """Reference lattice, the Vandermonde matrix of the scalar ``basis``
+    on it and ``fn`` on every element's image of the lattice, shape
+    (elements, points, ...)."""
+    pts_ref = _lattice(mesh.dim, basis.p)
     phys = element_map_apply(mesh, np.arange(len(mesh.elements)), pts_ref)
     vals = np.asarray(fn(phys.reshape(-1, mesh.dim)), dtype=complex)
-    return space.basis.eval(pts_ref), vals.reshape(phys.shape[:2] + vals.shape[1:])
+    return basis.eval(pts_ref), vals.reshape(phys.shape[:2] + vals.shape[1:])
 
 
 def _scatter_local(space, local):
@@ -342,7 +352,7 @@ def interpolate_h1_polynomial(space, u):
     on a unisolvent lattice; for globally continuous u the element fits
     agree on shared dofs.
     """
-    V, vals = _lattice_values(space, u)
+    V, vals = _lattice_values(space.mesh, space.basis, u)
     return _scatter_local(space, np.linalg.solve(V, vals.T))
 
 
@@ -354,8 +364,8 @@ def interpolate_hdiv_polynomial(space, phi):
     """
     if space.kind != KIND_HDIV:
         raise ValueError("expected a vector-hdiv space")
-    V, vals = _lattice_values(space, phi)
+    V, vals = _lattice_values(space.mesh, space.basis.scalar, phi)
     pulled = pull_back(space.mesh, np.arange(len(vals)), vals)
-    # scalar coefficients of both components, stacked as in bdm.coeffs
+    # scalar coefficients of both components, stacked as in basis.coeffs
     comp = np.linalg.solve(V, pulled.transpose(2, 1, 0)).reshape(2 * len(V), -1)
-    return _scatter_local(space, np.linalg.solve(space.bdm.coeffs, comp))
+    return _scatter_local(space, np.linalg.solve(space.basis.coeffs, comp))

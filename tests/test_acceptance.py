@@ -376,7 +376,7 @@ def _conformity_deviations():
         phys = mesh.facet_points(fid, t)
         traces = []
         for e in mesh.facet_elems[fid]:
-            B = vspace.bdm.eval(mesh.to_reference(e, phys))
+            B = vspace.basis.eval(mesh.to_reference(e, phys))
             local = vspace.elem_signs[e][:, None] * coeffs[vspace.elem_dofs[e]]
             vals = np.einsum("qid,ic->qcd", B, local)
             vals = vals @ mesh.maps_A[e].T / mesh.det_A[e]

@@ -1,4 +1,12 @@
-"""The benchmark tracer still finds the library functions it wraps.
+"""The benchmark still runs against the library as it is.
+
+Seed-0 checks: every workload, run in-process at its smoke size, still
+matches ``bench/reference.json``, so a library change that breaks one of
+the benchmark's direct calls fails here, not only in
+``bench/check_smoke.py``.
+
+Tracer sites: the benchmark tracer still finds the library functions it
+wraps.
 
 ``bench/tracer.py`` patches library functions at the names their callers
 use and silently skips a name that no longer exists, so a rename shows
@@ -9,6 +17,7 @@ least one existing name.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -23,8 +32,17 @@ def _load(name):
     return module
 
 
+checks = _load("checks")
 tracer = _load("tracer")
 workloads = _load("workloads")
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.PARAMS))
+def test_seed0_smoke_run_matches_reference(workload, tmp_path):
+    result = workloads.run(workload, "smoke", 0, str(tmp_path))
+    cases = workloads.cases(workload, "smoke", result)
+    assert checks.failures(workload, 0, cases, REFERENCE["smoke"][workload]) == {}
 
 
 def _sites(layer):

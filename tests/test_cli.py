@@ -83,6 +83,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="refining"):
             cfg.validate()
 
+    def test_repeated_degree(self):
+        cfg = StudyConfig(problem="piecewise-1d", k=1.0, degrees=[1, 1],
+                          mesh_sequence=[4, 8])
+        with pytest.raises(ConfigError, match="repeat"):
+            cfg.validate()
+
     def test_avoid_node_at_zero_forces_odd_counts(self):
         cfg = StudyConfig(problem="piecewise-1d", k=1.0, degrees=[1],
                           mesh_sequence=[5, 16], avoid_node_at_zero=True)

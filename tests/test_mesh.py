@@ -9,7 +9,6 @@ from helmfosls.mesh import (
     build_polygonal_disk_mesh,
     build_square_mesh,
     element_map_apply,
-    mesh_to_text,
 )
 
 
@@ -234,16 +233,3 @@ def test_rejects_facet_shared_by_three_elements():
     elems = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(ValueError, match=r"facet \(0, 1\) shared by more than two"):
         Mesh(2, verts, elems, 1.5)
-
-
-def test_mesh_to_text_format():
-    mesh = build_square_mesh(1)
-    text = mesh_to_text(mesh)
-    lines = text.strip().split("\n")
-    dim, nv, ne = map(int, lines[0].split())
-    assert (dim, nv, ne) == (2, 4, 2)
-    assert len(lines) == 1 + nv + ne
-    v0 = np.array([float(x) for x in lines[1].split()])
-    np.testing.assert_allclose(v0, mesh.vertices[0], atol=0)
-    e0 = [int(x) for x in lines[1 + nv].split()]
-    assert e0 == list(mesh.elements[0])

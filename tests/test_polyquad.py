@@ -2,6 +2,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from helmfosls.polyquad import (
+    ScalarBasis,
     gauss01,
     gauss_jacobi01,
     make_scalar_basis,
@@ -135,8 +137,9 @@ class TestScalarBasis:
 
     def test_tables_are_kept_per_point_set(self, monkeypatch):
         """Rules A, B, A build the tables twice; more than the cache holds
-        of other point sets evict A."""
-        basis = make_scalar_basis(2, 3)
+        of other point sets evict A.  A fresh basis: the shared one may
+        already hold rule A."""
+        basis = ScalarBasis(2, 3)
         builds = []
         build = basis._eval_2d
         monkeypatch.setattr(
@@ -153,6 +156,42 @@ class TestScalarBasis:
             basis.eval_with_grad(np.full((1, 2), 0.01 * (i + 1)))
         basis.eval_with_grad(rule_a)
         assert len(builds) == 2 + basis.TABLE_CACHE_SIZE + 1
+
+    def test_one_shared_basis_per_degree(self):
+        assert make_scalar_basis(2, 3) is make_scalar_basis(2, 3)
+        assert make_scalar_basis(1, 3) is not make_scalar_basis(2, 3)
+
+    def test_threads_share_one_basis(self):
+        """Two threads cycle one basis over more point sets than its cache
+        holds, switching as often as the interpreter allows; neither
+        raises, and both get the tables of a fresh build."""
+        basis = ScalarBasis(2, 1)
+        sets = [np.full((1, 2), 0.01 * (i + 1)) for i in range(basis.TABLE_CACHE_SIZE + 4)]
+        want = [ScalarBasis(2, 1).eval_with_grad(pts) for pts in sets]
+        errors, wrong = [], []
+
+        def cycle():
+            try:
+                for _ in range(600):
+                    for pts, (vals, grads) in zip(sets, want):
+                        got_vals, got_grads = basis.eval_with_grad(pts)
+                        if not (np.array_equal(got_vals, vals)
+                                and np.array_equal(got_grads, grads)):
+                            wrong.append(pts)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=cycle) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
 
     def test_rejects_p0_and_bad_dim(self):
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ def hdiv_normal_jump(space, coeff_matrix, n_t=6):
         traces = []
         for e in mesh.facet_elems[fid]:
             ref = mesh.to_reference(e, phys)
-            B = space.bdm.eval(ref)
+            B = space.basis.eval(ref)
             local = space.elem_signs[e][:, None] * coeff_matrix[space.elem_dofs[e]]
             vals = np.einsum("qid,ic->qcd", B, local)
             vals = vals @ mesh.maps_A[e].T / mesh.det_A[e]
@@ -98,6 +98,13 @@ class TestDofCounts:
                         getattr(b, attr)[:, :n_shared],
                         getattr(a, attr)[perm, :n_shared])
 
+    def test_spaces_of_one_degree_share_one_basis(self):
+        coarse, fine = build_square_mesh(1), build_square_mesh(3)
+        bdm = build_hdiv_space(coarse, 2).basis
+        assert build_hdiv_space(fine, 2).basis is bdm
+        assert build_h1_space(fine, 2).basis is bdm.scalar is make_scalar_basis(2, 2)
+        assert not bdm.coeffs.flags.writeable
+
     def test_hdiv_requires_2d(self):
         mesh = build_interval_mesh(-1, 1, 3)
         with pytest.raises(ValueError, match="1D"):
@@ -130,14 +137,14 @@ class TestBoundaryDofInfo:
         p = 2
         space = build_hdiv_space(mesh, p)
         t = np.linspace(0.1, 0.9, 5)
-        nle = space.bdm.n_edge
+        nle = space.basis.n_edge
         for fid in mesh.boundary_facets:
             elem = mesh.facet_elems[fid, 0]
             li = list(mesh.elem_facets[elem]).index(fid)
             listed_local = range(li * nle, (li + 1) * nle)
             assert len(listed_local) == p + 1
             ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
-            B = space.bdm.eval(ref)
+            B = space.basis.eval(ref)
             phys = np.einsum("qid,ad->qia", B, mesh.maps_A[elem])
             traces = np.einsum("qia,a->qi", phys, mesh.facet_normals[fid])
             unlisted = [l for l in range(space.local_dim())
