@@ -26,6 +26,8 @@ from .fosls import (
     boundary_groups,
     difference,
     element_groups,
+    error_exactness,
+    facet_gauss_points,
     impedance_trace,
     ls_residuals,
     pair_fields,
@@ -111,9 +113,7 @@ def _accumulate(sol, problem, exactness):
 
     err = difference(exact, sol)
     bnd = np.zeros(2)
-    # exactness // 2 + 2 Gauss points: p + 6 at the default 2p + 8, and
-    # the doubled pass behind quad_drift doubles the facet rule too
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, exactness // 2 + 2):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, facet_gauss_points(exactness)):
         fields = pair_fields(err, elems, ref, phys)
         bnd += _sq_sums(wj, (fields[2], impedance_trace(fields, normals)))
     bnd_eu2, imp2 = bnd
@@ -137,7 +137,7 @@ def compute_errors(sol, problem, exactness=None):
     if problem.exact is None:
         raise ValueError("compute_errors requires a problem with an exact solution")
     if exactness is None:
-        exactness = 2 * sol.w_space.p + 8
+        exactness = error_exactness(sol.w_space.p)
     base = _accumulate(sol, problem, exactness)
     fine = _accumulate(sol, problem, 2 * exactness)
     drift = 0.0

@@ -133,9 +133,7 @@ def solve_case(problem, method, mesh, p):
     """Build the spaces, assemble and solve one run; returns (system, x)."""
     w_space = build_h1_space(mesh, p)
     if method == "fosls":
-        # in 1D the (immutable) scalar space doubles as the flux space
-        v_space = w_space if mesh.dim == 1 else build_hdiv_space(mesh, p)
-        system = assemble_fosls(v_space, w_space, problem)
+        system = assemble_fosls(build_hdiv_space(mesh, p), w_space, problem)
         report = solve_hpd(system)
     else:
         system = assemble_classical_fem(w_space, problem)
@@ -156,10 +154,11 @@ def run_study(config):
             for n in config.mesh_sequence:
                 mesh = meshes[n]
                 khp = config.k * mesh.h / p
+                # p / log k is undefined where log k <= 0
                 log.info(
-                    "run %s %s p=%d n=%d: kh/p=%.3g, p/log(k)=%.3g",
+                    "run %s %s p=%d n=%d: kh/p=%.3g, p/log(k)=%s",
                     config.problem, method, p, n, khp,
-                    p / max(math.log(config.k), 1e-12),
+                    f"{p / math.log(config.k):.3g}" if config.k > 1 else "n/a",
                 )
                 if khp > 1:
                     log.warning(
@@ -308,10 +307,6 @@ def main(argv=None):
             "k": args.k, "method": args.method, "output_dir": args.out,
             "svg": args.svg,
         })
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         _, paths = run_study(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

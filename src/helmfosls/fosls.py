@@ -343,22 +343,35 @@ def impedance_trace(fields, normals):
     return np.einsum("eqd,ed->eq", phi, normals) + u
 
 
+def error_exactness(p):
+    """Exactness 2p + 8 of the error rules (evaluate_b, compute_errors)."""
+    return 2 * p + 8
+
+
+def facet_gauss_points(exactness):
+    """Gauss points per boundary facet for a volume rule of ``exactness``."""
+    return exactness // 2 + 2
+
+
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     """Evaluate b(pair_a, pair_b) by quadrature.
 
     Pairs may be DiscreteSolution instances, ExactBundle instances or
     differences of pairs (see :func:`difference`).  ``w_space`` provides
-    the mesh and the quadrature exactness 2p + 8.
+    the mesh and the degree p; the rules are those of the error norms
+    (:func:`error_exactness`), so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds
+    to rounding.
     """
     mesh = w_space.mesh
-    rule = simplex_quadrature(mesh.dim, 2 * w_space.p + 8)
+    exactness = error_exactness(w_space.p)
+    rule = simplex_quadrature(mesh.dim, exactness)
     total = 0.0 + 0.0j
     for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
         ra1, ra2 = ls_residuals(pair_fields(pair_a, elems, ref, phys), k)
         rb1, rb2 = ls_residuals(pair_fields(pair_b, elems, ref, phys), k)
         first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
         total += np.sum(wdet * (first + ra2 * rb2.conj()))
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, w_space.p + 5):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, facet_gauss_points(exactness)):
         ta = impedance_trace(pair_fields(pair_a, elems, ref, phys), normals)
         tb = impedance_trace(pair_fields(pair_b, elems, ref, phys), normals)
         total += k * np.sum(wj * ta * tb.conj())

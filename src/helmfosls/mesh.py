@@ -1,10 +1,18 @@
 """Simplicial meshes on intervals and polygons with affine element maps.
 
+The reference simplex is described once, here, for d = 1 and 2: its
+vertices (``REFERENCE_VERTICES``: [0, 1] in 1D, the unit triangle
+conv{(0,0), (1,0), (0,1)} in 2D), its local facets and local edges
+(``LOCAL_EDGES``: the interval is its own single edge), its measure and
+its barycentric coordinates (:func:`barycentric`).  The mesh geometry,
+the hierarchical basis and the spaces read this description instead of
+branching on d.
+
 A mesh stores vertices, element connectivity, the per-element affine
-maps F_K(x) = A x + b from the reference simplex ([0, 1] in 1D, the unit
-triangle conv{(0,0), (1,0), (0,1)} in 2D) and a facet table.  A facet is
-a vertex in 1D and an edge in 2D; facet ``f`` is row ``f`` of these
-arrays:
+maps F_K(x) = A x + b from the reference simplex (column j of A is the
+edge vector from vertex 0 to vertex j + 1; det A and A^{-1} come from
+``np.linalg``) and a facet table.  A facet is a vertex in 1D and an edge
+in 2D; facet ``f`` is row ``f`` of these arrays:
 
 - ``facet_vertices`` (F, d): its global vertex ids, ascending;
 - ``facet_elems`` (F, 2): its adjacent elements, ascending, with -1 in
@@ -22,6 +30,7 @@ that element and -1 where it points in.  Instances are immutable after
 construction and safe to share across threads.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,14 +47,29 @@ LOCAL_FACETS = {
     2: ((0, 1), (0, 2), (1, 2)),
 }
 
+# local edges as ascending pairs of local vertex indices: the interval
+# is its own single edge, the triangle's edges are its facets
+LOCAL_EDGES = {
+    1: ((0, 1),),
+    2: LOCAL_FACETS[2],
+}
+
 # reference simplex measure |K_hat|
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5}
+
+
+def barycentric(xhat):
+    """Barycentric coordinates (n, d+1) of reference points (n, d):
+    lam_0 = 1 - x_1 - ... - x_d, subtracted in that order, and lam_i = x_i."""
+    lam0 = functools.reduce(np.subtract, xhat.T, 1.0)
+    return np.concatenate([lam0[:, None], xhat], axis=1)
 
 
 class Mesh:
     """Simplicial mesh with per-element affine maps and a facet table.
 
-    Vertex order within each element is normalized so det(A_K) > 0.  The
+    Vertex order within each element is normalized so det(A_K) > 0 (an
+    element with det < 0 swaps its last two vertices).  The
     facet arrays (see the module docstring) are built in one pass over
     all elements; a facet shared by more than two elements is rejected.
     The caller's ``vertices`` and ``elements`` are copied, never changed.
@@ -72,39 +96,21 @@ class Mesh:
     # -- construction -------------------------------------------------
 
     def _normalize_orientation(self, elements):
-        if self.dim == 1:
-            x = self.vertices[:, 0]
-            flip = x[elements[:, 0]] > x[elements[:, 1]]
-            elements[flip] = elements[flip][:, ::-1]
-            return elements
         v = self.vertices
-        a = v[elements[:, 1]] - v[elements[:, 0]]
-        b = v[elements[:, 2]] - v[elements[:, 0]]
-        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        flip = det < 0
-        elements[flip, 1], elements[flip, 2] = (
-            elements[flip, 2].copy(),
-            elements[flip, 1].copy(),
-        )
+        flip = np.linalg.det(v[elements[:, 1:]] - v[elements[:, :1]]) < 0
+        elements[flip, -2:] = elements[flip, -2:][:, ::-1]
         return elements
 
     def _build_maps(self):
-        d, v, e = self.dim, self.vertices, self.elements
-        ne = len(e)
+        v, e = self.vertices, self.elements
         self.maps_b = v[e[:, 0]].copy()
-        self.maps_A = np.empty((ne, d, d))
-        for j in range(d):
-            self.maps_A[:, :, j] = v[e[:, j + 1]] - v[e[:, 0]]
-        A = self.maps_A
-        if d == 1:
-            self.det_A, adj = A[:, 0, 0].copy(), np.ones_like(A)
-        else:
-            self.det_A = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-            adj = np.stack([A[:, 1, 1], -A[:, 0, 1], -A[:, 1, 0], A[:, 0, 0]], axis=1)
+        # column j of A_K is the edge vector from vertex 0 to vertex j + 1
+        self.maps_A = np.ascontiguousarray(np.swapaxes(v[e[:, 1:]] - v[e[:, :1]], 1, 2))
+        self.det_A = np.linalg.det(self.maps_A)
         if np.any(self.det_A <= 0):
             raise ValueError("degenerate element: det(A_K) <= 0")
-        self.inv_A = adj.reshape(A.shape) / self.det_A[:, None, None]
-        self.element_measures = np.abs(self.det_A) * REFERENCE_MEASURE[d]
+        self.inv_A = np.linalg.inv(self.maps_A)
+        self.element_measures = np.abs(self.det_A) * REFERENCE_MEASURE[self.dim]
 
     def _build_facets(self):
         d, v, ne = self.dim, self.vertices, len(self.elements)
@@ -147,13 +153,10 @@ class Mesh:
     # -- queries -------------------------------------------------------
 
     def element_diameters(self):
+        """Largest distance between two vertices of each element."""
         v, e = self.vertices, self.elements
-        if self.dim == 1:
-            return np.abs(v[e[:, 1], 0] - v[e[:, 0], 0])
-        d01 = np.linalg.norm(v[e[:, 1]] - v[e[:, 0]], axis=1)
-        d02 = np.linalg.norm(v[e[:, 2]] - v[e[:, 0]], axis=1)
-        d12 = np.linalg.norm(v[e[:, 2]] - v[e[:, 1]], axis=1)
-        return np.max([d01, d02, d12], axis=0)
+        return np.max([np.linalg.norm(v[e[:, j]] - v[e[:, i]], axis=1)
+                       for i, j in LOCAL_EDGES[self.dim]], axis=0)
 
     def facet_points(self, facet_id, t):
         """Physical points on a facet at parameters ``t`` in [0, 1].
@@ -183,10 +186,7 @@ def element_map_apply(mesh, elem, xhat):
     element axis.
     """
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-    lam = np.empty((len(xhat), mesh.dim + 1))
-    lam[:, 0] = 1.0 - xhat.sum(axis=1)
-    lam[:, 1:] = xhat
-    if np.any(lam < -1e-12):
+    if np.any(barycentric(xhat) < -1e-12):
         raise ValueError("point outside the reference simplex")
     shift = np.asarray(mesh.maps_b[elem])[..., None, :]
     return xhat @ np.swapaxes(mesh.maps_A[elem], -1, -2) + shift
@@ -236,7 +236,7 @@ def build_polygonal_disk_mesh(n_boundary, n_refine):
 
     for _ in range(n_refine):
         # one new vertex per edge, numbered in ascending order of the edges
-        pairs = np.sort(elements[:, LOCAL_FACETS[2]], axis=2).reshape(-1, 2)
+        pairs = np.sort(elements[:, LOCAL_EDGES[2]], axis=2).reshape(-1, 2)
         edges, inverse, counts = np.unique(
             pairs, axis=0, return_inverse=True, return_counts=True)
         mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])

@@ -1,16 +1,19 @@
 """Hierarchical polynomial bases and quadrature on reference simplices.
 
 The scalar basis splits into vertex, edge and interior functions so that
-traces on sub-entities are controlled by dedicated coefficients:
+traces on sub-entities are controlled by dedicated coefficients.  One
+formula serves the interval and the triangle, read off the reference
+simplex of ``mesh`` (its barycentric coordinates lam and its local edges):
 
 * vertex functions are the barycentric coordinates (hat functions),
 * edge functions are lam_i lam_j P_m(lam_j - lam_i) with Legendre
-  kernels P_m, vanishing on the other edges,
-* interior functions carry the full bubble lam_0 lam_1 lam_2.
+  kernels P_m over the local edges (i, j), vanishing on the other edges,
+* interior functions (triangle only) carry the full bubble
+  lam_0 lam_1 lam_2.
 
-On the interval the same family appears as {1-t, t} plus the bubbles
-t(1-t) P_m(2t-1), which are exactly the edge traces of the triangle
-functions.  Bases and quadrature rules are immutable value objects.
+The interval is its own single edge, so its edge functions are its
+bubbles (1-t) t P_m(2t-1), and these are exactly the edge traces of the
+triangle functions.  Bases and quadrature rules are immutable value objects.
 ``make_scalar_basis`` returns one shared basis per (d, p) for the whole
 process, and a basis keeps the read-only tables of its most recently
 used point sets in a bounded ``functools.lru_cache``, so every space,
@@ -30,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+
+from .mesh import LOCAL_EDGES, barycentric
 
 
 def legendre_table(x, n):
@@ -54,41 +59,27 @@ class ScalarBasis:
     """Hierarchical basis of P_p on the reference simplex.
 
     ``dof_classes`` partitions the basis indices into ``vertex``,
-    ``edge`` (one list per local edge in 2D) and ``interior``.
+    ``edge`` (one list per local edge of ``mesh.LOCAL_EDGES[d]``) and
+    ``interior`` (the triangle bubbles; empty on the interval, whose
+    single edge is the element itself).
     """
 
     def __init__(self, d, p):
         self.d = d
         self.p = p
-        if d == 1:
-            self.dim = p + 1
-            self.dof_classes = {
-                "vertex": [0, 1],
-                "edge": [],
-                "interior": list(range(2, p + 1)),
-            }
-        else:
-            self.dim = (p + 1) * (p + 2) // 2
-            nb_edge = p - 1
-            edge = [
-                list(range(3 + l * nb_edge, 3 + (l + 1) * nb_edge))
-                for l in range(3)
-            ]
-            self.dof_classes = {
-                "vertex": [0, 1, 2],
-                "edge": edge,
-                "interior": list(range(3 + 3 * nb_edge, self.dim)),
-            }
+        self.dim = math.comb(p + d, d)
+        n_edge, n_edges = p - 1, len(LOCAL_EDGES[d])
+        self.dof_classes = {
+            "vertex": list(range(d + 1)),
+            "edge": [list(range(d + 1 + l * n_edge, d + 1 + (l + 1) * n_edge))
+                     for l in range(n_edges)],
+            "interior": list(range(d + 1 + n_edges * n_edge, self.dim)),
+        }
+        # gradients of the barycentric coordinates
+        self._dlam = np.vstack([-np.ones(d), np.eye(d)])
         # read-only tables per point set, keyed by (shape, bytes)
         self._tables = functools.lru_cache(self.TABLE_CACHE_SIZE)(self._build_tables)
-        # interior kernel index pairs (a, b) with a + b <= p - 3 in 2D
-        if d == 2:
-            self._bubble_pairs = [
-                (a, total - a) for total in range(p - 2) for a in range(total + 1)
-            ]
 
-    # local edges of the reference triangle, ascending local vertex pairs
-    EDGES = ((0, 1), (0, 2), (1, 2))
     # point sets whose tables are kept: the one (2, p) basis serves S_p
     # and the BDM_p scalar tables, and a 2D study asks it for at most 15
     # (volume rules, boundary-edge sets, both error passes); the bound
@@ -112,70 +103,42 @@ class ScalarBasis:
         return self._tables(pts.shape, pts.tobytes())
 
     def _build_tables(self, shape, data):
-        pts = np.frombuffer(data).reshape(shape)
-        return _read_only(*(self._eval_1d(pts) if self.d == 1 else self._eval_2d(pts)))
+        return _read_only(*self._eval(np.frombuffer(data).reshape(shape)))
 
-    def _eval_1d(self, pts):
-        t = pts[:, 0]
-        n, p = len(t), self.p
-        vals = np.empty((n, self.dim))
-        grads = np.empty((n, self.dim, 1))
-        vals[:, 0], vals[:, 1] = 1 - t, t
-        grads[:, 0, 0], grads[:, 1, 0] = -1.0, 1.0
-        if p >= 2:
-            P, dP = legendre_table(2 * t - 1, p - 2)
-            w = t * (1 - t)
-            vals[:, 2:] = w[:, None] * P
-            grads[:, 2:, 0] = (1 - 2 * t)[:, None] * P + 2 * w[:, None] * dP
-        return vals, grads
+    def _eval(self, pts):
+        d, p, dlam = self.d, self.p, self._dlam
+        lam = barycentric(pts)
+        vals = np.empty((len(pts), self.dim))
+        grads = np.empty((len(pts), self.dim, d))
+        vals[:, :d + 1] = lam
+        grads[:, :d + 1] = dlam
 
-    def _eval_2d(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        n, p = len(x), self.p
-        lam = np.column_stack([1 - x - y, x, y])
-        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        vals = np.empty((n, self.dim))
-        grads = np.empty((n, self.dim, 2))
-        vals[:, :3] = lam
-        grads[:, :3, :] = dlam[None, :, :]
+        # lam_i lam_j P_m(lam_j - lam_i), m = 0..p-2, on each local edge
+        for (i, j), cols in zip(LOCAL_EDGES[d], self.dof_classes["edge"]):
+            li, lj = lam[:, i], lam[:, j]
+            P, dP = legendre_table(lj - li, p - 2)
+            w = li * lj
+            dw = lj[:, None] * dlam[i] + li[:, None] * dlam[j]
+            vals[:, cols] = w[:, None] * P
+            grads[:, cols] = (dw[:, None, :] * P[:, :, None]
+                              + (w[:, None] * dP)[:, :, None] * (dlam[j] - dlam[i]))
 
-        col = 3
-        if p >= 2:
-            for (i, j) in self.EDGES:
-                li, lj = lam[:, i], lam[:, j]
-                P, dP = legendre_table(lj - li, p - 2)
-                dxi = dlam[j] - dlam[i]
-                w = li * lj
-                dw = np.outer(lj, dlam[i]) + np.outer(li, dlam[j])
-                for m in range(p - 1):
-                    vals[:, col] = w * P[:, m]
-                    grads[:, col, :] = (
-                        dw * P[:, m][:, None]
-                        + (w * dP[:, m])[:, None] * dxi[None, :]
-                    )
-                    col += 1
-        if p >= 3:
-            bub = lam[:, 0] * lam[:, 1] * lam[:, 2]
-            dbub = (
-                np.outer(lam[:, 1] * lam[:, 2], dlam[0])
-                + np.outer(lam[:, 0] * lam[:, 2], dlam[1])
-                + np.outer(lam[:, 0] * lam[:, 1], dlam[2])
-            )
-            xi1 = lam[:, 1] - lam[:, 0]
-            xi2 = 2 * lam[:, 2] - 1
-            dxi1 = dlam[1] - dlam[0]
-            dxi2 = 2 * dlam[2]
-            P1, dP1 = legendre_table(xi1, p - 3)
-            P2, dP2 = legendre_table(xi2, p - 3)
-            for (a, b) in self._bubble_pairs:
-                q = P1[:, a] * P2[:, b]
-                dq = (
-                    np.outer(dP1[:, a] * P2[:, b], dxi1)
-                    + np.outer(P1[:, a] * dP2[:, b], dxi2)
-                )
-                vals[:, col] = bub * q
-                grads[:, col, :] = dbub * q[:, None] + bub[:, None] * dq
-                col += 1
+        # triangle bubbles lam_0 lam_1 lam_2 P_a(lam_1 - lam_0) P_b(2 lam_2 - 1),
+        # a + b <= p - 3
+        if d == 2 and p >= 3:
+            l0, l1, l2 = lam.T
+            bub = l0 * l1 * l2
+            dbub = ((l1 * l2)[:, None] * dlam[0] + (l0 * l2)[:, None] * dlam[1]
+                    + (l0 * l1)[:, None] * dlam[2])
+            P1, dP1 = legendre_table(l1 - l0, p - 3)
+            P2, dP2 = legendre_table(2 * l2 - 1, p - 3)
+            a, b = np.array([(i, n - i) for n in range(p - 2) for i in range(n + 1)]).T
+            q = P1[:, a] * P2[:, b]
+            dq = ((dP1[:, a] * P2[:, b])[:, :, None] * (dlam[1] - dlam[0])
+                  + (P1[:, a] * dP2[:, b])[:, :, None] * (2 * dlam[2]))
+            cols = self.dof_classes["interior"]
+            vals[:, cols] = bub[:, None] * q
+            grads[:, cols] = dbub[:, None, :] * q[:, :, None] + bub[:, None, None] * dq
         return vals, grads
 
 

@@ -48,16 +48,15 @@ import numpy as np
 import scipy.linalg
 
 from .fosls import chunks
-from .mesh import REFERENCE_VERTICES, element_map_apply
+from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
 from .polyquad import (
-    ScalarBasis,
     _read_only,
     gauss01,
     gauss_jacobi01,
     make_scalar_basis,
     simplex_quadrature,
 )
-from .spaces import KIND_HDIV, _scatter_local, pull_back
+from .spaces import KIND_HDIV, _scatter_local, edge_reference_points, pull_back
 
 
 @dataclass(frozen=True)
@@ -253,27 +252,23 @@ def project_reference(u, d, p, grad_u=None):
         raise ValueError("grad_u is required for the interior stage (d=2, p>=3)")
 
     basis = make_scalar_basis(d, p)
-    verts = REFERENCE_VERTICES[d]
-    vertex_vals = np.asarray(u(verts), dtype=complex)
+    vertex_vals = np.asarray(u(REFERENCE_VERTICES[d]), dtype=complex)
     batch = vertex_vals.shape[:-1]
     coeffs = np.zeros(batch + (basis.dim,), dtype=complex)
     coeffs[..., : d + 1] = vertex_vals
     trace = {"vertex": vertex_vals, "edge": [], "volume": None}
     work = _edge_work(p)
 
-    # the interval is its own single edge (0, 1): its bubbles are the
-    # interior dofs, and zip stops after the first local edge
-    slots = basis.dof_classes["edge"] or [basis.dof_classes["interior"]]
-    for (i, j), slot in zip(ScalarBasis.EDGES, slots):
-        a, b = verts[i], verts[j]
+    # the interval is its own single edge (0, 1)
+    for l, (i, j) in enumerate(LOCAL_EDGES[d]):
         ui, uj = vertex_vals[..., i, None], vertex_vals[..., j, None]
 
-        def r(t, a=a, b=b, ui=ui, uj=uj):
-            pts = a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
+        def r(t, l=l, ui=ui, uj=uj):
+            pts = edge_reference_points(l, t, d)
             return np.asarray(u(pts), dtype=complex) - (ui * (1 - t) + uj * t)
 
         c, kkt = work.solve(r, batch)
-        coeffs[..., slot] = c
+        coeffs[..., basis.dof_classes["edge"][l]] = c
         trace["edge"].append({"coeffs": c, "kkt": kkt})
 
     if d == 2 and p >= 3:

@@ -3,8 +3,11 @@
 Two kinds are provided: the scalar space S_p (continuous, H1-conforming)
 and the vector space BDM_p = P_p^2 per element (normal-trace continuous,
 H(div)-conforming).  In 1D, H(div) coincides with H1 and the scalar space
-doubles as the flux space (the normal trace at an endpoint is +/- the
-point value), so ``build_hdiv_space`` is reserved for 2D meshes.
+is the flux space (the normal trace at an endpoint is +/- the point
+value), so ``build_hdiv_space`` returns S_p on an interval mesh: every
+caller builds its flux space the same way in 1D and 2D.  Local edges,
+reference vertices and the reference-edge map (:func:`edge_reference_points`)
+come from the reference simplex of ``mesh``.
 
 Every space reads its reference tables from one basis, shared by all
 spaces of its kind and degree: S_p holds the scalar basis of
@@ -29,13 +32,14 @@ index), and a normal-trace dof additionally flips with the orientation
 of the global facet normal.
 """
 
+import itertools
 from functools import cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import REFERENCE_VERTICES, element_map_apply
-from .polyquad import ScalarBasis, _read_only, gauss01, make_scalar_basis
+from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
+from .polyquad import _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
 KIND_HDIV = "vector-hdiv"
@@ -49,10 +53,11 @@ REF_EDGE_NORMALS = np.array([
 REF_EDGE_LENGTHS = np.array([1.0, 1.0, np.sqrt(2.0)])
 
 
-def edge_reference_points(local_edge, t):
-    """Reference coordinates on a local triangle edge at parameters t."""
-    i, j = ScalarBasis.EDGES[local_edge]
-    a, b = REFERENCE_VERTICES[2][i], REFERENCE_VERTICES[2][j]
+def edge_reference_points(local_edge, t, d=2):
+    """Reference coordinates a (1 - t) + b t on the local edge (a, b) of
+    the reference d-simplex (``LOCAL_EDGES[d]``) at parameters t."""
+    i, j = LOCAL_EDGES[d][local_edge]
+    a, b = REFERENCE_VERTICES[d][i], REFERENCE_VERTICES[d][j]
     t = np.asarray(t, dtype=float)
     return a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
 
@@ -93,6 +98,10 @@ class BdmBasis:
                 )
         T = np.array(rows)
         edge_cols = np.linalg.pinv(T)
+        # the interior functions are whatever orthonormal basis of null(T)
+        # LAPACK's SVD returns: one ulp of change in the scalar tables can
+        # rotate it, which changes the interior coefficients of every BDM
+        # field but not the fields (the span of the basis is fixed)
         _, s, vh = np.linalg.svd(T)
         null_cols = vh[len(s):].T
         self.coeffs = np.hstack([edge_cols, null_cols])
@@ -160,7 +169,7 @@ def _edge_dofs(mesh, offset, n_per_edge):
 def _edge_parity(mesh, n_per_edge):
     """(E, 3, n) signs (-1)^m of the m-th Legendre kernel on local edges
     whose direction opposes the global one (ascending vertex index)."""
-    i, j = np.array(ScalarBasis.EDGES).T
+    i, j = np.array(LOCAL_EDGES[mesh.dim]).T
     reversed_ = mesh.elements[:, i] > mesh.elements[:, j]
     return np.where(reversed_[:, :, None], (-1.0) ** np.arange(n_per_edge), 1.0)
 
@@ -170,7 +179,7 @@ def build_h1_space(mesh, p):
     basis = make_scalar_basis(mesh.dim, p)
     nv = len(mesh.vertices)
     ne = len(mesh.elements)
-    if mesh.dim == 1:
+    if mesh.dim == 1:  # the interval's one edge is the element itself
         n_dofs = nv + ne * (p - 1)
         elem_dofs = np.hstack([mesh.elements, _interior_dofs(nv, ne, p - 1)])
         elem_signs = np.ones((ne, basis.dim))
@@ -188,12 +197,10 @@ def build_h1_space(mesh, p):
 
 
 def build_hdiv_space(mesh, p):
-    """BDM_p space over a 2D mesh (p+1 normal moments per edge)."""
-    if mesh.dim != 2:
-        raise ValueError(
-            "build_hdiv_space requires a 2D mesh; in 1D the scalar space "
-            "doubles as the flux space (use build_h1_space)"
-        )
+    """Flux space over the mesh: BDM_p (p+1 normal moments per edge) on a
+    2D mesh, S_p on an interval mesh, where H(div) = H1."""
+    if mesh.dim == 1:
+        return build_h1_space(mesh, p)
     if p < 1:
         raise ValueError("degree p must be at least 1")
     bdm = _bdm_basis(p)
@@ -321,10 +328,9 @@ def vector_div_eval(space, coeffs, elem, ref_points):
 
 
 def _lattice(d, q):
-    if d == 1:
-        return np.linspace(0.0, 1.0, q + 1)[:, None]
-    pts = [(i / q, j / q) for j in range(q + 1) for i in range(q + 1 - j)]
-    return np.array(pts)
+    """Points (i_1, ..., i_d) / q of the reference simplex, i_1 fastest."""
+    idx = [c[::-1] for c in itertools.product(range(q + 1), repeat=d) if sum(c) <= q]
+    return np.array(idx) / q
 
 
 def _lattice_values(mesh, basis, fn):

@@ -186,7 +186,7 @@ class TestEnergyIdentity:
         energy = evaluate_b(diff, diff, sol.w_space, prob.k,
                             breakpoints=prob.breakpoints).real
         recombined = err.e1**2 + err.e2**2 + prob.k * err.e_bnd**2
-        assert energy == pytest.approx(recombined, rel=1e-8)
+        assert energy == pytest.approx(recombined, rel=1e-14, abs=0)
 
     def test_2d_energy_identity(self):
         prob = plane_wave_problem(5.0)
@@ -196,7 +196,7 @@ class TestEnergyIdentity:
         diff = difference(prob.exact, sol)
         energy = evaluate_b(diff, diff, sol.w_space, prob.k).real
         recombined = err.e1**2 + err.e2**2 + prob.k * err.e_bnd**2
-        assert energy == pytest.approx(recombined, rel=1e-8)
+        assert energy == pytest.approx(recombined, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("method", ["fosls", "fem"])

@@ -218,6 +218,16 @@ class TestWarnings:
         run_study(cfg)
         assert "kh/p" not in caplog.text
 
+    @pytest.mark.parametrize("k,ratio", [(0.5, "n/a"), (1.0, "n/a"), (10.0, "0.869")])
+    def test_p_per_log_k_logged_only_where_defined(self, tmp_path, caplog, k, ratio):
+        """log k <= 0 at k <= 1, where p / log k means nothing."""
+        cfg = StudyConfig(problem="piecewise-1d", method="fosls", k=k,
+                          degrees=[2], mesh_sequence=[5],
+                          output_dir=str(tmp_path / "out"), avoid_node_at_zero=True)
+        caplog.set_level(logging.INFO, logger="helmfosls.cli")
+        run_study(cfg)
+        assert f"p/log(k)={ratio}" in caplog.text
+
 
 class TestMainEntryPoint:
     def test_list_problems(self, capsys):

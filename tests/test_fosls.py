@@ -30,8 +30,7 @@ from helmfosls.spaces import (
 
 def fosls_spaces(mesh, p):
     w = build_h1_space(mesh, p)
-    v = build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
-    return v, w
+    return build_hdiv_space(mesh, p), w
 
 
 def small_systems():
@@ -356,8 +355,7 @@ def _assembled(method, mesh, p, problem):
     w = build_h1_space(mesh, p)
     if method == "fem":
         return assemble_classical_fem(w, problem)
-    v = build_h1_space(mesh, p) if mesh.dim == 1 else build_hdiv_space(mesh, p)
-    return assemble_fosls(v, w, problem)
+    return assemble_fosls(build_hdiv_space(mesh, p), w, problem)
 
 
 def _rel(a, b):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from helmfosls.mesh import (
+    LOCAL_EDGES,
+    LOCAL_FACETS,
+    REFERENCE_VERTICES,
     Mesh,
+    barycentric,
     build_interval_mesh,
     build_polygonal_disk_mesh,
     build_square_mesh,
@@ -118,6 +122,19 @@ class TestDiskMesh:
     def test_rejects_small_polygon(self):
         with pytest.raises(ValueError):
             build_polygonal_disk_mesh(7, 0)
+
+
+class TestReferenceSimplex:
+    def test_edges_and_barycentric_coordinates(self, rng):
+        """The interval is its own single edge, the triangle's edges are its
+        facets; lam_0 is 1 - x_1 - ... - x_d subtracted in that order."""
+        assert LOCAL_EDGES[1] == ((0, 1),) and LOCAL_EDGES[2] == LOCAL_FACETS[2]
+        for d in (1, 2):
+            np.testing.assert_array_equal(barycentric(REFERENCE_VERTICES[d]), np.eye(d + 1))
+        xy = rng.random((50, 2))
+        lam = barycentric(xy)
+        np.testing.assert_array_equal(lam[:, 0], (1 - xy[:, 0]) - xy[:, 1])
+        np.testing.assert_array_equal(lam[:, 1:], xy)
 
 
 class TestElementMap:

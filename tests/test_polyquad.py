@@ -9,13 +9,50 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from helmfosls.mesh import LOCAL_EDGES, REFERENCE_VERTICES
 from helmfosls.polyquad import (
     ScalarBasis,
     gauss01,
     gauss_jacobi01,
+    legendre_table,
     make_scalar_basis,
     simplex_quadrature,
 )
+from helmfosls.spaces import edge_reference_points
+
+
+def triangle_tables_by_loops(p, pts):
+    """Reference triangle tables, one column per basis function."""
+    x, y = pts[:, 0], pts[:, 1]
+    lam = np.column_stack([(1 - x) - y, x, y])
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    dim = (p + 1) * (p + 2) // 2
+    vals, grads = np.empty((len(pts), dim)), np.empty((len(pts), dim, 2))
+    vals[:, :3], grads[:, :3] = lam, dlam
+    col = 3
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        li, lj = lam[:, i], lam[:, j]
+        P, dP = legendre_table(lj - li, p - 2)
+        w, dw = li * lj, np.outer(lj, dlam[i]) + np.outer(li, dlam[j])
+        for m in range(p - 1):
+            vals[:, col] = w * P[:, m]
+            grads[:, col] = dw * P[:, m][:, None] + (w * dP[:, m])[:, None] * (dlam[j] - dlam[i])
+            col += 1
+    bub = lam[:, 0] * lam[:, 1] * lam[:, 2]
+    dbub = (np.outer(lam[:, 1] * lam[:, 2], dlam[0]) + np.outer(lam[:, 0] * lam[:, 2], dlam[1])
+            + np.outer(lam[:, 0] * lam[:, 1], dlam[2]))
+    P1, dP1 = legendre_table(lam[:, 1] - lam[:, 0], p - 3)
+    P2, dP2 = legendre_table(2 * lam[:, 2] - 1, p - 3)
+    for total in range(p - 2):
+        for a in range(total + 1):
+            b = total - a
+            q = P1[:, a] * P2[:, b]
+            dq = (np.outer(dP1[:, a] * P2[:, b], dlam[1] - dlam[0])
+                  + np.outer(P1[:, a] * dP2[:, b], 2 * dlam[2]))
+            vals[:, col] = bub * q
+            grads[:, col] = dbub * q[:, None] + bub[:, None] * dq
+            col += 1
+    return vals, grads
 
 
 def simplex_monomial_integral(d, alpha):
@@ -87,6 +124,40 @@ class TestScalarBasis:
         vals = basis.eval(boundary)[:, basis.dof_classes["interior"]]
         np.testing.assert_allclose(vals, 0, atol=1e-13)
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_triangle_tables_match_the_per_function_loops(self, p):
+        """The batched edge and bubble expressions do the same per-entry
+        arithmetic as one loop per basis function, so the triangle tables
+        are bit-identical to it.  The interior BDM functions come from an
+        SVD null-space basis that one ulp in these tables can rotate."""
+        basis = make_scalar_basis(2, p)
+        edges = np.vstack([edge_reference_points(l, gauss01(p + 6)[0]) for l in range(3)])
+        for pts in (simplex_quadrature(2, 2 * p + 2).points,
+                    simplex_quadrature(2, 4 * p + 16).points, edges):
+            vals, grads = basis.eval_with_grad(pts)
+            want_vals, want_grads = triangle_tables_by_loops(p, pts)
+            np.testing.assert_array_equal(vals, want_vals)
+            np.testing.assert_array_equal(grads, want_grads)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_interval_basis_is_the_edge_trace(self, p):
+        """On the local edge (i, j) of the triangle, vertex functions i and
+        j and the edge's functions restrict to the interval basis, in that
+        order, and everything else vanishes; tangential derivatives match
+        d/dt.  The edge stages of the projection rely on this."""
+        t = np.concatenate([[0.0, 1.0], gauss01(p + 2)[0]])
+        vals1, grads1 = make_scalar_basis(1, p).eval_with_grad(t[:, None])
+        tri = make_scalar_basis(2, p)
+        for l, (i, j) in enumerate(LOCAL_EDGES[2]):
+            vals, grads = tri.eval_with_grad(edge_reference_points(l, t))
+            tangent = REFERENCE_VERTICES[2][j] - REFERENCE_VERTICES[2][i]
+            cols = [i, j, *tri.dof_classes["edge"][l]]
+            for got, want in ((vals, vals1), (grads @ tangent, grads1[:, :, 0])):
+                full = np.zeros_like(got)
+                full[:, cols] = want
+                np.testing.assert_allclose(got, full, rtol=0,
+                                           atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("d,p", [(1, 1), (1, 5), (2, 1), (2, 3), (2, 6)])
     def test_partition_of_unity(self, d, p, rng):
         basis = make_scalar_basis(d, p)
@@ -141,9 +212,9 @@ class TestScalarBasis:
         already hold rule A."""
         basis = ScalarBasis(2, 3)
         builds = []
-        build = basis._eval_2d
+        build = basis._eval
         monkeypatch.setattr(
-            basis, "_eval_2d", lambda pts: builds.append(len(pts)) or build(pts)
+            basis, "_eval", lambda pts: builds.append(len(pts)) or build(pts)
         )
         rule_a = simplex_quadrature(2, 4).points
         rule_b = simplex_quadrature(2, 7).points

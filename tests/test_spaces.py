@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from helmfosls.mesh import (
+    LOCAL_EDGES,
     Mesh,
     build_interval_mesh,
     build_polygonal_disk_mesh,
     build_square_mesh,
 )
-from helmfosls.polyquad import ScalarBasis, gauss01, make_scalar_basis, simplex_quadrature
+from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.spaces import (
     build_h1_space,
     build_hdiv_space,
@@ -105,10 +106,17 @@ class TestDofCounts:
         assert build_h1_space(fine, 2).basis is bdm.scalar is make_scalar_basis(2, 2)
         assert not bdm.coeffs.flags.writeable
 
-    def test_hdiv_requires_2d(self):
+    def test_interval_flux_space_is_s_p(self):
+        """H(div) = H1 in 1D: the flux space of an interval mesh is S_p."""
         mesh = build_interval_mesh(-1, 1, 3)
-        with pytest.raises(ValueError, match="1D"):
-            build_hdiv_space(mesh, 1)
+        for p in (1, 3):
+            flux, h1 = build_hdiv_space(mesh, p), build_h1_space(mesh, p)
+            assert flux.kind == h1.kind == "scalar-h1"
+            assert flux.mesh is mesh and flux.p == p
+            assert flux.basis is h1.basis is make_scalar_basis(1, p)
+            assert flux.n_dofs == h1.n_dofs == 4 + 3 * (p - 1)
+            np.testing.assert_array_equal(flux.elem_dofs, h1.elem_dofs)
+            np.testing.assert_array_equal(flux.elem_signs, h1.elem_signs)
 
 
 class TestBoundaryDofInfo:
@@ -123,7 +131,7 @@ class TestBoundaryDofInfo:
         for fid in mesh.boundary_facets:
             elem = mesh.facet_elems[fid, 0]
             li = list(mesh.elem_facets[elem]).index(fid)
-            listed_local = [*ScalarBasis.EDGES[li], *space.basis.dof_classes["edge"][li]]
+            listed_local = [*LOCAL_EDGES[2][li], *space.basis.dof_classes["edge"][li]]
             assert len(listed_local) == 2 + (p - 1)
             ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
             vals = space.basis.eval(ref)
