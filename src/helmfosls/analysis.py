@@ -1,11 +1,10 @@
 """Error norms, resolution measures and empirical convergence rates.
 
 Error integrals sample the exact solution directly at quadrature points
-(exactness 2p + 8 by default, with exactness // 2 + 2 Gauss points on
-each boundary facet) and re-run with a doubled rule; the relative drift
-between the two, boundary terms included, is reported so that
-quadrature-limited numbers are visible.  The least-squares residual
-components
+(exactness 2p + 8 by default, exactness + 2 on boundary facets) and
+re-run with a doubled rule; the relative drift between the two,
+boundary terms included, is reported so that quadrature-limited numbers
+are visible.  The least-squares residual components
 
     e1 = || ik (phi - phi_h) + grad(u - u_h) ||_{L2}
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}
@@ -27,7 +26,6 @@ from .fosls import (
     difference,
     element_groups,
     error_exactness,
-    facet_gauss_points,
     impedance_trace,
     ls_residuals,
     pair_fields,
@@ -113,7 +111,7 @@ def _accumulate(sol, problem, exactness):
 
     err = difference(exact, sol)
     bnd = np.zeros(2)
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, facet_gauss_points(exactness)):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, exactness + 2):
         fields = pair_fields(err, elems, ref, phys)
         bnd += _sq_sums(wj, (fields[2], impedance_trace(fields, normals)))
     bnd_eu2, imp2 = bnd

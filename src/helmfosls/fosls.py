@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import element_map_apply
-from .polyquad import gauss01, simplex_quadrature
+from .polyquad import simplex_quadrature
 from .spaces import (
     basis_tables,
     check_flux_space,
@@ -129,19 +129,24 @@ def element_groups(mesh, rule, breakpoints=()):
                wts * mesh.det_A[elems][:, None])
 
 
-def boundary_groups(mesh, n_points):
+def boundary_groups(mesh, exactness):
     """Boundary facets grouped by their local index in the adjacent element.
 
     Yields (elems, reference points on that local facet, physical points
     (F, q, d), weights times facet measure (F, q), outward normals
-    (F, d)).  In 1D a facet is a point with a single unit weight.
+    (F, d)).  In 2D the facet rule is ``simplex_quadrature(1,
+    exactness)``; in 1D a facet is a point with a single unit weight.
     """
     fids = mesh.boundary_facets
     elems = mesh.facet_elems[fids, 0]
     local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
     normals = mesh.facet_normals[fids]
     measures = mesh.facet_measures[fids]
-    t, w = gauss01(n_points) if mesh.dim == 2 else (None, np.ones(1))
+    if mesh.dim == 2:
+        rule = simplex_quadrature(1, exactness)
+        t, w = rule.points[:, 0], rule.weights
+    else:
+        t, w = None, np.ones(1)
     for li in range(mesh.elem_facets.shape[1]):
         sel = local == li
         if not sel.any():
@@ -220,8 +225,6 @@ def assemble_fosls(v_space, w_space, problem):
     """
     _check_same_mesh(v_space, w_space)
     check_flux_space(v_space)
-    if problem.k <= 0:
-        raise ValueError("wavenumber k must be positive")
     mesh = v_space.mesh
     k = problem.k
     p = max(v_space.p, w_space.p)
@@ -249,7 +252,7 @@ def assemble_fosls(v_space, w_space, problem):
         loads[elems] = _load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
 
     # boundary terms k(phi.n + u, psi.n + v) and (i g, psi.n + v)
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, rhs_rule.exactness):
         phi, _ = basis_tables(v_space, elems, ref)
         u, _ = basis_tables(w_space, elems, ref)
         phin = np.einsum("eaqn,ea->eqn", phi, normals)
@@ -263,8 +266,6 @@ def assemble_fosls(v_space, w_space, problem):
 
 def assemble_classical_fem(w_space, problem):
     """Assemble the classical H1 Galerkin system for the impedance problem."""
-    if problem.k <= 0:
-        raise ValueError("wavenumber k must be positive")
     mesh = w_space.mesh
     k = problem.k
     p = w_space.p
@@ -283,7 +284,7 @@ def assemble_classical_fem(w_space, problem):
         u, _ = basis_tables(w_space, elems, ref)
         loads[elems] = _load(wdet, _data(problem.f, phys), u[:, 0])
 
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, p + 5):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, rhs_rule.exactness):
         u, _ = basis_tables(w_space, elems, ref)
         blocks[elems] += -1j * k * _gram(wj, u, u)
         loads[elems] += _load(wj, _data(problem.g, phys, normals), u[:, 0])
@@ -348,11 +349,6 @@ def error_exactness(p):
     return 2 * p + 8
 
 
-def facet_gauss_points(exactness):
-    """Gauss points per boundary facet for a volume rule of ``exactness``."""
-    return exactness // 2 + 2
-
-
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     """Evaluate b(pair_a, pair_b) by quadrature.
 
@@ -371,7 +367,7 @@ def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
         rb1, rb2 = ls_residuals(pair_fields(pair_b, elems, ref, phys), k)
         first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
         total += np.sum(wdet * (first + ra2 * rb2.conj()))
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, facet_gauss_points(exactness)):
+    for elems, ref, phys, wj, normals in boundary_groups(mesh, exactness + 2):
         ta = impedance_trace(pair_fields(pair_a, elems, ref, phys), normals)
         tb = impedance_trace(pair_fields(pair_b, elems, ref, phys), normals)
         total += k * np.sum(wj * ta * tb.conj())

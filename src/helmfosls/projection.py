@@ -25,20 +25,21 @@ The double integral is split along the diagonal and collapsed by the
 Duffy substitution y = x(1-s), under which each factor enters as its
 divided difference (q(x)-q(y))/(x-y), formed from values.  Gauss nodes
 never hit s = 0 and the divided difference of a polynomial is a
-polynomial, so the rule is exact on polynomials.  The weighted term uses
-endpoint-split Gauss-Jacobi quadrature after factoring out the quadratic
-vanishing of the integrand.
+polynomial, so the rule is exact on polynomials.  The weighted term is
+split at t = 1/2; on each half uv / dist is a polynomial for bubble
+pairs, so Gauss-Legendre nodes integrate it exactly once the weight
+1 / dist is folded into the quadrature weights.
 
 Each stage evaluates its residual once, on one point set.  For an edge
-that set joins the Gauss nodes of the L2 term, the Gauss-Jacobi nodes of
-the weighted term and the Duffy nodes: each x and each y = x(1-s)
-once, since every row of the (x, y) grid shares its x.  Each stage
-writes its inner product once, as the moments of a residual against its
-basis: products of the residual values (and, for the edge, its divided
-differences; for the volume, its gradients) with read-only weighted
-tables, built lazily once per degree.  Its Gram is the moments of that
-basis itself.  A stack of functions is projected at once, one row per
-function, and the rows do not interact.
+that set joins the Gauss nodes of the L2 term, the same nodes halved and
+mirrored for the weighted term, and the Duffy nodes: each x and each
+y = x(1-s) once, since every row of the (x, y) grid shares its x.  Each
+stage writes its inner product once, as the moments of a residual
+against its basis: products of the residual values (and, for the edge,
+its divided differences; for the volume, its gradients) with read-only
+weighted tables, built lazily once per degree.  Its Gram is the moments
+of that basis itself.  A stack of functions is projected at once, one
+row per function, and the rows do not interact.
 """
 
 from dataclasses import dataclass
@@ -49,13 +50,7 @@ import scipy.linalg
 
 from .fosls import chunks
 from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
-from .polyquad import (
-    _read_only,
-    gauss01,
-    gauss_jacobi01,
-    make_scalar_basis,
-    simplex_quadrature,
-)
+from .polyquad import _read_only, gauss01, make_scalar_basis, simplex_quadrature
 from .spaces import KIND_HDIV, _scatter_local, edge_reference_points, pull_back
 
 
@@ -90,8 +85,8 @@ class _EdgeWork:
     """Quadrature tables and Grams for the edge minimization at degree p.
 
     Every term of the edge inner product reads the trace at one point
-    set, ``points``: the Gauss nodes of the L2 term, the endpoint-split
-    Gauss-Jacobi nodes of the distance-weighted term, and the Duffy nodes
+    set, ``points``: the Gauss nodes t of the L2 term, the nodes t/2 and
+    1 - t/2 of the distance-weighted term, and the Duffy nodes
     x and y = x(1-s) of the Slobodeckij double integral.  A stage
     evaluates its residual there once.
     """
@@ -105,12 +100,12 @@ class _EdgeWork:
         trace = basis.eval(tq[:, None])
         self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, trace, trace)
 
-        # endpoint-split Gauss-Jacobi data for the distance-weighted term:
-        # int_0^(1/2) F(t) t dt with F = uv / t^2 smooth for bubble pairs;
-        # the weight mirrors under t -> 1-t
-        sj, wj = gauss_jacobi01(p + 6, 0, 1)
-        t_left = sj / 2
-        w_dist = wj / (4 * t_left**2)
+        # the distance-weighted term int_0^(1/2) uv / t dt, mirrored under
+        # t -> 1-t: with t = s/2 it is int_0^1 uv(s/2) / s ds, a polynomial
+        # of degree 2p - 1 for bubble pairs, which the Gauss nodes s above
+        # with weights w / s integrate exactly
+        t_left = tq / 2
+        w_dist = wq / tq
 
         # diagonal-split Duffy grid for the Slobodeckij double integral:
         # y = x(1-s), so x - y = xs never vanishes at Gauss nodes

@@ -6,12 +6,7 @@ import pytest
 
 from helmfosls import fosls, projection
 from helmfosls.mesh import build_polygonal_disk_mesh, build_square_mesh
-from helmfosls.polyquad import (
-    gauss01,
-    gauss_jacobi01,
-    make_scalar_basis,
-    simplex_quadrature,
-)
+from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.projection import (
     _edge_work,
     h12_00_gram,
@@ -107,11 +102,11 @@ def h1_norm_on_reference(d, f, grad_f, exactness=30):
 def _duffy_edge_rule(p):
     """The edge-stage quadrature built from the public rules: Gauss nodes
     tq for L2, the full Duffy grid (X, Y) with y = x(1-s), and the
-    endpoint-split Gauss-Jacobi nodes of the distance-weighted term."""
+    nodes tq/2 and 1 - tq/2 of the distance-weighted term, whose weights
+    wq/tq fold in the weight 1/t of int_0^(1/2) uv / t dt."""
     tq, wq = gauss01(p + 6)
     x, w = gauss01(2 * p + 6)
-    sj, wj = gauss_jacobi01(p + 6, 0, 1)
-    t_left = sj / 2
+    t_left = tq / 2
     return {
         "tq": tq, "wq": wq,
         "X": np.repeat(x[:, None], len(x), axis=1),
@@ -119,7 +114,7 @@ def _duffy_edge_rule(p):
         "XmY": x[:, None] * x[None, :],
         "W": 2.0 * w[:, None] * w[None, :] * x[:, None],
         "t_left": t_left, "t_right": 1 - t_left,
-        "w_dist": wj / 4 / t_left**2,
+        "w_dist": wq / tq,
     }
 
 
