@@ -111,9 +111,9 @@ def _accumulate(sol, problem, exactness):
 
     err = difference(exact, sol)
     bnd = np.zeros(2)
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, exactness + 2):
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
         fields = pair_fields(err, elems, ref, phys)
-        bnd += _sq_sums(wj, (fields[2], impedance_trace(fields, normals)))
+        bnd += _sq_sums(measures[:, None] * wts, (fields[2], impedance_trace(fields, normals)))
     bnd_eu2, imp2 = bnd
 
     has_flux = sol.phi_coeffs is not None

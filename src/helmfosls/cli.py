@@ -4,7 +4,10 @@ A study is a flat JSON config (fields of :class:`StudyConfig`); CLI
 flags override file values.  For every (degree, mesh) pair the runner
 builds the spaces, assembles, solves and computes error norms, then
 writes one CSV row per run plus a log-log plot-data file (relative L2
-error against degrees of freedom per wavelength, one series per degree).
+error against degrees of freedom per wavelength, one series per degree)
+and ``runs.json``: per run, in CSV row order, the system size, the
+solver statistics and the wall times of the spaces, assembly, solve and
+error stages.
 Exit codes: 0 success, 2 config error, 3 solver failure.
 """
 
@@ -14,6 +17,7 @@ import json
 import logging
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,15 +134,23 @@ def _fmt(x):
 
 
 def solve_case(problem, method, mesh, p):
-    """Build the spaces, assemble and solve one run; returns (system, x)."""
+    """Build the spaces, assemble and solve one run.
+
+    Returns (system, SolveReport, seconds): ``seconds`` holds the wall
+    times of the "spaces", "assembly" and "solve" stages.
+    """
+    t0 = time.perf_counter()
     w_space = build_h1_space(mesh, p)
+    v_space = build_hdiv_space(mesh, p) if method == "fosls" else None
+    t1 = time.perf_counter()
     if method == "fosls":
-        system = assemble_fosls(build_hdiv_space(mesh, p), w_space, problem)
-        report = solve_hpd(system)
+        system = assemble_fosls(v_space, w_space, problem)
     else:
         system = assemble_classical_fem(w_space, problem)
-        report = solve_general(system)
-    return system, report.solution
+    t2 = time.perf_counter()
+    report = solve_hpd(system) if method == "fosls" else solve_general(system)
+    t3 = time.perf_counter()
+    return system, report, {"spaces": t1 - t0, "assembly": t2 - t1, "solve": t3 - t2}
 
 
 def run_study(config):
@@ -149,6 +161,7 @@ def run_study(config):
     meshes = {n: MESH_BUILDERS[config.problem](n) for n in config.mesh_sequence}
 
     table = ConvergenceTable()
+    stats = {}  # runs.json record of each table row
     for method in methods:
         for p in config.degrees:
             for n in config.mesh_sequence:
@@ -165,8 +178,10 @@ def run_study(config):
                         "kh/p = %.3g > 1 for p=%d, n=%d; "
                         "the mesh barely resolves the wave scale", khp, p, n,
                     )
-                system, x = solve_case(problem, method, mesh, p)
-                errors = compute_errors(split_solution(system, x), problem)
+                system, report, seconds = solve_case(problem, method, mesh, p)
+                t0 = time.perf_counter()
+                errors = compute_errors(split_solution(system, report.solution), problem)
+                seconds["errors"] = time.perf_counter() - t0
                 table.add(RunRecord(
                     problem=config.problem,
                     method=method,
@@ -181,14 +196,21 @@ def run_study(config):
                     ),
                     errors=errors,
                 ))
+                stats[id(table.rows[-1])] = {
+                    "dofs": system.n_total, "nnz": int(system.matrix.nnz),
+                    "fill": report.fill, "min_pivot": report.min_pivot,
+                    "relative_residual": report.relative_residual, "seconds": seconds,
+                }
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "results.csv"
     plot_path = outdir / "plot_l2_vs_nlambda.csv"
+    runs_path = outdir / "runs.json"
     _write_csv(table, csv_path)
     _write_plot_data(table, plot_path)
-    paths = [csv_path, plot_path]
+    _write_runs(table, stats, runs_path)
+    paths = [csv_path, plot_path, runs_path]
     if config.svg:
         svg_path = outdir / "plot_l2_vs_nlambda.svg"
         _write_svg(table, svg_path)
@@ -214,6 +236,14 @@ def _write_csv(table, path):
                 _fmt(err.e1), _fmt(err.e2), _fmt(err.flux_l2), eoc,
             ]))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _write_runs(table, stats, path):
+    """One JSON record per CSV row, in the same order: the row's method, p
+    and n_elems, then its solve statistics and stage times."""
+    runs = [{"method": row.method, "p": row.p, "n_elems": row.n_elems, **stats[id(row)]}
+            for rows in table.series().values() for row in rows]
+    Path(path).write_text(json.dumps(runs, indent=1) + "\n")
 
 
 def _write_plot_data(table, path):

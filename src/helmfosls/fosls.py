@@ -16,15 +16,23 @@ baseline assembles (grad u, grad v) - k^2 (u, v) - ik (u, v)_boundary,
 which is complex symmetric but indefinite.
 
 Degrees of freedom are blocked [flux | potential].  All elements are
-affine images of one reference simplex, so assembly and the quadrature
-of b work on chunks of elements at once: reference tables are mapped to
-(elements, points, basis) arrays, element blocks come from batched Gram
-products and are scattered through one COO index pattern.  A chunk holds
-at most CHUNK_POINTS quadrature points, which bounds the memory of the
-kernels whatever the mesh size.  Chunks are processed in a fixed order,
-so results are deterministic and reruns are bit-identical.
+affine images of one reference simplex, so an element block is a fixed
+combination of reference integrals: per-element geometric factors
+(E, n_factors), read off the element maps of ``spaces.element_maps``,
+times a reference tensor (n_factors, m * m) cached per (basis, basis,
+rule), with the unit phases of the least-squares fields folded in.  The
+boundary blocks take one reference tensor per local facet, and the loads
+are weighted data (E, q) times a reference table (q, m), scaled per
+element by the element map.  Blocks are scattered through one COO index
+pattern.  Chunks bound only the loads here and the error integrals of
+b: a chunk holds at most CHUNK_POINTS quadrature points, which bounds
+the memory of the kernels that evaluate data at physical points
+whatever the mesh size.  Chunks are processed in a fixed order, so
+results are deterministic and reruns are bit-identical.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -32,11 +40,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import element_map_apply
-from .polyquad import simplex_quadrature
+from .polyquad import _read_only, simplex_quadrature
 from .spaces import (
-    basis_tables,
     check_flux_space,
     edge_reference_points,
+    element_maps,
+    reference_tables,
     scalar_eval,
     scalar_grad_eval,
     vector_div_eval,
@@ -132,9 +141,9 @@ def element_groups(mesh, rule, breakpoints=()):
 def boundary_groups(mesh, exactness):
     """Boundary facets grouped by their local index in the adjacent element.
 
-    Yields (elems, reference points on that local facet, physical points
-    (F, q, d), weights times facet measure (F, q), outward normals
-    (F, d)).  In 2D the facet rule is ``simplex_quadrature(1,
+    Yields (elems, reference points on that local facet, reference facet
+    weights (q,), physical points (F, q, d), facet measures (F,), outward
+    normals (F, d)).  In 2D the facet rule is ``simplex_quadrature(1,
     exactness)``; in 1D a facet is a point with a single unit weight.
     """
     fids = mesh.boundary_facets
@@ -152,8 +161,8 @@ def boundary_groups(mesh, exactness):
         if not sel.any():
             continue
         ref = np.array([[float(li)]]) if mesh.dim == 1 else edge_reference_points(li, t)
-        yield (elems[sel], ref, element_map_apply(mesh, elems[sel], ref),
-               measures[sel, None] * w, normals[sel])
+        yield (elems[sel], ref, w, element_map_apply(mesh, elems[sel], ref),
+               measures[sel], normals[sel])
 
 
 def _check_same_mesh(v_space, w_space):
@@ -161,20 +170,62 @@ def _check_same_mesh(v_space, w_space):
         raise ValueError("flux and potential spaces live on different meshes")
 
 
-# -- batched assembly ----------------------------------------------------
+# -- assembly from reference tensors ---------------------------------------
+#
+# A field of the local basis is a reference table T (q, m, A) of its A
+# reference components and a per-element map M (E, c, A) to its c
+# physical ones (``spaces.element_maps``).  On affine elements the Gram
+# sum_q w_q s_e (M T_i) . (M T_j) of two basis functions is therefore
+# sum_ab (s_e M^T M)_ab R_ab,ij with a reference tensor
+# R_ab,ij = sum_q w_q T_qia T_qjb that all elements share (Kirby,
+# Knepley, Logg & Scott, SISC 27 (2005)).
 
 
-def _gram(wts, X, Y):
-    """Element blocks sum_q wts X^T Y of real (E, c, q, n) tables."""
-    Xw = (X * wts[:, None, :, None]).reshape(len(wts), -1, X.shape[-1])
-    return np.swapaxes(Xw, 1, 2) @ Y.reshape(len(wts), -1, Y.shape[-1])
+def _tensor(weights, fields):
+    """Reference tensor of fields (T, c): a table T (q, m, A) and a
+    complex coefficient c (a scalar or an (m, m) array).  Each field gives
+    the A * A rows c_ij sum_q w_q T_qia T_qjb, index a * A + b; the
+    complex (rows, m * m) result is returned as a real (rows, 2 m m) view."""
+    parts = []
+    for t, c in fields:
+        q, m, a = t.shape
+        flat = t.reshape(q, -1)
+        gram = ((weights[:, None] * flat).T @ flat).reshape(m, a, m, a)
+        parts.append((gram.transpose(1, 3, 0, 2) * c).reshape(a * a, m * m))
+    return np.concatenate(parts, dtype=complex).view(float)
 
 
-def _load(wts, values, X):
-    """Element load vectors sum_q wts values X of real (E, q, n) tables,
-    one stacked real product on the (re, im) pairs of wts values."""
-    wv = (wts * values).view(float).reshape(wts.shape + (2,))
-    return (np.swapaxes(X, 1, 2) @ wv).view(complex)[..., 0]
+def _factors(scale, maps):
+    """Geometric factors (E, rows) of fields with per-element maps M
+    (E, c, A), in the row order of :func:`_tensor`: scale M^T M."""
+    return np.hstack([(scale[:, None, None] * (np.swapaxes(m, 1, 2) @ m)).reshape(len(m), -1)
+                      for m in maps])
+
+
+def _blocks(factors, tensor):
+    """Element blocks (E, m, m) = factors @ tensor, one real product."""
+    out = (factors @ tensor).view(complex)
+    m = math.isqrt(out.shape[1])
+    return out.reshape(len(out), m, m)
+
+
+def _join(v_table, w_table):
+    """Table (q, m, A) of the [V | W] basis from a V and a W table, the two
+    blocked on the diagonal of the (basis, component) axes."""
+    (q, mv, av), (_, mw, aw) = v_table.shape, w_table.shape
+    t = np.zeros((q, mv + mw, av + aw))
+    t[:, :mv, :av], t[:, mv:, av:] = v_table, w_table
+    return t
+
+
+def _load(wv, table, m):
+    """Element load vectors sum_q wv_eq (M_e T_q)_i of a complex datum wv
+    (E, q) times weights, a reference table T (q, n, A) and maps M
+    (E, 1, A), from one real product on the (re, im) rows of wv."""
+    q, n, a = table.shape
+    z = np.stack([wv.real, wv.imag], axis=1).reshape(-1, q) @ table.reshape(q, -1)
+    z = np.einsum("ekna,ea->ekn", z.reshape(len(wv), 2, n, a), m[:, 0])
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def _data(fn, phys, normals=None):
@@ -205,23 +256,43 @@ def _scatter(dofs, signs, blocks, loads, n):
     return matrix, rhs
 
 
-def _ls_tables(v_space, w_space, elems, ref, k):
-    """Real tables R1 = [k phi | grad u] (E, d, q, m) and
-    R2 = [div phi | k u] (E, 1, q, m) of the [V | W] element basis."""
-    phi, dphi = basis_tables(v_space, elems, ref)
-    u, gu = basis_tables(w_space, elems, ref)
-    return (np.concatenate([k * phi, gu], axis=3),
-            np.concatenate([dphi, k * u], axis=3))
+def _ls_phases(mv, mw):
+    """Unit phases D1 = (i on V, 1 on W) and D2 = (1 on V, i on W) of the
+    least-squares fields ik phi + grad u = R1 D1, ik u + div phi = R2 D2."""
+    on_v = np.arange(mv + mw) < mv
+    return np.where(on_v, 1j, 1.0), np.where(on_v, 1.0, 1j)
+
+
+@functools.cache
+def _ls_tensor(v_basis, w_basis, rule):
+    """Reference tensor of the least-squares volume form on [V | W]:
+    fields R1 = [k phi | grad u] and R2 = [div phi | k u] (k lives in the
+    maps), phases conj(Dj)_i (Dj)_j folded in.  Cached, read-only."""
+    (v, dv), (w, dw) = (reference_tables(b, rule.points) for b in (v_basis, w_basis))
+    d1, d2 = _ls_phases(v.shape[1], w.shape[1])
+    fields = [(_join(v, dw), np.outer(d1.conj(), d1)), (_join(dv, w), np.outer(d2.conj(), d2))]
+    return _read_only(_tensor(rule.weights, fields))[0]
+
+
+@functools.cache
+def _fem_tensor(w_basis, rule):
+    """Reference tensor of (grad u, grad v) - (u, v); k^2 lives in the
+    maps.  Cached, read-only."""
+    w, dw = reference_tables(w_basis, rule.points)
+    return _read_only(_tensor(rule.weights, [(dw, 1.0), (w, -1.0)]))[0]
 
 
 def assemble_fosls(v_space, w_space, problem):
     """Assemble the FOSLS system on V_h x W_h for the given problem.
 
-    The least-squares fields of the [V | W] basis are real tables times
+    The least-squares fields of the [V | W] basis are real fields times
     one unit phase per basis function: ik phi + grad u = R1 D1 with
     D1 = diag(i on V, 1 on W), and ik u + div phi = R2 D2 with
-    D2 = diag(1 on V, i on W).  So the element block
-    sum_j conj(Dj) (Rj^T W Rj) Dj needs only real Gram matrices.
+    D2 = diag(1 on V, i on W).  The element blocks
+    sum_j conj(Dj) (Rj^T W Rj) Dj come from one product of per-element
+    factors with the cached reference tensor (phases folded in), the
+    boundary blocks from one tensor per local facet, and the loads from
+    products of weighted data with reference tables.
     """
     _check_same_mesh(v_space, w_space)
     check_flux_space(v_space)
@@ -235,37 +306,37 @@ def assemble_fosls(v_space, w_space, problem):
     dofs = np.hstack([v_space.elem_dofs, w_space.elem_dofs + nv])
     signs = np.hstack([v_space.elem_signs, w_space.elem_signs])
     m, mv = dofs.shape[1], v_space.local_dim()
-    d1 = np.where(np.arange(m) < mv, 1j, 1.0)
-    d2 = np.where(np.arange(m) < mv, 1.0, 1j)
-    blocks = np.empty((len(dofs), m, m), dtype=complex)
+    _, d2 = _ls_phases(mv, m - mv)
     loads = np.empty((len(dofs), m), dtype=complex)
 
-    for elems, ref, _, wdet in element_groups(mesh, rule):
-        r1, r2 = _ls_tables(v_space, w_space, elems, ref, k)
-        blocks[elems] = (_gram(wdet, r1, r1) * np.outer(d1.conj(), d1)
-                         + _gram(wdet, r2, r2) * np.outer(d2.conj(), d2))
+    (vm, vd), (wm, wd) = (element_maps(s, slice(None)) for s in (v_space, w_space))
+    factors = _factors(mesh.det_A, [np.concatenate([k * vm, wd], axis=2),
+                                    np.concatenate([vd, k * wm], axis=2)])
+    blocks = _blocks(factors, _ls_tensor(v_space.basis, w_space.basis, rule))
     # (-i f / k, ik v + div psi), panel-split so discontinuous f stays exact
     for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        _, dphi = basis_tables(v_space, elems, ref)
-        u, _ = basis_tables(w_space, elems, ref)
-        r2 = np.concatenate([dphi, k * u], axis=3)[:, 0]
-        loads[elems] = _load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
+        (_, dv), (w, _) = (reference_tables(s.basis, ref) for s in (v_space, w_space))
+        wv = wdet * (-1j / k) * _data(problem.f, phys)
+        loads[elems] = np.hstack([_load(wv, dv, vd[elems]),
+                                  _load(wv, w, k * wm[elems])]) * d2.conj()
 
     # boundary terms k(phi.n + u, psi.n + v) and (i g, psi.n + v)
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, rhs_rule.exactness):
-        phi, _ = basis_tables(v_space, elems, ref)
-        u, _ = basis_tables(w_space, elems, ref)
-        phin = np.einsum("eaqn,ea->eqn", phi, normals)
-        trace = np.concatenate([phin, u[:, 0]], axis=2)
-        blocks[elems] += k * _gram(wj, trace[:, None], trace[:, None])
-        loads[elems] += _load(wj, 1j * _data(problem.g, phys, normals), trace)
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+        (v, _), (w, _) = (reference_tables(s.basis, ref) for s in (v_space, w_space))
+        vn = normals[:, None, :] @ vm[elems]  # maps (F, 1, A) of phi.n
+        trace = np.concatenate([vn, wm[elems]], axis=2)
+        blocks[elems] += _blocks(_factors(k * measures, [trace]),
+                                 _tensor(wts, [(_join(v, w), 1.0)]))
+        wv = measures[:, None] * wts * 1j * _data(problem.g, phys, normals)
+        loads[elems] += np.hstack([_load(wv, v, vn), _load(wv, w, wm[elems])])
 
     matrix, rhs = _scatter(dofs, signs, blocks, loads, nv + w_space.n_dofs)
     return AssembledSystem(matrix, rhs, FOSLS, k, v_space, w_space)
 
 
 def assemble_classical_fem(w_space, problem):
-    """Assemble the classical H1 Galerkin system for the impedance problem."""
+    """Assemble the classical H1 Galerkin system for the impedance problem,
+    from reference tensors like :func:`assemble_fosls`."""
     mesh = w_space.mesh
     k = problem.k
     p = w_space.p
@@ -273,21 +344,19 @@ def assemble_classical_fem(w_space, problem):
     rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
 
     dofs = w_space.elem_dofs
-    m = dofs.shape[1]
-    blocks = np.empty((len(dofs), m, m), dtype=complex)
-    loads = np.empty((len(dofs), m), dtype=complex)
-
-    for elems, ref, _, wdet in element_groups(mesh, rule):
-        u, gu = basis_tables(w_space, elems, ref)
-        blocks[elems] = _gram(wdet, gu, gu) - k**2 * _gram(wdet, u, u)
+    loads = np.empty(dofs.shape, dtype=complex)
+    wm, wd = element_maps(w_space, slice(None))
+    blocks = _blocks(_factors(mesh.det_A, [wd, k * wm]), _fem_tensor(w_space.basis, rule))
     for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        u, _ = basis_tables(w_space, elems, ref)
-        loads[elems] = _load(wdet, _data(problem.f, phys), u[:, 0])
+        w, _ = reference_tables(w_space.basis, ref)
+        loads[elems] = _load(wdet * _data(problem.f, phys), w, wm[elems])
 
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, rhs_rule.exactness):
-        u, _ = basis_tables(w_space, elems, ref)
-        blocks[elems] += -1j * k * _gram(wj, u, u)
-        loads[elems] += _load(wj, _data(problem.g, phys, normals), u[:, 0])
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+        w, _ = reference_tables(w_space.basis, ref)
+        blocks[elems] += _blocks(_factors(k * measures, [wm[elems]]),
+                                 _tensor(wts, [(w, -1j)]))
+        wv = measures[:, None] * wts * _data(problem.g, phys, normals)
+        loads[elems] += _load(wv, w, wm[elems])
 
     matrix, rhs = _scatter(dofs, w_space.elem_signs, blocks, loads, w_space.n_dofs)
     return AssembledSystem(matrix, rhs, CLASSICAL_FEM, k, None, w_space)
@@ -367,10 +436,10 @@ def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
         rb1, rb2 = ls_residuals(pair_fields(pair_b, elems, ref, phys), k)
         first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
         total += np.sum(wdet * (first + ra2 * rb2.conj()))
-    for elems, ref, phys, wj, normals in boundary_groups(mesh, exactness + 2):
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
         ta = impedance_trace(pair_fields(pair_a, elems, ref, phys), normals)
         tb = impedance_trace(pair_fields(pair_b, elems, ref, phys), normals)
-        total += k * np.sum(wj * ta * tb.conj())
+        total += k * np.sum(measures[:, None] * wts * ta * tb.conj())
     return total
 
 

@@ -10,9 +10,9 @@ branching on d.
 
 A mesh stores vertices, element connectivity, the per-element affine
 maps F_K(x) = A x + b from the reference simplex (column j of A is the
-edge vector from vertex 0 to vertex j + 1; det A and A^{-1} come from
-``np.linalg``) and a facet table.  A facet is a vertex in 1D and an edge
-in 2D; facet ``f`` is row ``f`` of these arrays:
+edge vector from vertex 0 to vertex j + 1; det A and A^{-1} = adj A /
+det A in closed form) and a facet table.  A facet is a vertex in 1D and
+an edge in 2D; facet ``f`` is row ``f`` of these arrays:
 
 - ``facet_vertices`` (F, d): its global vertex ids, ascending;
 - ``facet_elems`` (F, 2): its adjacent elements, ascending, with -1 in
@@ -58,6 +58,23 @@ LOCAL_EDGES = {
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5}
 
 
+def _det_adjugate(a):
+    """Determinants (n,) and adjugates (n, d, d) of matrices (n, d, d),
+    d <= 2, in closed form: det A = a00 a11 - a01 a10 and adj A =
+    [[a11, -a01], [-a10, a00]] in 2D, det A = a00 and adj A = 1 in 1D,
+    so that A^{-1} = adj A / det A."""
+    if a.shape[-1] == 1:
+        return a[:, 0, 0].copy(), np.ones_like(a)
+    (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
+    adj = np.stack([np.stack([a11, -a01], axis=1), np.stack([-a10, a00], axis=1)], axis=1)
+    return a00 * a11 - a01 * a10, adj
+
+
+def _norms(x):
+    """Euclidean norms of the vectors on the last axis of ``x``."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def barycentric(xhat):
     """Barycentric coordinates (n, d+1) of reference points (n, d):
     lam_0 = 1 - x_1 - ... - x_d, subtracted in that order, and lam_i = x_i."""
@@ -97,7 +114,8 @@ class Mesh:
 
     def _normalize_orientation(self, elements):
         v = self.vertices
-        flip = np.linalg.det(v[elements[:, 1:]] - v[elements[:, :1]]) < 0
+        # the edge vectors are the rows of A, and det A^T = det A
+        flip = _det_adjugate(v[elements[:, 1:]] - v[elements[:, :1]])[0] < 0
         elements[flip, -2:] = elements[flip, -2:][:, ::-1]
         return elements
 
@@ -106,10 +124,10 @@ class Mesh:
         self.maps_b = v[e[:, 0]].copy()
         # column j of A_K is the edge vector from vertex 0 to vertex j + 1
         self.maps_A = np.ascontiguousarray(np.swapaxes(v[e[:, 1:]] - v[e[:, :1]], 1, 2))
-        self.det_A = np.linalg.det(self.maps_A)
+        self.det_A, adj = _det_adjugate(self.maps_A)
         if np.any(self.det_A <= 0):
             raise ValueError("degenerate element: det(A_K) <= 0")
-        self.inv_A = np.linalg.inv(self.maps_A)
+        self.inv_A = adj / self.det_A[:, None, None]
         self.element_measures = np.abs(self.det_A) * REFERENCE_MEASURE[self.dim]
 
     def _build_facets(self):
@@ -141,7 +159,7 @@ class Mesh:
             normals, self.facet_measures = np.ones((nf, 1)), np.ones(nf)
         else:
             tang = corners[:, 1] - corners[:, 0]
-            self.facet_measures = np.linalg.norm(tang, axis=1)
+            self.facet_measures = _norms(tang)
             normals = tang[:, ::-1] * [1.0, -1.0] / self.facet_measures[:, None]
         centroids = v[self.elements[self.facet_elems[:, 0]]].mean(axis=1)
         inward = np.einsum("fd,fd->f", normals, corners.mean(axis=1) - centroids) < 0
@@ -155,7 +173,7 @@ class Mesh:
     def element_diameters(self):
         """Largest distance between two vertices of each element."""
         v, e = self.vertices, self.elements
-        return np.max([np.linalg.norm(v[e[:, j]] - v[e[:, i]], axis=1)
+        return np.max([_norms(v[e[:, j]] - v[e[:, i]])
                        for i, j in LOCAL_EDGES[self.dim]], axis=0)
 
     def facet_points(self, facet_id, t):
@@ -241,7 +259,7 @@ def build_polygonal_disk_mesh(n_boundary, n_refine):
             pairs, axis=0, return_inverse=True, return_counts=True)
         mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
         boundary = counts == 1  # boundary edge: project midpoint onto the circle
-        mid[boundary] /= np.linalg.norm(mid[boundary], axis=1)[:, None]
+        mid[boundary] /= _norms(mid[boundary])[:, None]
         a, b, c = elements.T
         mab, mac, mbc = (len(vertices) + inverse.reshape(-1, 3)).T
         elements = np.column_stack([a, mab, mac, b, mbc, mab, c, mac, mbc,

@@ -142,9 +142,11 @@ class ScalarBasis:
         return vals, grads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Quadrature points and weights on the reference simplex."""
+    """Quadrature points and weights on the reference simplex.  Rules
+    compare and hash by identity: :func:`simplex_quadrature` hands out one
+    instance per (d, exactness), which caches may key on."""
 
     points: np.ndarray
     weights: np.ndarray

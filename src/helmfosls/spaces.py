@@ -17,11 +17,12 @@ derive from that same scalar basis.  Both answer
 (gradients for S_p, divergences for BDM_p).
 
 Fields move between the reference element and the physical one through
-one map, :func:`push_forward` and its inverse :func:`pull_back`; a field
-is evaluated by contracting its local coefficients with the reference
-table first and mapping the result afterwards.  H1 values are unchanged
-and gradients map by A^{-T}; H(div) fields map by the contravariant
-Piola transform
+one set of per-element maps, :func:`element_maps`, read by
+:func:`push_forward` and by assembly, and the inverse :func:`pull_back`;
+a field is evaluated by contracting its local coefficients with the
+reference table first and mapping the result afterwards.  H1 values are
+unchanged and gradients map by A^{-T}; H(div) fields map by the
+contravariant Piola transform
 
     phi(F(x)) = A phi_hat(x) / det A,   div phi o F = div_hat phi_hat / det A.
 
@@ -225,31 +226,38 @@ def build_hdiv_space(mesh, p):
 
 
 # -- the element map and field evaluation.  ``elem`` is one element index
-# or an int array of them, which adds a leading element axis to a field;
-# a unit leading axis instead holds a reference table shared by all.
+# or an int array of them, which adds a leading element axis.
 
 
-def _matvec(m, v):
-    """Vectors (last axis) of ``v`` mapped by per-element matrices ``m``."""
-    if m.ndim == 3 and len(v) == 1:  # one BLAS product maps the table
-        mv = np.tensordot(m, v[0], axes=(2, -1))
-        return mv.transpose(0, *range(2, mv.ndim), 1)
-    return v @ np.swapaxes(m, -1, -2)
+def reference_tables(basis, points):
+    """Reference (values, first derivatives) of ``basis`` at ``points``,
+    each of shape (points, basis, A): the A reference components of every
+    function (A = 1 for a scalar field)."""
+    return tuple(t if t.ndim == 3 else t[..., None] for t in basis.eval_with_grad(points))
+
+
+def element_maps(space, elem):
+    """Per-element maps (values, first derivatives) of ``space`` on
+    ``elem``: (..., c, A) matrices from the A reference components of a
+    field (:func:`reference_tables`) to its c physical ones.  H1: values
+    1, gradients A^{-T}.  H(div), by the contravariant Piola map: values
+    A / det A, divergences 1 / det A."""
+    mesh = space.mesh
+    det = np.asarray(mesh.det_A[elem])[..., None, None]
+    if space.kind == KIND_H1:
+        return np.ones_like(det), np.swapaxes(mesh.inv_A[elem], -1, -2)
+    return mesh.maps_A[elem] / det, 1.0 / det
 
 
 def push_forward(space, elem, field, derivative=False):
     """Physical values (or first derivatives) of ``space`` on ``elem``
-    from reference ones.  H1: u is unchanged, grad u = A^{-T} grad_hat u.
-    H(div), by the contravariant Piola map: phi = A phi_hat / det A and
-    div phi = div_hat phi_hat / det A."""
-    mesh = space.mesh
-    if space.kind == KIND_H1:
-        inv_t = np.swapaxes(mesh.inv_A[elem], -1, -2)
-        return _matvec(inv_t, field) if derivative else field
-    det = np.asarray(mesh.det_A[elem])
-    if derivative:
-        return field / det.reshape(det.shape + (1,) * (field.ndim - det.ndim))
-    return _matvec(mesh.maps_A[elem] / det[..., None, None], field)
+    from reference ones, by :func:`element_maps`.  Scalar fields (H1
+    values, H(div) divergences) have no component axis."""
+    m = element_maps(space, elem)[derivative]
+    if (space.kind == KIND_H1) != derivative:
+        scale = m[..., 0, 0]
+        return field * scale.reshape(scale.shape + (1,) * (field.ndim - scale.ndim))
+    return field @ np.swapaxes(m, -1, -2)
 
 
 def pull_back(mesh, elem, field, jacobian=False):
@@ -260,21 +268,7 @@ def pull_back(mesh, elem, field, jacobian=False):
     if jacobian:
         return np.einsum("...ij,...njk,...kl->...nil", m, field, mesh.maps_A[elem],
                          optimize=True)
-    return _matvec(m, field)
-
-
-def basis_tables(space, elems, ref):
-    """Physical values and first derivatives of the basis on every element
-    of ``elems``, without orientation signs, for assembly: H1 (u, grad u)
-    of shapes (E, 1, q, n) and (E, d, q, n), H(div) (phi, div phi) of
-    shapes (E, d, q, n) and (E, 1, q, n); in 1D the H1 pair doubles as
-    the flux pair."""
-    out = []
-    for t, derivative in zip(space.basis.eval_with_grad(ref), (False, True)):
-        t = push_forward(space, elems, t[None], derivative)
-        t = t[:, None] if t.ndim == 3 else t.transpose(0, 3, 1, 2)
-        out.append(np.broadcast_to(t, (len(elems),) + t.shape[1:]))
-    return tuple(out)
+    return field @ np.swapaxes(m, -1, -2)
 
 
 def check_flux_space(space):

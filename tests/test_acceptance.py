@@ -44,7 +44,8 @@ def report(name, ok, detail):
 
 
 def run_one(problem, method, mesh, p):
-    system, x = solve_case(problem, method, mesh, p)
+    system, solved, _ = solve_case(problem, method, mesh, p)
+    x = solved.solution
     sol = split_solution(system, x)
     return {
         "h": mesh.h,

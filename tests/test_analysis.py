@@ -35,8 +35,8 @@ from helmfosls.spaces import (
 
 
 def solve_method(method, mesh, p, problem):
-    system, x = solve_case(problem, method, mesh, p)
-    return split_solution(system, x)
+    system, report, _ = solve_case(problem, method, mesh, p)
+    return split_solution(system, report.solution)
 
 
 class TestDofsPerWavelength:

@@ -143,6 +143,30 @@ class TestRunStudy:
         body1 = paths1[0].read_text().split("\n")[1:]
         body2 = paths2[0].read_text().split("\n")[1:]
         assert body1 == body2
+        # runs.json: identical up to the stage times
+        runs1, runs2 = (json.loads(p[2].read_text()) for p in (paths1, paths2))
+        for run in runs1 + runs2:
+            del run["seconds"]
+        assert runs1 == runs2
+
+    def test_runs_json_follows_csv_rows(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = StudyConfig(problem="piecewise-1d", method="both", k=10.0,
+                          degrees=[2, 1], mesh_sequence=[5, 15],
+                          output_dir=str(out), avoid_node_at_zero=True)
+        _, paths = run_study(cfg)
+        assert paths[2] == out / "runs.json"
+        rows = [line.split(",") for line in paths[0].read_text().strip().split("\n")[2:]]
+        runs = json.loads(paths[2].read_text())
+        assert len(runs) == len(rows) == 8
+        col = CSV_COLUMNS.index
+        for run, row in zip(runs, rows):
+            assert [run["method"], str(run["p"]), str(run["n_elems"]), str(run["dofs"])] == [
+                row[col("method")], row[col("p")], row[col("n_elems")], row[col("DOF")]]
+            assert run["nnz"] > 0 and run["fill"] > 0
+            assert 0 < run["min_pivot"] and 0 <= run["relative_residual"] <= 1e-10
+            assert set(run["seconds"]) == {"spaces", "assembly", "solve", "errors"}
+            assert all(t >= 0 for t in run["seconds"].values())
 
     def test_method_both_doubles_rows(self, tmp_path):
         out = tmp_path / "out"

@@ -6,19 +6,28 @@ import sympy
 import helmfosls.fosls as fosls
 from conftest import polynomial_problem, zero_problem
 from helmfosls.fosls import (
+    _data,
     _scatter,
     assemble_classical_fem,
     assemble_fosls,
+    boundary_groups,
     difference,
+    element_groups,
     evaluate_b,
     galerkin_residual,
     split_solution,
 )
-from helmfosls.mesh import Mesh, build_interval_mesh, build_square_mesh
+from helmfosls.mesh import (
+    Mesh,
+    build_interval_mesh,
+    build_polygonal_disk_mesh,
+    build_square_mesh,
+)
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
 from helmfosls.solver import solve_general, solve_hpd
 from helmfosls.polyquad import simplex_quadrature
 from helmfosls.spaces import (
+    KIND_H1,
     build_h1_space,
     build_hdiv_space,
     scalar_eval,
@@ -376,3 +385,116 @@ def test_one_element_chunks_match_default_chunking(dim, p, method, monkeypatch):
     single = _assembled(method, mesh, p, problem)
     assert _rel(single.matrix.toarray(), default.matrix.toarray()) <= 1e-13
     assert _rel(single.rhs, default.rhs) <= 1e-13
+
+
+# -- oracle: quadrature on basis tables pushed to every element ------------
+
+
+def _pushed_tables(space, elems, ref):
+    """Physical values and first derivatives of the basis on every element,
+    (E, components, q, n): H1 (u, grad u), H(div) (phi, div phi)."""
+    mesh = space.mesh
+    vals, ders = space.basis.eval_with_grad(ref)
+    det = mesh.det_A[elems][:, None, None, None]
+    if space.kind == KIND_H1:
+        u = np.broadcast_to(vals, (len(elems), 1) + vals.shape)
+        return u, np.einsum("eba,qnb->eaqn", mesh.inv_A[elems], ders)
+    return np.einsum("eab,qnb->eaqn", mesh.maps_A[elems], vals) / det, ders[None, None] / det
+
+
+def _gram(wts, x, y):
+    """Element blocks sum_q wts x^T y of real (E, c, q, n) tables."""
+    return np.einsum("eq,ecqi,ecqj->eij", wts, x, y)
+
+
+def _pushed_load(wts, values, x):
+    return np.einsum("eq,eqi->ei", wts * values, x)
+
+
+def _oracle_fosls(v_space, w_space, problem):
+    """The least-squares system by quadrature on pushed tables: element
+    blocks sum_j conj(Dj) Rj^T W Rj Dj of R1 = [k phi | grad u] and
+    R2 = [div phi | k u]."""
+    mesh, k = v_space.mesh, problem.k
+    p = max(v_space.p, w_space.p)
+    nv, mv = v_space.n_dofs, v_space.local_dim()
+    dofs = np.hstack([v_space.elem_dofs, w_space.elem_dofs + nv])
+    m = dofs.shape[1]
+    d1 = np.where(np.arange(m) < mv, 1j, 1.0)
+    d2 = np.where(np.arange(m) < mv, 1.0, 1j)
+    blocks = np.zeros((len(dofs), m, m), dtype=complex)
+    loads = np.zeros((len(dofs), m), dtype=complex)
+    for elems, ref, _, wdet in element_groups(mesh, simplex_quadrature(mesh.dim, 2 * p + 2)):
+        (phi, dphi), (u, gu) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
+        r1 = np.concatenate([k * phi, gu], axis=3)
+        r2 = np.concatenate([dphi, k * u], axis=3)
+        blocks[elems] += (_gram(wdet, r1, r1) * np.outer(d1.conj(), d1)
+                          + _gram(wdet, r2, r2) * np.outer(d2.conj(), d2))
+    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
+    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+        (_, dphi), (u, _) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
+        r2 = np.concatenate([dphi, k * u], axis=3)[:, 0]
+        loads[elems] += _pushed_load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+        wj = measures[:, None] * wts
+        (phi, _), (u, _) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
+        trace = np.concatenate([np.einsum("eaqn,ea->eqn", phi, normals), u[:, 0]], axis=2)
+        blocks[elems] += k * _gram(wj, trace[:, None], trace[:, None])
+        loads[elems] += _pushed_load(wj, 1j * _data(problem.g, phys, normals), trace)
+    signs = np.hstack([v_space.elem_signs, w_space.elem_signs])
+    return _scatter(dofs, signs, blocks, loads, nv + w_space.n_dofs)
+
+
+def _oracle_fem(w_space, problem):
+    """(grad u, grad v) - k^2 (u, v) - ik (u, v)_boundary by quadrature on
+    pushed tables."""
+    mesh, k, p = w_space.mesh, problem.k, w_space.p
+    m = w_space.local_dim()
+    blocks = np.zeros((len(mesh.elements), m, m), dtype=complex)
+    loads = np.zeros((len(mesh.elements), m), dtype=complex)
+    for elems, ref, _, wdet in element_groups(mesh, simplex_quadrature(mesh.dim, 2 * p + 2)):
+        u, gu = _pushed_tables(w_space, elems, ref)
+        blocks[elems] += _gram(wdet, gu, gu) - k**2 * _gram(wdet, u, u)
+    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
+    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+        u, _ = _pushed_tables(w_space, elems, ref)
+        loads[elems] += _pushed_load(wdet, _data(problem.f, phys), u[:, 0])
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+        wj = measures[:, None] * wts
+        u, _ = _pushed_tables(w_space, elems, ref)
+        blocks[elems] += -1j * k * _gram(wj, u, u)
+        loads[elems] += _pushed_load(wj, _data(problem.g, phys, normals), u[:, 0])
+    return _scatter(w_space.elem_dofs, w_space.elem_signs, blocks, loads, w_space.n_dofs)
+
+
+ORACLE_MESHES = {
+    # 7 elements: the kink x = 0 of f cuts the middle one
+    "interval-kink": lambda: (build_interval_mesh(-1, 1, 7), piecewise_1d_problem(10.0)),
+    "square": lambda: (build_square_mesh(3), plane_wave_problem(8.0)),
+    # non-uniform affine maps: projected boundary midpoints
+    "disk": lambda: (build_polygonal_disk_mesh(8, 1), plane_wave_problem(5.0)),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("mesh_name", sorted(ORACLE_MESHES))
+class TestReferenceTensorAssembly:
+    """Reference tensors times per-element factors reproduce quadrature on
+    basis tables pushed to every element."""
+
+    def test_fosls_matches_pushed_tables(self, mesh_name, p):
+        mesh, problem = ORACLE_MESHES[mesh_name]()
+        system = assemble_fosls(*fosls_spaces(mesh, p), problem)
+        matrix, rhs = _oracle_fosls(*fosls_spaces(mesh, p), problem)
+        A = system.matrix.toarray()
+        assert _rel(A, matrix.toarray()) <= 1e-13
+        assert _rel(system.rhs, rhs) <= 1e-13
+        assert np.max(np.abs(A - A.conj().T)) <= 1e-14 * np.max(np.abs(A))
+
+    def test_fem_matches_pushed_tables(self, mesh_name, p):
+        mesh, problem = ORACLE_MESHES[mesh_name]()
+        w = build_h1_space(mesh, p)
+        system = assemble_classical_fem(w, problem)
+        matrix, rhs = _oracle_fem(w, problem)
+        assert _rel(system.matrix.toarray(), matrix.toarray()) <= 1e-13
+        assert _rel(system.rhs, rhs) <= 1e-13

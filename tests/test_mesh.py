@@ -153,6 +153,25 @@ class TestElementMap:
         with pytest.raises(ValueError, match="degenerate"):
             Mesh(1, np.array([[0.5], [0.5]]), np.array([[0, 1]]), 1.0)
 
+    def test_closed_form_det_and_inverse(self):
+        # edge vectors of the n = 8 square are multiples of 1/8, so
+        # det A = a00 a11 - a01 a10 and adj A / det A are exact
+        mesh = build_square_mesh(8)
+        assert np.all(mesh.det_A == 1 / 64)
+        eye = np.broadcast_to(np.eye(2), mesh.maps_A.shape)
+        assert np.max(np.abs(mesh.inv_A @ mesh.maps_A - eye)) <= np.spacing(1.0)
+        # 1D: det A is the element length, A^{-1} its reciprocal
+        interval = build_interval_mesh(0, 1, 4)
+        assert np.all(interval.det_A == 0.25) and np.all(interval.inv_A == 4.0)
+
+    @pytest.mark.parametrize("mesh", [build_interval_mesh(-1, 1, 5),
+                                      build_polygonal_disk_mesh(8, 2)],
+                             ids=["interval", "disk"])
+    def test_det_and_inverse_match_linalg(self, mesh):
+        np.testing.assert_allclose(mesh.det_A, np.linalg.det(mesh.maps_A), rtol=1e-15)
+        np.testing.assert_allclose(mesh.inv_A, np.linalg.inv(mesh.maps_A),
+                                   rtol=1e-14, atol=1e-14 * np.abs(mesh.inv_A).max())
+
     def test_identity_on_reference_mesh(self):
         mesh = Mesh(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]), 0.5)
