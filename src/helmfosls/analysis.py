@@ -1,16 +1,17 @@
 """Error norms, resolution measures and empirical convergence rates.
 
-Error integrals sample the exact solution directly at quadrature points
-(exactness 2p + 8 by default, exactness + 2 on boundary facets) and
-re-run with a doubled rule; the relative drift between the two,
-boundary terms included, is reported so that quadrature-limited numbers
-are visible.  The least-squares residual components
+Error integrals reduce over ``fosls.sample_pairs``, the sampler of
+``fosls.evaluate_b``: the exact and the discrete pair at the points of
+the error rules (exactness 2p + 8, exactness + 2 on boundary facets).
+They are re-run at doubled exactness; the relative drift between the
+two, boundary terms included, is reported so that quadrature-limited
+numbers are visible.  The least-squares residual components
 
     e1 = || ik (phi - phi_h) + grad(u - u_h) ||_{L2}
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}
 
 are tracked separately because they converge at different orders.
-On each element chunk the exact solution is sampled by one jet call
+On each chunk the exact solution is sampled by one jet call
 (``ExactBundle.fields``) and every squared norm of the chunk comes from
 one weighted reduction of re^2 + im^2 over all fields at once.
 Everything here is pure post-processing over immutable solutions.
@@ -21,16 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fosls import (
-    boundary_groups,
-    difference,
-    element_groups,
-    error_exactness,
-    impedance_trace,
-    ls_residuals,
-    pair_fields,
-)
-from .polyquad import simplex_quadrature
+from .fosls import error_exactness, impedance_trace, ls_residuals, sample_pairs
 
 
 @dataclass(frozen=True)
@@ -96,24 +88,20 @@ def _sq_sums(wts, fields):
     return np.add.reduceat(wts.reshape(-1) @ (z * z), starts)
 
 
-def _accumulate(sol, problem, exactness):
-    mesh = sol.w_space.mesh
-    exact = problem.exact
-    rule = simplex_quadrature(mesh.dim, exactness)
-
-    vol = np.zeros(6)
-    for elems, ref, phys, wdet in element_groups(mesh, rule, problem.breakpoints):
-        ex = pair_fields(exact, elems, ref, phys)
-        err = [a - b for a, b in zip(ex, pair_fields(sol, elems, ref, phys))]
-        e1, e2 = ls_residuals(err, problem.k)
-        vol += _sq_sums(wdet, (ex[2], err[2], err[3], e1, e2, err[0]))
+def _accumulate(sol, problem, exactness=None):
+    """Error norms (the fields of :class:`ErrorReport` but the drift) on
+    the rules of ``fosls.sample_pairs`` at ``exactness`` (by default the
+    error rules)."""
+    vol, bnd = np.zeros(6), np.zeros(2)
+    for wts, (ex, uh), normals in sample_pairs((problem.exact, sol), sol.w_space,
+                                               problem.breakpoints, exactness):
+        err = [a - b for a, b in zip(ex, uh)]
+        if normals is None:
+            e1, e2 = ls_residuals(err, problem.k)
+            vol += _sq_sums(wts, (ex[2], err[2], err[3], e1, e2, err[0]))
+        else:
+            bnd += _sq_sums(wts, (err[2], impedance_trace(err, normals)))
     u2, eu2, geu2, e12, e22, ephi2 = vol
-
-    err = difference(exact, sol)
-    bnd = np.zeros(2)
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
-        fields = pair_fields(err, elems, ref, phys)
-        bnd += _sq_sums(measures[:, None] * wts, (fields[2], impedance_trace(fields, normals)))
     bnd_eu2, imp2 = bnd
 
     has_flux = sol.phi_coeffs is not None
@@ -130,14 +118,12 @@ def _accumulate(sol, problem, exactness):
     }
 
 
-def compute_errors(sol, problem, exactness=None):
+def compute_errors(sol, problem):
     """Error report for a discrete solution; needs an exact solution."""
     if problem.exact is None:
         raise ValueError("compute_errors requires a problem with an exact solution")
-    if exactness is None:
-        exactness = error_exactness(sol.w_space.p)
-    base = _accumulate(sol, problem, exactness)
-    fine = _accumulate(sol, problem, 2 * exactness)
+    base = _accumulate(sol, problem)
+    fine = _accumulate(sol, problem, 2 * error_exactness(sol.w_space.p))
     drift = 0.0
     for key, val in base.items():
         ref = fine[key]

@@ -161,7 +161,7 @@ def run_study(config):
     meshes = {n: MESH_BUILDERS[config.problem](n) for n in config.mesh_sequence}
 
     table = ConvergenceTable()
-    stats = {}  # runs.json record of each table row
+    runs = []  # runs.json record of each table row, in row order
     for method in methods:
         for p in config.degrees:
             for n in config.mesh_sequence:
@@ -196,11 +196,12 @@ def run_study(config):
                     ),
                     errors=errors,
                 ))
-                stats[id(table.rows[-1])] = {
+                runs.append({
+                    "method": method, "p": p, "n_elems": len(mesh.elements),
                     "dofs": system.n_total, "nnz": int(system.matrix.nnz),
                     "fill": report.fill, "min_pivot": report.min_pivot,
                     "relative_residual": report.relative_residual, "seconds": seconds,
-                }
+                })
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +210,7 @@ def run_study(config):
     runs_path = outdir / "runs.json"
     _write_csv(table, csv_path)
     _write_plot_data(table, plot_path)
-    _write_runs(table, stats, runs_path)
+    runs_path.write_text(json.dumps(runs, indent=1) + "\n")
     paths = [csv_path, plot_path, runs_path]
     if config.svg:
         svg_path = outdir / "plot_l2_vs_nlambda.svg"
@@ -236,14 +237,6 @@ def _write_csv(table, path):
                 _fmt(err.e1), _fmt(err.e2), _fmt(err.flux_l2), eoc,
             ]))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_runs(table, stats, path):
-    """One JSON record per CSV row, in the same order: the row's method, p
-    and n_elems, then its solve statistics and stage times."""
-    runs = [{"method": row.method, "p": row.p, "n_elems": row.n_elems, **stats[id(row)]}
-            for rows in table.series().values() for row in rows]
-    Path(path).write_text(json.dumps(runs, indent=1) + "\n")
 
 
 def _write_plot_data(table, path):

@@ -29,6 +29,12 @@ b: a chunk holds at most CHUNK_POINTS quadrature points, which bounds
 the memory of the kernels that evaluate data at physical points
 whatever the mesh size.  Chunks are processed in a fixed order, so
 results are deterministic and reruns are bit-identical.
+
+The error rules have one owner, :func:`sample_pairs`: it yields the
+weights, the fields (phi, div phi, u, grad u) of any pairs and the
+boundary normals on the volume and facet rules, and both
+:func:`evaluate_b` and ``analysis.compute_errors`` reduce over it, so
+b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.
 """
 
 import functools
@@ -39,11 +45,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import element_map_apply
+from .mesh import LOCAL_FACETS, REFERENCE_VERTICES, barycentric, element_map_apply
 from .polyquad import _read_only, simplex_quadrature
 from .spaces import (
     check_flux_space,
-    edge_reference_points,
     element_maps,
     reference_tables,
     scalar_eval,
@@ -143,25 +148,23 @@ def boundary_groups(mesh, exactness):
 
     Yields (elems, reference points on that local facet, reference facet
     weights (q,), physical points (F, q, d), facet measures (F,), outward
-    normals (F, d)).  In 2D the facet rule is ``simplex_quadrature(1,
-    exactness)``; in 1D a facet is a point with a single unit weight.
+    normals (F, d)).  The facet rule is ``simplex_quadrature(d - 1,
+    exactness)``, mapped onto each local facet through its barycentric
+    coordinates (in 1D the one point of a facet, with weight 1).
     """
     fids = mesh.boundary_facets
     elems = mesh.facet_elems[fids, 0]
     local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
     normals = mesh.facet_normals[fids]
     measures = mesh.facet_measures[fids]
-    if mesh.dim == 2:
-        rule = simplex_quadrature(1, exactness)
-        t, w = rule.points[:, 0], rule.weights
-    else:
-        t, w = None, np.ones(1)
-    for li in range(mesh.elem_facets.shape[1]):
+    rule = simplex_quadrature(mesh.dim - 1, exactness)
+    lam = barycentric(rule.points)
+    for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
         sel = local == li
         if not sel.any():
             continue
-        ref = np.array([[float(li)]]) if mesh.dim == 1 else edge_reference_points(li, t)
-        yield (elems[sel], ref, w, element_map_apply(mesh, elems[sel], ref),
+        ref = lam @ REFERENCE_VERTICES[mesh.dim][list(facet)]
+        yield (elems[sel], ref, rule.weights, element_map_apply(mesh, elems[sel], ref),
                measures[sel], normals[sel])
 
 
@@ -418,28 +421,46 @@ def error_exactness(p):
     return 2 * p + 8
 
 
+def sample_pairs(pairs, w_space, breakpoints=(), exactness=None):
+    """Fields of several pairs at the points of the error rules.
+
+    The volume rule has ``exactness`` (by default
+    :func:`error_exactness` of the degree of ``w_space``, which also
+    gives the mesh), panel-split at ``breakpoints`` in 1D; boundary
+    facets use exactness + 2.  Yields, per element or boundary group,
+    (weights (E, q), the :func:`pair_fields` of each pair, outward
+    normals (E, d)); the normals are None on volume groups.  The weights
+    hold det A in the volume and the facet measure on the boundary.
+    """
+    mesh = w_space.mesh
+    if exactness is None:
+        exactness = error_exactness(w_space.p)
+    rule = simplex_quadrature(mesh.dim, exactness)
+    for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
+        yield wdet, [pair_fields(pair, elems, ref, phys) for pair in pairs], None
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
+        yield (measures[:, None] * wts, [pair_fields(pair, elems, ref, phys) for pair in pairs],
+               normals)
+
+
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     """Evaluate b(pair_a, pair_b) by quadrature.
 
     Pairs may be DiscreteSolution instances, ExactBundle instances or
     differences of pairs (see :func:`difference`).  ``w_space`` provides
     the mesh and the degree p; the rules are those of the error norms
-    (:func:`error_exactness`), so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds
+    (:func:`sample_pairs`), so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds
     to rounding.
     """
-    mesh = w_space.mesh
-    exactness = error_exactness(w_space.p)
-    rule = simplex_quadrature(mesh.dim, exactness)
     total = 0.0 + 0.0j
-    for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
-        ra1, ra2 = ls_residuals(pair_fields(pair_a, elems, ref, phys), k)
-        rb1, rb2 = ls_residuals(pair_fields(pair_b, elems, ref, phys), k)
-        first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
-        total += np.sum(wdet * (first + ra2 * rb2.conj()))
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
-        ta = impedance_trace(pair_fields(pair_a, elems, ref, phys), normals)
-        tb = impedance_trace(pair_fields(pair_b, elems, ref, phys), normals)
-        total += k * np.sum(measures[:, None] * wts * ta * tb.conj())
+    for wts, (fa, fb), normals in sample_pairs((pair_a, pair_b), w_space, breakpoints):
+        if normals is None:
+            (ra1, ra2), (rb1, rb2) = ls_residuals(fa, k), ls_residuals(fb, k)
+            first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
+            total += np.sum(wts * (first + ra2 * rb2.conj()))
+        else:
+            ta, tb = impedance_trace(fa, normals), impedance_trace(fb, normals)
+            total += k * np.sum(wts * ta * tb.conj())
     return total
 
 

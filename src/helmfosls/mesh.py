@@ -78,7 +78,7 @@ def _norms(x):
 def barycentric(xhat):
     """Barycentric coordinates (n, d+1) of reference points (n, d):
     lam_0 = 1 - x_1 - ... - x_d, subtracted in that order, and lam_i = x_i."""
-    lam0 = functools.reduce(np.subtract, xhat.T, 1.0)
+    lam0 = functools.reduce(np.subtract, xhat.T, np.ones(len(xhat)))
     return np.concatenate([lam0[:, None], xhat], axis=1)
 
 

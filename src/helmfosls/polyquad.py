@@ -171,17 +171,20 @@ def gauss01(n):
 def simplex_quadrature(d, exactness):
     """Quadrature on the reference simplex exact to the given degree.
 
-    1D: Gauss-Legendre on [0, 1] with exactness // 2 + 1 points.  2D:
+    0D (a facet of the interval): the one point, with no coordinates and
+    weight 1.  1D: Gauss-Legendre on [0, 1] with exactness // 2 + 1 points.  2D:
     collapsed Gauss-Legendre on the unit triangle, x = u(1-v), y = v,
     with the area factor 1-v of the collapse folded into the v weights.
     It has (exactness + 3) // 2 points per direction, since x^a y^b (1-v)
     has degree a + b + 1 in v; for even exactness that is
     exactness // 2 + 1.  Cached; the arrays are read-only.
     """
-    if d not in (1, 2):
+    if d not in (0, 1, 2):
         raise ValueError(f"unsupported dimension {d}")
     if exactness < 0:
         raise ValueError("exactness must be nonnegative")
+    if d == 0:
+        return QuadratureRule(*_read_only(np.zeros((1, 0)), np.ones(1)), exactness)
     if d == 1:
         t, w = gauss01(exactness // 2 + 1)
         return QuadratureRule(t[:, None], w, exactness)

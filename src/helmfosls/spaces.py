@@ -16,13 +16,17 @@ derive from that same scalar basis.  Both answer
 ``eval_with_grad(points)`` with the values and first derivatives
 (gradients for S_p, divergences for BDM_p).
 
-Fields move between the reference element and the physical one through
-one set of per-element maps, :func:`element_maps`, read by
-:func:`push_forward` and by assembly, and the inverse :func:`pull_back`;
-a field is evaluated by contracting its local coefficients with the
-reference table first and mapping the result afterwards.  H1 values are
-unchanged and gradients map by A^{-T}; H(div) fields map by the
-contravariant Piola transform
+Every field keeps a component axis.  A basis gives its reference tables
+as (points, basis, A) arrays of the A reference components of every
+function (:func:`reference_tables`), and each kind defines once, in
+:func:`element_maps`, the per-element (..., c, A) maps to the c physical
+components, read by :func:`push_forward` (field @ M^T) and by assembly;
+the inverse is :func:`pull_back`.  A field is its signed local
+coefficients contracted with the reference table first and mapped
+afterwards; the four evaluators are views of that one path, and the
+scalar ones (``scalar_eval``, ``vector_div_eval``) return its one
+component.  H1 values are unchanged and gradients map by A^{-T}; H(div)
+fields map by the contravariant Piola transform
 
     phi(F(x)) = A phi_hat(x) / det A,   div phi o F = div_hat phi_hat / det A.
 
@@ -250,14 +254,10 @@ def element_maps(space, elem):
 
 
 def push_forward(space, elem, field, derivative=False):
-    """Physical values (or first derivatives) of ``space`` on ``elem``
-    from reference ones, by :func:`element_maps`.  Scalar fields (H1
-    values, H(div) divergences) have no component axis."""
-    m = element_maps(space, elem)[derivative]
-    if (space.kind == KIND_H1) != derivative:
-        scale = m[..., 0, 0]
-        return field * scale.reshape(scale.shape + (1,) * (field.ndim - scale.ndim))
-    return field @ np.swapaxes(m, -1, -2)
+    """Physical components (..., c) of the values (or first derivatives)
+    of ``space`` on ``elem`` from their reference components (..., A), by
+    :func:`element_maps`.  A scalar field has one component."""
+    return field @ np.swapaxes(element_maps(space, elem)[derivative], -1, -2)
 
 
 def pull_back(mesh, elem, field, jacobian=False):
@@ -278,25 +278,20 @@ def check_flux_space(space):
                          f"{space.mesh.dim}D mesh (BDM_p in 2D, S_p in 1D)")
 
 
-def local_coeffs(space, coeffs, elem):
-    """Element coefficients (orientation signs applied)."""
-    return space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
-
-
 def _field(space, coeffs, elem, ref_points, derivative):
-    """Physical values (or first derivatives) of a field: its local
-    coefficients contracted with the reference table, then mapped by
-    :func:`push_forward`."""
-    table = space.basis.eval_with_grad(ref_points)[derivative]
-    lc = local_coeffs(space, coeffs, elem)
-    # (points, basis) tables as a matrix product, (points, basis, d) ones
-    # over the basis axis
-    ref_field = lc @ table.T if table.ndim == 2 else np.tensordot(lc, table, axes=(-1, 1))
+    """Physical values (or first derivatives) (..., q, c) of a field: its
+    signed local coefficients (..., m) contracted with the reference table
+    (q, m, A) as one matrix product with its (m, q A) view, then mapped
+    by :func:`push_forward`."""
+    table = reference_tables(space.basis, ref_points)[derivative]
+    q, m, a = table.shape
+    lc = space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
+    ref_field = (lc @ table.transpose(1, 0, 2).reshape(m, q * a)).reshape(lc.shape[:-1] + (q, a))
     return push_forward(space, elem, ref_field, derivative)
 
 
 def scalar_eval(space, coeffs, elem, ref_points):
-    return _field(space, coeffs, elem, ref_points, False)
+    return _field(space, coeffs, elem, ref_points, False)[..., 0]
 
 
 def scalar_grad_eval(space, coeffs, elem, ref_points):
@@ -307,15 +302,13 @@ def scalar_grad_eval(space, coeffs, elem, ref_points):
 def vector_eval(space, coeffs, elem, ref_points):
     """Physical values of a flux field (S_p is the flux space in 1D)."""
     check_flux_space(space)
-    vals = _field(space, coeffs, elem, ref_points, False)
-    return vals[..., None] if space.kind == KIND_H1 else vals
+    return _field(space, coeffs, elem, ref_points, False)
 
 
 def vector_div_eval(space, coeffs, elem, ref_points):
     """Physical divergence of a flux field."""
     check_flux_space(space)
-    div = _field(space, coeffs, elem, ref_points, True)
-    return div[..., 0] if space.kind == KIND_H1 else div
+    return _field(space, coeffs, elem, ref_points, True)[..., 0]
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)

@@ -336,7 +336,7 @@ def _piola_deviation():
         phi_hat = lambda pts: (sb.eval(pts) @ c)[None]
         div_hat = np.einsum("qid,id->q", sb.grad(rule.points), c)
         ref_int = np.sum(rule.weights * div_hat)
-        div = push_forward(space, elems, div_hat[None], derivative=True)
+        div = push_forward(space, elems, div_hat[None, :, None], derivative=True)[..., 0]
         phys_int = np.sum(rule.weights * mesh.det_A[0] * div)
         worst = max(worst, abs(ref_int - phys_int) / max(1.0, abs(ref_int)))
         for l in range(3):

@@ -402,6 +402,39 @@ def _pushed_tables(space, elems, ref):
     return np.einsum("eab,qnb->eaqn", mesh.maps_A[elems], vals) / det, ders[None, None] / det
 
 
+EVALUATORS = (scalar_eval, scalar_grad_eval, vector_eval, vector_div_eval)
+CONTRACT_SPACES = {
+    "1d-S3": (lambda: build_h1_space(build_interval_mesh(-1, 1, 5), 3), EVALUATORS),
+    "2d-S3": (lambda: build_h1_space(build_square_mesh(2), 3), EVALUATORS[:2]),
+    "2d-BDM2": (lambda: build_hdiv_space(build_square_mesh(2), 2), EVALUATORS[2:]),
+}
+
+
+@pytest.mark.parametrize("elem", [2, np.array([3, 0, 4, 1])], ids=["int", "array"])
+@pytest.mark.parametrize("make_space,evaluate", [
+    pytest.param(make, f, id=f"{name}-{f.__name__}")
+    for name, (make, evals) in CONTRACT_SPACES.items() for f in evals
+])
+def test_evaluator_contract(make_space, evaluate, elem, rng):
+    """Shapes (E,) q, (E,) q x d, (E,) q x d and (E,) q of scalar_eval,
+    scalar_grad_eval, vector_eval and vector_div_eval (S_p is the flux
+    space in 1D), and the values of the pushed basis tables."""
+    space = make_space()
+    d = space.mesh.dim
+    coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
+    ref = simplex_quadrature(d, 5).points
+    got = evaluate(space, coeffs, elem, ref)
+    vector_valued = evaluate in (scalar_grad_eval, vector_eval)
+    assert got.shape == np.shape(elem) + (len(ref),) + ((d,) if vector_valued else ())
+
+    elems = np.atleast_1d(elem)
+    table = _pushed_tables(space, elems, ref)[evaluate in (scalar_grad_eval, vector_div_eval)]
+    lc = space.elem_signs[elems] * coeffs[space.elem_dofs[elems]]
+    want = np.einsum("ecqn,en->eqc", table, lc)
+    want = (want if vector_valued else want[..., 0]).reshape(got.shape)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 def _gram(wts, x, y):
     """Element blocks sum_q wts x^T y of real (E, c, q, n) tables."""
     return np.einsum("eq,ecqi,ecqj->eij", wts, x, y)

@@ -135,6 +135,8 @@ class TestReferenceSimplex:
         lam = barycentric(xy)
         np.testing.assert_array_equal(lam[:, 0], (1 - xy[:, 0]) - xy[:, 1])
         np.testing.assert_array_equal(lam[:, 1:], xy)
+        # a point (d = 0) has no coordinates and the one barycentric weight 1
+        np.testing.assert_array_equal(barycentric(np.zeros((3, 0))), np.ones((3, 1)))
 
 
 class TestElementMap:

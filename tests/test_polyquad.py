@@ -301,6 +301,12 @@ class TestQuadrature:
                     simplex_monomial_integral(d, alpha), abs=1e-13
                 )
 
+    def test_point_rule(self):
+        """d = 0 (a facet of the interval): one point without coordinates."""
+        rule = simplex_quadrature(0, 7)
+        assert rule.points.shape == (1, 0)
+        np.testing.assert_array_equal(rule.weights, [1.0])
+
     def test_weight_positivity(self):
         for d in (1, 2):
             for q in (0, 3, 9):

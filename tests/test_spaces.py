@@ -220,7 +220,7 @@ class TestPiola:
 
     def test_identity_map(self, rng):
         mesh = triangles([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        vecs, scalars = rng.random((4, 2)), rng.random(4)
+        vecs, scalars = rng.random((4, 2)), rng.random((4, 1))
         # (values, derivatives): H(div) (vectors, divergences), H1 (scalars, gradients)
         for space, fields in ((build_hdiv_space(mesh, 1), (vecs, scalars)),
                               (build_h1_space(mesh, 1), (scalars, vecs))):
@@ -239,8 +239,8 @@ class TestPiola:
         v_space, w_space = build_hdiv_space(mesh, 1), build_h1_space(mesh, 1)
         vals = push_forward(v_space, 0, np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(vals, [[0.5, 0.0]], atol=1e-15)
-        div = push_forward(v_space, 0, np.array([1.0]), derivative=True)
-        np.testing.assert_allclose(div, [0.25], atol=1e-15)
+        div = push_forward(v_space, 0, np.array([[1.0]]), derivative=True)
+        np.testing.assert_allclose(div, [[0.25]], atol=1e-15)
         grad = push_forward(w_space, 0, np.array([[1.0, 0.0]]), derivative=True)
         np.testing.assert_allclose(grad, [[0.5, 0.0]], atol=1e-15)
         back = pull_back(mesh, 0, np.array([[0.5, 0.0]]))
@@ -252,7 +252,7 @@ class TestPiola:
         mesh = triangles([[0.0, 0.0], A[:, 0], A[:, 1]])
         np.testing.assert_allclose(mesh.maps_A[0], A, atol=1e-15)
         div = push_forward(build_hdiv_space(mesh, 1), np.array([0]),
-                           np.full((1, 7), 2.0), derivative=True)
+                           np.full((1, 7, 1), 2.0), derivative=True)
         np.testing.assert_allclose(div, 2.0 / np.linalg.det(A), atol=1e-14)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -273,7 +273,7 @@ class TestPiola:
 
         # int_K div phi dx = int_Khat div_hat phi_hat dxhat
         ref_int = div_hat @ rule.weights
-        div = push_forward(space, elems, div_hat, derivative=True)
+        div = push_forward(space, elems, div_hat[..., None], derivative=True)[..., 0]
         phys_int = (div * mesh.det_A[:, None]) @ rule.weights
         assert np.all(np.abs(ref_int - phys_int) <= 1e-12 * np.maximum(1.0, np.abs(ref_int)))
 
