@@ -1,5 +1,10 @@
 """First-order-system least-squares hp-FEM for the Helmholtz impedance
-problem, with a classical FEM baseline and a convergence-study harness."""
+problem, with a classical FEM baseline and a convergence-study harness.
+
+The harness lives in ``helmfosls.cli`` and is not imported here, so that
+``python -m helmfosls.cli`` runs it as ``__main__`` without a second,
+already imported copy of the module.
+"""
 
 from .analysis import (
     ConvergenceTable,
@@ -43,6 +48,5 @@ from .projection import (
 )
 from .solver import SolveReport, SolverError, solve_general, solve_hpd
 from .spaces import FunctionSpace, build_h1_space, build_hdiv_space
-from .cli import StudyConfig, run_study
 
 __version__ = "0.1.0"

@@ -12,8 +12,11 @@ numbers are visible.  The least-squares residual components
 
 are tracked separately because they converge at different orders.
 On each chunk the exact solution is sampled by one jet call
-(``ExactBundle.fields``) and every squared norm of the chunk comes from
-one weighted reduction of re^2 + im^2 over all fields at once.
+(``ExactBundle.fields``) and the discrete solution by one evaluator
+call per space (``fosls.pair_fields``), and each squared norm is one
+weighted reduction of re^2 + im^2 on the real view of its field.  A
+classical FEM solution carries no flux: its flux errors are never
+formed, and the flux entries of its report are NaN.
 Everything here is pure post-processing over immutable solutions.
 """
 
@@ -81,30 +84,34 @@ class ConvergenceTable:
 
 def _sq_sums(wts, fields):
     """Quadrature of |field|^2 over (element, point) axes and components,
-    for every field at once: one weighted reduction of re^2 + im^2."""
-    cols = [f.reshape(wts.size, -1) for f in fields]
-    z = np.concatenate(cols, axis=1, dtype=complex).view(float)
-    starts = np.cumsum([0] + [2 * c.shape[1] for c in cols[:-1]])
-    return np.add.reduceat(wts.reshape(-1) @ (z * z), starts)
+    for each field: the weights times re^2 + im^2 of its real view."""
+    w = wts.reshape(-1)
+    out = []
+    for f in fields:
+        z = f.reshape(w.size, -1).view(float)
+        out.append((w @ (z * z)).sum())
+    return out
 
 
 def _accumulate(sol, problem, exactness=None):
     """Error norms (the fields of :class:`ErrorReport` but the drift) on
     the rules of ``fosls.sample_pairs`` at ``exactness`` (by default the
-    error rules)."""
+    error rules).  A classical FEM solution has no flux: its flux errors
+    are never formed, and its flux entries are NaN."""
+    has_flux = sol.phi_coeffs is not None
     vol, bnd = np.zeros(6), np.zeros(2)
     for wts, (ex, uh), normals in sample_pairs((problem.exact, sol), sol.w_space,
                                                problem.breakpoints, exactness):
-        err = [a - b for a, b in zip(ex, uh)]
-        if normals is None:
-            e1, e2 = ls_residuals(err, problem.k)
-            vol += _sq_sums(wts, (ex[2], err[2], err[3], e1, e2, err[0]))
-        else:
-            bnd += _sq_sums(wts, (err[2], impedance_trace(err, normals)))
+        eu, egu = ex[2] - uh[2], ex[3] - uh[3]
+        fields = [eu] if normals is not None else [ex[2], eu, egu]
+        if has_flux:
+            err = (ex[0] - uh[0], ex[1] - uh[1], eu, egu)
+            fields += ([impedance_trace(err, normals)] if normals is not None
+                       else [*ls_residuals(err, problem.k), err[0]])
+        sums = vol if normals is None else bnd
+        sums[:len(fields)] += _sq_sums(wts, fields)
     u2, eu2, geu2, e12, e22, ephi2 = vol
     bnd_eu2, imp2 = bnd
-
-    has_flux = sol.phi_coeffs is not None
     nan = float("nan")
     return {
         "l2_rel": math.sqrt(eu2 / u2) if u2 > 0 else nan,

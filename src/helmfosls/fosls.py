@@ -52,8 +52,6 @@ from .spaces import (
     element_maps,
     reference_tables,
     scalar_eval,
-    scalar_grad_eval,
-    vector_div_eval,
     vector_eval,
 )
 
@@ -129,7 +127,9 @@ def element_groups(mesh, rule, breakpoints=()):
             t = (b - x0) / lc
             for e in np.flatnonzero((0.0 < t) & (t < 1.0)):
                 cuts.setdefault(e, []).append(t[e])
-    plain = np.setdiff1d(np.arange(len(mesh.elements)), list(cuts))
+    plain = np.ones(len(mesh.elements), dtype=bool)
+    plain[list(cuts)] = False
+    plain = np.flatnonzero(plain)
     groups = [(plain[s], rule.points, rule.weights)
               for s in chunks(len(plain), len(rule.weights))]
     for e, ts in sorted(cuts.items()):
@@ -382,21 +382,21 @@ def pair_fields(pair, elems, ref, phys):
     """Fields (phi, div phi, u, grad u) of a pair at quadrature points.
 
     ``pair`` is a DiscreteSolution, an ExactBundle or a
-    :func:`difference`; a discrete solution without flux (classical FEM)
-    has phi = 0.  Every array has leading (element, point) axes; phi and
-    grad u end in a d axis.
+    :func:`difference`.  A discrete solution takes one evaluator call
+    per space, which returns the values and the derivatives of its
+    field from one product with a joined reference table; without flux
+    (classical FEM) it has phi = 0.  Every array has leading (element,
+    point) axes; phi and grad u end in a d axis.
     """
     if isinstance(pair, _Difference):
         fa = pair_fields(pair.a, elems, ref, phys)
         fb = pair_fields(pair.b, elems, ref, phys)
         return tuple(x - y for x, y in zip(fa, fb))
     if isinstance(pair, DiscreteSolution):
-        u = scalar_eval(pair.w_space, pair.u_coeffs, elems, ref)
-        gu = scalar_grad_eval(pair.w_space, pair.u_coeffs, elems, ref)
+        u, gu = scalar_eval(pair.w_space, pair.u_coeffs, elems, ref, with_derivative=True)
         if pair.phi_coeffs is None:
             return np.zeros(gu.shape, complex), np.zeros(u.shape, complex), u, gu
-        phi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref)
-        dphi = vector_div_eval(pair.v_space, pair.phi_coeffs, elems, ref)
+        phi, dphi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref, with_derivative=True)
         return phi, dphi, u, gu
     vector, scalar = phys.shape, phys.shape[:2]
     fields = pair.fields(phys.reshape(-1, phys.shape[-1]))

@@ -206,8 +206,10 @@ def element_map_apply(mesh, elem, xhat):
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     if np.any(barycentric(xhat) < -1e-12):
         raise ValueError("point outside the reference simplex")
-    shift = np.asarray(mesh.maps_b[elem])[..., None, :]
-    return xhat @ np.swapaxes(mesh.maps_A[elem], -1, -2) + shift
+    # every element maps the same points: one (E d, d) x (d, q) product
+    a = mesh.maps_A[elem]
+    linear = (a.reshape(-1, a.shape[-1]) @ xhat.T).reshape(a.shape[:-1] + (len(xhat),))
+    return np.swapaxes(linear, -1, -2) + np.asarray(mesh.maps_b[elem])[..., None, :]
 
 
 def build_interval_mesh(a, b, n_elems):

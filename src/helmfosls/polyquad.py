@@ -55,6 +55,38 @@ def legendre_table(x, n):
     return vals, ders
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# point sets whose tables a basis keeps: the one (2, p) basis serves S_p
+# and the BDM_p scalar tables, and a 2D study asks it for at most 15
+# (volume rules, boundary-edge sets, both error passes); the bound
+# keeps ad-hoc point sets from growing the cache without limit
+TABLE_CACHE_SIZE = 16
+
+
+def cache_per_point_set(build, size=TABLE_CACHE_SIZE):
+    """``build(points, *args)`` with its results kept per point set.
+
+    ``build`` takes reference points (n, d) and hashable ``args`` and
+    returns a tuple of arrays.  The returned function answers a repeat
+    call, whose points have the same shape and bytes, with the same
+    read-only arrays, for the ``size`` most recently used keys.  Safe to
+    call from several threads at once.
+    """
+    @functools.lru_cache(size)
+    def cached(shape, data, *args):
+        return _read_only(*build(np.frombuffer(data).reshape(shape), *args))
+
+    def lookup(points, *args):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return cached(pts.shape, pts.tobytes(), *args)
+    return lookup
+
+
 class ScalarBasis:
     """Hierarchical basis of P_p on the reference simplex.
 
@@ -77,14 +109,9 @@ class ScalarBasis:
         }
         # gradients of the barycentric coordinates
         self._dlam = np.vstack([-np.ones(d), np.eye(d)])
-        # read-only tables per point set, keyed by (shape, bytes)
-        self._tables = functools.lru_cache(self.TABLE_CACHE_SIZE)(self._build_tables)
+        self._tables = cache_per_point_set(lambda pts: self._eval(pts))
 
-    # point sets whose tables are kept: the one (2, p) basis serves S_p
-    # and the BDM_p scalar tables, and a 2D study asks it for at most 15
-    # (volume rules, boundary-edge sets, both error passes); the bound
-    # keeps ad-hoc point sets from growing the cache without limit
-    TABLE_CACHE_SIZE = 16
+    TABLE_CACHE_SIZE = TABLE_CACHE_SIZE  # the bound of its table cache
 
     def eval(self, points):
         """Basis values at reference points; shape (n_points, dim)."""
@@ -95,15 +122,10 @@ class ScalarBasis:
         return self.eval_with_grad(points)[1]
 
     def eval_with_grad(self, points):
-        """(values, gradients), read-only.  The tables are kept per point
-        set, for the ``TABLE_CACHE_SIZE`` most recently used sets: batched
-        kernels ask for the same reference rules once per element chunk
-        and field.  Safe to call from several threads at once."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._tables(pts.shape, pts.tobytes())
-
-    def _build_tables(self, shape, data):
-        return _read_only(*self._eval(np.frombuffer(data).reshape(shape)))
+        """(values, gradients), read-only and kept per point set
+        (:func:`cache_per_point_set`): batched kernels ask for the same
+        reference rules once per element chunk and field."""
+        return self._tables(points)
 
     def _eval(self, pts):
         d, p, dlam = self.d, self.p, self._dlam
@@ -151,12 +173,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     exactness: int
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @functools.cache

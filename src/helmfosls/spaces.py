@@ -14,19 +14,24 @@ spaces of its kind and degree: S_p holds the scalar basis of
 ``make_scalar_basis(d, p)``, BDM_p one ``BdmBasis`` per p whose tables
 derive from that same scalar basis.  Both answer
 ``eval_with_grad(points)`` with the values and first derivatives
-(gradients for S_p, divergences for BDM_p).
+(gradients for S_p, divergences for BDM_p), read-only and kept per point
+set.
 
 Every field keeps a component axis.  A basis gives its reference tables
 as (points, basis, A) arrays of the A reference components of every
 function (:func:`reference_tables`), and each kind defines once, in
 :func:`element_maps`, the per-element (..., c, A) maps to the c physical
-components, read by :func:`push_forward` (field @ M^T) and by assembly;
-the inverse is :func:`pull_back`.  A field is its signed local
-coefficients contracted with the reference table first and mapped
-afterwards; the four evaluators are views of that one path, and the
-scalar ones (``scalar_eval``, ``vector_div_eval``) return its one
-component.  H1 values are unchanged and gradients map by A^{-T}; H(div)
-fields map by the contravariant Piola transform
+components, read by :func:`push_forward` and by assembly; the inverse is
+:func:`pull_back`.  A field is evaluated by one call per space: its
+signed local coefficients are gathered once and multiplied by one
+cached joined [value | derivative] table (:func:`_field_table`), and
+each half of the product is mapped afterwards by broadcast products per
+component, with no per-element matrix product.  The four evaluators are
+views of that one path: ``scalar_eval`` and ``vector_eval`` return the
+values, or with ``with_derivative`` the values and the derivatives, and
+``scalar_grad_eval`` and ``vector_div_eval`` return the derivatives.
+H1 values are unchanged and gradients map by A^{-T}; H(div) fields map
+by the contravariant Piola transform
 
     phi(F(x)) = A phi_hat(x) / det A,   div phi o F = div_hat phi_hat / det A.
 
@@ -44,7 +49,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
-from .polyquad import _read_only, gauss01, make_scalar_basis
+from .polyquad import _read_only, cache_per_point_set, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
 KIND_HDIV = "vector-hdiv"
@@ -117,6 +122,7 @@ class BdmBasis:
         if not np.allclose(check, target, atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
         _read_only(self.coeffs)
+        self._tables = cache_per_point_set(lambda pts: self._eval(pts))
 
     def eval(self, points):
         """Vector basis values; shape (n_points, dim, 2)."""
@@ -124,7 +130,11 @@ class BdmBasis:
 
     def eval_with_grad(self, points):
         """(values (n_points, dim, 2), divergences (n_points, dim)) on the
-        reference element, from the scalar tables of ``points``."""
+        reference element, read-only and kept per point set like the
+        scalar tables they derive from."""
+        return self._tables(points)
+
+    def _eval(self, points):
         sv, sg = self.scalar.eval_with_grad(points)
         cx, cy = np.split(self.coeffs, 2)
         return np.stack([sv @ cx, sv @ cy], axis=-1), sg[:, :, 0] @ cx + sg[:, :, 1] @ cy
@@ -253,11 +263,25 @@ def element_maps(space, elem):
     return mesh.maps_A[elem] / det, 1.0 / det
 
 
+def _map(maps, field):
+    """Physical components (..., q, c) of a field (..., q, A) under
+    per-element maps (..., c, A): one broadcast product per pair of
+    components, where numpy's stacked matmul would call BLAS once per
+    element."""
+    c, a = maps.shape[-2:]
+    out = np.empty(field.shape[:-1] + (c,), np.result_type(field, maps))
+    for i in range(c):
+        np.multiply(field[..., 0], maps[..., None, i, 0], out=out[..., i])
+        for j in range(1, a):
+            out[..., i] += field[..., j] * maps[..., None, i, j]
+    return out
+
+
 def push_forward(space, elem, field, derivative=False):
     """Physical components (..., c) of the values (or first derivatives)
     of ``space`` on ``elem`` from their reference components (..., A), by
     :func:`element_maps`.  A scalar field has one component."""
-    return field @ np.swapaxes(element_maps(space, elem)[derivative], -1, -2)
+    return _map(element_maps(space, elem)[derivative], field)
 
 
 def pull_back(mesh, elem, field, jacobian=False):
@@ -278,37 +302,59 @@ def check_flux_space(space):
                          f"{space.mesh.dim}D mesh (BDM_p in 2D, S_p in 1D)")
 
 
-def _field(space, coeffs, elem, ref_points, derivative):
-    """Physical values (or first derivatives) (..., q, c) of a field: its
-    signed local coefficients (..., m) contracted with the reference table
-    (q, m, A) as one matrix product with its (m, q A) view, then mapped
-    by :func:`push_forward`."""
-    table = reference_tables(space.basis, ref_points)[derivative]
-    q, m, a = table.shape
+def _field_table(points, basis):
+    """The joined [value | derivative] table (m, q, A + A') of ``basis``
+    at ``points``: per function and point, the A reference components of
+    its value and then the A' of its first derivative
+    (:func:`reference_tables`), complex, so that coefficients multiply it
+    without a cast."""
+    vals, ders = reference_tables(basis, points)
+    return (np.concatenate([vals, ders], axis=2).transpose(1, 0, 2).astype(complex, order="C"),)
+
+
+# joined tables kept per (point set, basis): a study evaluates a few
+# bases (one per degree and kind) on about eight point sets each
+_field_tables = cache_per_point_set(_field_table, 64)
+
+
+def _field(space, coeffs, elem, ref_points):
+    """Physical (values (..., q, c), first derivatives (..., q, c')) of a
+    field.  Its signed local coefficients (..., m) are gathered once and
+    multiplied by the cached joined table of :func:`_field_table` in one
+    matrix product; each half is then mapped by :func:`element_maps`."""
+    (table,) = _field_tables(ref_points, space.basis)
+    m, q, _ = table.shape
     lc = space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
-    ref_field = (lc @ table.transpose(1, 0, 2).reshape(m, q * a)).reshape(lc.shape[:-1] + (q, a))
-    return push_forward(space, elem, ref_field, derivative)
+    ref = (lc @ table.reshape(m, -1)).reshape(lc.shape[:-1] + (q, -1))
+    value_map, derivative_map = element_maps(space, elem)
+    a = value_map.shape[-1]
+    return _map(value_map, ref[..., :a]), _map(derivative_map, ref[..., a:])
 
 
-def scalar_eval(space, coeffs, elem, ref_points):
-    return _field(space, coeffs, elem, ref_points, False)[..., 0]
+def scalar_eval(space, coeffs, elem, ref_points, with_derivative=False):
+    """Physical values (..., q) of a scalar field; with
+    ``with_derivative``, (values, gradients (..., q, d)) from one product."""
+    u, grad = _field(space, coeffs, elem, ref_points)
+    return (u[..., 0], grad) if with_derivative else u[..., 0]
 
 
 def scalar_grad_eval(space, coeffs, elem, ref_points):
     """Physical gradients of a scalar field."""
-    return _field(space, coeffs, elem, ref_points, True)
+    return scalar_eval(space, coeffs, elem, ref_points, with_derivative=True)[1]
 
 
-def vector_eval(space, coeffs, elem, ref_points):
-    """Physical values of a flux field (S_p is the flux space in 1D)."""
+def vector_eval(space, coeffs, elem, ref_points, with_derivative=False):
+    """Physical values (..., q, d) of a flux field (S_p is the flux space
+    in 1D); with ``with_derivative``, (values, divergences (..., q)) from
+    one product."""
     check_flux_space(space)
-    return _field(space, coeffs, elem, ref_points, False)
+    phi, div = _field(space, coeffs, elem, ref_points)
+    return (phi, div[..., 0]) if with_derivative else phi
 
 
 def vector_div_eval(space, coeffs, elem, ref_points):
     """Physical divergence of a flux field."""
-    check_flux_space(space)
-    return _field(space, coeffs, elem, ref_points, True)[..., 0]
+    return vector_eval(space, coeffs, elem, ref_points, with_derivative=True)[1]
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)

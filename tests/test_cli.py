@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +262,18 @@ class TestMainEntryPoint:
         assert cli.main(["list-problems"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert out == ["piecewise-1d", "plane-wave-2d"]
+
+    def test_module_form_runs_under_warnings_as_errors(self):
+        """``python -W error -m helmfosls.cli`` executes the module once, as
+        __main__: importing the package must not import it first."""
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "helmfosls.cli", "list-problems"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["piecewise-1d", "plane-wave-2d"]
 
     def test_run_success(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"

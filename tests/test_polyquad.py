@@ -15,7 +15,7 @@ from helmfosls.polyquad import (
     make_scalar_basis,
     simplex_quadrature,
 )
-from helmfosls.spaces import edge_reference_points
+from helmfosls.spaces import BdmBasis, edge_reference_points
 
 
 def triangle_tables_by_loops(p, pts):
@@ -224,6 +224,20 @@ class TestScalarBasis:
             basis.eval_with_grad(np.full((1, 2), 0.01 * (i + 1)))
         basis.eval_with_grad(rule_a)
         assert len(builds) == 2 + basis.TABLE_CACHE_SIZE + 1
+
+    def test_bdm_tables_are_kept_per_point_set(self):
+        """The BDM values and divergences, derived from the scalar tables,
+        are kept per point set too: a repeat call (equal points in a new
+        array) returns the same read-only arrays.  A fresh basis: the
+        shared one may already hold the rule."""
+        basis = BdmBasis(2)
+        rule = simplex_quadrature(2, 6).points
+        first = basis.eval_with_grad(rule)
+        again = basis.eval_with_grad(rule.copy())
+        assert again[0] is first[0] and again[1] is first[1]
+        for table in first:
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
     def test_one_shared_basis_per_degree(self):
         assert make_scalar_basis(2, 3) is make_scalar_basis(2, 3)
