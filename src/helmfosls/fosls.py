@@ -1,34 +1,43 @@
 """Assembly of the first-order-system least-squares (FOSLS) Helmholtz
-formulation and of the classical FEM baseline.
+formulation and of the classical FEM baseline, from one form.
 
-The least-squares form on flux/potential pairs reads
+The basis [V | W] of flux and potential functions, all real, gives the
+fields R1 = [k phi | grad u] and R2 = [div phi | k u] with unit phases
+D1 = (i on V, 1 on W) and D2 = (1 on V, i on W), so that R1 D1 =
+ik phi + grad u and R2 D2 = ik u + div phi, and the trace T = [phi.n | u].
+Both systems are
 
-    b((phi,u),(psi,v)) = (ik phi + grad u, ik psi + grad v)
-                       + (ik u + div phi, ik v + div psi)
-                       + k (phi.n + u, psi.n + v)_boundary,
+    A = sum_j (Rj Dj, Rj Dj) + k c (T, T)_boundary
+    F = (-i f / k, R2 D2) + c (i g, T)_boundary,
 
-    F((psi,v)) = (-i f / k, ik v + div psi) + (i g, psi.n + v)_boundary,
+and two choices tell them apart, the pairing of the phases of a test
+function i and a trial function j and the boundary coefficient c:
 
-with the sesquilinear convention (a, b) = int a conj(b); conjugation of
-the (real-valued) test basis is folded into the matrix rows, so the
-assembled FOSLS matrix is Hermitian positive definite.  The classical
-baseline assembles (grad u, grad v) - k^2 (u, v) - ik (u, v)_boundary,
-which is complex symmetric but indefinite.
+* FOSLS pairs them Hermitian, conj(d)_i d_j (the sesquilinear
+  (a, b) = int a conj(b)), with c = 1.  That is the least-squares form
+  b((phi,u),(psi,v)) = (ik phi + grad u, ik psi + grad v)
+  + (ik u + div phi, ik v + div psi) + k (phi.n + u, psi.n + v)_boundary
+  with F((psi,v)) = (-i f / k, ik v + div psi) + (i g, psi.n + v)_boundary,
+  and its matrix is Hermitian positive definite.
+* Classical FEM takes W alone and pairs them complex-symmetrically,
+  d_i d_j, which turns (ik u, ik v) into -k^2 (u, v); with c = -i it is
+  (grad u, grad v) - k^2 (u, v) - ik (u, v)_boundary with
+  F(v) = (f, v) + (g, v)_boundary, complex symmetric but indefinite.
 
 Degrees of freedom are blocked [flux | potential].  All elements are
 affine images of one reference simplex, so an element block is a fixed
-combination of reference integrals: per-element geometric factors
-(E, n_factors), read off the element maps of ``spaces.element_maps``,
-times a reference tensor (n_factors, m * m) cached per (basis, basis,
-rule), with the unit phases of the least-squares fields folded in.  The
-boundary blocks take one reference tensor per local facet, and the loads
-are weighted data (E, q) times a reference table (q, m), scaled per
-element by the element map.  Blocks are scattered through one COO index
-pattern.  Chunks bound only the loads here and the error integrals of
-b: a chunk holds at most CHUNK_POINTS quadrature points, which bounds
-the memory of the kernels that evaluate data at physical points
-whatever the mesh size.  Chunks are processed in a fixed order, so
-results are deterministic and reruns are bit-identical.
+combination of reference integrals: per-element geometric factors (E,
+n_factors), read off the element maps of ``spaces.element_maps``, times
+a reference tensor (n_factors, m * m) cached per (bases, rule, pairing),
+with the paired phases folded in.  The boundary blocks take one
+reference tensor per local facet, and the loads are weighted data (E, q)
+times a reference table (q, m), scaled per element by the element map.
+Blocks are scattered through one COO index pattern.  Chunks bound only
+the loads here and the error integrals of b: a chunk holds at most
+CHUNK_POINTS quadrature points, which bounds the memory of the kernels
+that evaluate data at physical points whatever the mesh size.  Chunks
+are processed in a fixed order, so results are deterministic and reruns
+are bit-identical.
 
 The error rules have one owner, :func:`sample_pairs`: it yields the
 weights, the fields (phi, div phi, u, grad u) of any pairs and the
@@ -212,13 +221,14 @@ def _blocks(factors, tensor):
     return out.reshape(len(out), m, m)
 
 
-def _join(v_table, w_table):
-    """Table (q, m, A) of the [V | W] basis from a V and a W table, the two
-    blocked on the diagonal of the (basis, component) axes."""
-    (q, mv, av), (_, mw, aw) = v_table.shape, w_table.shape
-    t = np.zeros((q, mv + mw, av + aw))
-    t[:, :mv, :av], t[:, mv:, av:] = v_table, w_table
-    return t
+def _join(*tables):
+    """Table (q, m, A) of a joined basis from tables (q, m_s, A_s) of its
+    parts, blocked on the diagonal of the (basis, component) axes."""
+    m, a = (np.cumsum([0] + [t.shape[i] for t in tables]) for i in (1, 2))
+    out = np.zeros((len(tables[0]), m[-1], a[-1]))
+    for t, m0, m1, a0, a1 in zip(tables, m, m[1:], a, a[1:]):
+        out[:, m0:m1, a0:a1] = t
+    return out
 
 
 def _load(wv, table, m):
@@ -259,110 +269,88 @@ def _scatter(dofs, signs, blocks, loads, n):
     return matrix, rhs
 
 
-def _ls_phases(mv, mw):
-    """Unit phases D1 = (i on V, 1 on W) and D2 = (1 on V, i on W) of the
-    least-squares fields ik phi + grad u = R1 D1, ik u + div phi = R2 D2."""
-    on_v = np.arange(mv + mw) < mv
-    return np.where(on_v, 1j, 1.0), np.where(on_v, 1.0, 1j)
+def _ls_parts(pairs):
+    """Parts ([phi | grad u], [div phi | u]) of R1 and R2 from the
+    (value, derivative) pair of each space, [V, W] or [W] alone."""
+    *flux, (u, du) = pairs
+    return tuple(zip(*flux, (du, u)))
+
+
+def _phases(dims, hermitian):
+    """Unit phases D1 = (i on V, 1 on W) and D2 = (1 on V, i on W) of R1
+    and R2 on local bases of sizes ``dims`` ([V, W] or [W]), each as a
+    (test, trial) pair: the test side is conj(Dj) if ``hermitian``, else Dj."""
+    on_v = np.arange(sum(dims)) < sum(dims[:-1])
+    return [(d.conj() if hermitian else d, d)
+            for d in (np.where(on_v, 1j, 1.0), np.where(on_v, 1.0, 1j))]
 
 
 @functools.cache
-def _ls_tensor(v_basis, w_basis, rule):
-    """Reference tensor of the least-squares volume form on [V | W]:
-    fields R1 = [k phi | grad u] and R2 = [div phi | k u] (k lives in the
-    maps), phases conj(Dj)_i (Dj)_j folded in.  Cached, read-only."""
-    (v, dv), (w, dw) = (reference_tables(b, rule.points) for b in (v_basis, w_basis))
-    d1, d2 = _ls_phases(v.shape[1], w.shape[1])
-    fields = [(_join(v, dw), np.outer(d1.conj(), d1)), (_join(dv, w), np.outer(d2.conj(), d2))]
+def _volume_tensor(bases, rule, hermitian):
+    """Reference tensor of sum_j (Rj Dj, Rj Dj) on the joined basis of
+    ``bases`` ([V, W] or [W]); k lives in the maps.  Cached, read-only."""
+    r1, r2 = _ls_parts([reference_tables(b, rule.points) for b in bases])
+    phases = _phases([t.shape[1] for t in r1], hermitian)
+    fields = [(_join(*r), np.outer(*d)) for r, d in zip((r1, r2), phases)]
     return _read_only(_tensor(rule.weights, fields))[0]
 
 
-@functools.cache
-def _fem_tensor(w_basis, rule):
-    """Reference tensor of (grad u, grad v) - (u, v); k^2 lives in the
-    maps.  Cached, read-only."""
-    w, dw = reference_tables(w_basis, rule.points)
-    return _read_only(_tensor(rule.weights, [(dw, 1.0), (w, -1.0)]))[0]
+def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
+    """The system of the module's form on [V | W], or on W alone when
+    ``v_space`` is None, with the given pairing and boundary coefficient c
+    (``boundary``).  The volume blocks are one product of per-element
+    factors with the cached volume tensor, the boundary blocks one tensor
+    per local facet, and the loads products of weighted data with
+    reference tables, panel-split at the breakpoints so that a
+    discontinuous f stays exactly integrated."""
+    spaces = [w_space] if v_space is None else [v_space, w_space]
+    if v_space is not None:
+        _check_same_mesh(v_space, w_space)
+        check_flux_space(v_space)
+    mesh, k = w_space.mesh, problem.k
+    p = max(s.p for s in spaces)
+    rule = simplex_quadrature(mesh.dim, 2 * p + 2)
+    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
+
+    offsets = np.cumsum([0] + [s.n_dofs for s in spaces])
+    dofs = np.hstack([s.elem_dofs + o for s, o in zip(spaces, offsets)])
+    signs = np.hstack([s.elem_signs for s in spaces])
+    test2 = _phases([s.local_dim() for s in spaces], hermitian)[1][0]
+    loads = np.empty(dofs.shape, dtype=complex)
+
+    maps = [element_maps(s, slice(None)) for s in spaces]
+    *flux_maps, (wm, _) = maps
+    m1, m2 = _ls_parts([(k * vm, dm) for vm, dm in maps])
+    factors = _factors(mesh.det_A, [np.concatenate(m1, axis=2), np.concatenate(m2, axis=2)])
+    blocks = _blocks(factors, _volume_tensor(tuple(s.basis for s in spaces), rule, hermitian))
+    # (-i f / k, R2 D2)
+    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+        _, r2 = _ls_parts([reference_tables(s.basis, ref) for s in spaces])
+        wv = wdet * (-1j / k) * _data(problem.f, phys)
+        loads[elems] = np.hstack([_load(wv, t, m[elems]) for t, m in zip(r2, m2)]) * test2
+
+    # k c (T, T) and c (i g, T) with the trace T = [phi.n | u]
+    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+        tables = [reference_tables(s.basis, ref)[0] for s in spaces]
+        trace = [normals[:, None, :] @ vm[elems] for vm, _ in flux_maps] + [wm[elems]]
+        blocks[elems] += _blocks(_factors(k * measures, [np.concatenate(trace, axis=2)]),
+                                 _tensor(wts, [(_join(*tables), boundary)]))
+        wv = measures[:, None] * wts * (boundary * 1j) * _data(problem.g, phys, normals)
+        loads[elems] += np.hstack([_load(wv, t, m) for t, m in zip(tables, trace)])
+
+    matrix, rhs = _scatter(dofs, signs, blocks, loads, offsets[-1])
+    return AssembledSystem(matrix, rhs, kind, k, v_space, w_space)
 
 
 def assemble_fosls(v_space, w_space, problem):
-    """Assemble the FOSLS system on V_h x W_h for the given problem.
-
-    The least-squares fields of the [V | W] basis are real fields times
-    one unit phase per basis function: ik phi + grad u = R1 D1 with
-    D1 = diag(i on V, 1 on W), and ik u + div phi = R2 D2 with
-    D2 = diag(1 on V, i on W).  The element blocks
-    sum_j conj(Dj) (Rj^T W Rj) Dj come from one product of per-element
-    factors with the cached reference tensor (phases folded in), the
-    boundary blocks from one tensor per local facet, and the loads from
-    products of weighted data with reference tables.
-    """
-    _check_same_mesh(v_space, w_space)
-    check_flux_space(v_space)
-    mesh = v_space.mesh
-    k = problem.k
-    p = max(v_space.p, w_space.p)
-    rule = simplex_quadrature(mesh.dim, 2 * p + 2)
-    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
-
-    nv = v_space.n_dofs
-    dofs = np.hstack([v_space.elem_dofs, w_space.elem_dofs + nv])
-    signs = np.hstack([v_space.elem_signs, w_space.elem_signs])
-    m, mv = dofs.shape[1], v_space.local_dim()
-    _, d2 = _ls_phases(mv, m - mv)
-    loads = np.empty((len(dofs), m), dtype=complex)
-
-    (vm, vd), (wm, wd) = (element_maps(s, slice(None)) for s in (v_space, w_space))
-    factors = _factors(mesh.det_A, [np.concatenate([k * vm, wd], axis=2),
-                                    np.concatenate([vd, k * wm], axis=2)])
-    blocks = _blocks(factors, _ls_tensor(v_space.basis, w_space.basis, rule))
-    # (-i f / k, ik v + div psi), panel-split so discontinuous f stays exact
-    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        (_, dv), (w, _) = (reference_tables(s.basis, ref) for s in (v_space, w_space))
-        wv = wdet * (-1j / k) * _data(problem.f, phys)
-        loads[elems] = np.hstack([_load(wv, dv, vd[elems]),
-                                  _load(wv, w, k * wm[elems])]) * d2.conj()
-
-    # boundary terms k(phi.n + u, psi.n + v) and (i g, psi.n + v)
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
-        (v, _), (w, _) = (reference_tables(s.basis, ref) for s in (v_space, w_space))
-        vn = normals[:, None, :] @ vm[elems]  # maps (F, 1, A) of phi.n
-        trace = np.concatenate([vn, wm[elems]], axis=2)
-        blocks[elems] += _blocks(_factors(k * measures, [trace]),
-                                 _tensor(wts, [(_join(v, w), 1.0)]))
-        wv = measures[:, None] * wts * 1j * _data(problem.g, phys, normals)
-        loads[elems] += np.hstack([_load(wv, v, vn), _load(wv, w, wm[elems])])
-
-    matrix, rhs = _scatter(dofs, signs, blocks, loads, nv + w_space.n_dofs)
-    return AssembledSystem(matrix, rhs, FOSLS, k, v_space, w_space)
+    """The FOSLS system on V_h x W_h: the module's form, Hermitian, c = 1."""
+    return _assemble(FOSLS, v_space, w_space, problem, hermitian=True, boundary=1.0)
 
 
 def assemble_classical_fem(w_space, problem):
-    """Assemble the classical H1 Galerkin system for the impedance problem,
-    from reference tensors like :func:`assemble_fosls`."""
-    mesh = w_space.mesh
-    k = problem.k
-    p = w_space.p
-    rule = simplex_quadrature(mesh.dim, 2 * p + 2)
-    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
-
-    dofs = w_space.elem_dofs
-    loads = np.empty(dofs.shape, dtype=complex)
-    wm, wd = element_maps(w_space, slice(None))
-    blocks = _blocks(_factors(mesh.det_A, [wd, k * wm]), _fem_tensor(w_space.basis, rule))
-    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        w, _ = reference_tables(w_space.basis, ref)
-        loads[elems] = _load(wdet * _data(problem.f, phys), w, wm[elems])
-
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
-        w, _ = reference_tables(w_space.basis, ref)
-        blocks[elems] += _blocks(_factors(k * measures, [wm[elems]]),
-                                 _tensor(wts, [(w, -1j)]))
-        wv = measures[:, None] * wts * _data(problem.g, phys, normals)
-        loads[elems] += _load(wv, w, wm[elems])
-
-    matrix, rhs = _scatter(dofs, w_space.elem_signs, blocks, loads, w_space.n_dofs)
-    return AssembledSystem(matrix, rhs, CLASSICAL_FEM, k, None, w_space)
+    """The classical FEM system on W_h: the module's form on W alone,
+    complex-symmetric, c = -i."""
+    return _assemble(CLASSICAL_FEM, None, w_space, problem, hermitian=False, boundary=-1j)
 
 
 # -- fields of pairs at quadrature points ----------------------------------

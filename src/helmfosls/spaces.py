@@ -26,10 +26,9 @@ components, read by :func:`push_forward` and by assembly; the inverse is
 signed local coefficients are gathered once and multiplied by one
 cached joined [value | derivative] table (:func:`_field_table`), and
 each half of the product is mapped afterwards by broadcast products per
-component, with no per-element matrix product.  The four evaluators are
+component, with no per-element matrix product.  The two evaluators are
 views of that one path: ``scalar_eval`` and ``vector_eval`` return the
-values, or with ``with_derivative`` the values and the derivatives, and
-``scalar_grad_eval`` and ``vector_div_eval`` return the derivatives.
+values, or with ``with_derivative`` the values and the derivatives.
 H1 values are unchanged and gradients map by A^{-T}; H(div) fields map
 by the contravariant Piola transform
 
@@ -338,11 +337,6 @@ def scalar_eval(space, coeffs, elem, ref_points, with_derivative=False):
     return (u[..., 0], grad) if with_derivative else u[..., 0]
 
 
-def scalar_grad_eval(space, coeffs, elem, ref_points):
-    """Physical gradients of a scalar field."""
-    return scalar_eval(space, coeffs, elem, ref_points, with_derivative=True)[1]
-
-
 def vector_eval(space, coeffs, elem, ref_points, with_derivative=False):
     """Physical values (..., q, d) of a flux field (S_p is the flux space
     in 1D); with ``with_derivative``, (values, divergences (..., q)) from
@@ -350,11 +344,6 @@ def vector_eval(space, coeffs, elem, ref_points, with_derivative=False):
     check_flux_space(space)
     phi, div = _field(space, coeffs, elem, ref_points)
     return (phi, div[..., 0]) if with_derivative else phi
-
-
-def vector_div_eval(space, coeffs, elem, ref_points):
-    """Physical divergence of a flux field."""
-    return vector_eval(space, coeffs, elem, ref_points, with_derivative=True)[1]
 
 
 # -- polynomial interpolation helpers (exact on per-element polynomials)

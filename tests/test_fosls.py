@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,8 @@ import sympy
 
 import helmfosls.fosls as fosls
 from conftest import polynomial_problem, zero_problem
+from helmfosls.analysis import compute_errors
+from helmfosls.cli import solve_case
 from helmfosls.fosls import (
     _data,
     _scatter,
@@ -24,15 +28,13 @@ from helmfosls.mesh import (
     build_square_mesh,
 )
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
-from helmfosls.solver import solve_general, solve_hpd
+from helmfosls.solver import solve_hpd
 from helmfosls.polyquad import simplex_quadrature
 from helmfosls.spaces import (
     KIND_H1,
     build_h1_space,
     build_hdiv_space,
     scalar_eval,
-    scalar_grad_eval,
-    vector_div_eval,
     vector_eval,
 )
 
@@ -104,9 +106,9 @@ class TestFoslsMatrixStructure:
         ref = simplex_quadrature(2, 2).points
         with pytest.raises(ValueError, match="flux space"):
             assemble_fosls(w, w, plane_wave_problem(2.0))
-        for evaluate in (vector_eval, vector_div_eval):
+        for with_derivative in (False, True):
             with pytest.raises(ValueError, match="flux space"):
-                evaluate(w, coeffs, 0, ref)
+                vector_eval(w, coeffs, 0, ref, with_derivative=with_derivative)
 
     def test_element_order_does_not_matter(self, rng):
         # vertex and facet dofs are numbered canonically, so at p = 1 the
@@ -213,15 +215,22 @@ class TestClassicalFem:
         assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
         assert np.max(np.abs(A - A.conj().T)) > 1e-6 * np.max(np.abs(A))
 
-    def test_polynomial_reproduction(self):
-        prob = polynomial_problem(2)
-        mesh = build_square_mesh(2)
-        w = build_h1_space(mesh, 2)
-        system = assemble_classical_fem(w, prob)
-        sol = split_solution(system, solve_general(system).solution)
-        from helmfosls.analysis import compute_errors
-        err = compute_errors(sol, prob)
-        assert err.l2_rel * err.u_l2 <= 1e-12
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("method", ["fosls", "fem"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_polynomial_reproduction(dim, method, p):
+    """A degree-2 exact solution is reproduced to rounding by both methods,
+    through both load paths (volume f and boundary g) in 1D and 2D."""
+    problem = polynomial_problem(dim)
+    mesh = build_interval_mesh(-1, 1, 5) if dim == 1 else build_square_mesh(3)
+    system, report, _ = solve_case(problem, method, mesh, p)
+    err = dataclasses.asdict(compute_errors(split_solution(system, report.solution), problem))
+    checked = {name: value for name, value in err.items()
+               if name not in ("u_l2", "quad_drift") and np.isfinite(value)}
+    assert len(checked) == (7 if method == "fosls" else 3)
+    assert max(checked.values()) <= 1e-12, checked
+    assert err["l2_rel"] * err["u_l2"] <= 1e-12
 
 
 class TestGalerkinOrthogonality:
@@ -334,19 +343,36 @@ def test_scatter_matches_per_block_coo_arrays(rng):
     np.testing.assert_array_equal(got_rhs, want_rhs)
 
 
+# the four fields the two evaluators return, by name: (evaluator, whether
+# the field is the derivative half of a with_derivative=True call)
+FIELDS = {
+    "scalar_eval": (scalar_eval, False),
+    "scalar_grad_eval": (scalar_eval, True),
+    "vector_eval": (vector_eval, False),
+    "vector_div_eval": (vector_eval, True),
+}
+
+
+def _evaluate(field, space, coeffs, elem, ref):
+    evaluate, derivative = FIELDS[field]
+    if derivative:
+        return evaluate(space, coeffs, elem, ref, with_derivative=True)[1]
+    return evaluate(space, coeffs, elem, ref)
+
+
 def _eval_cases():
     h1_1d = lambda: build_h1_space(build_interval_mesh(-1, 1, 5), 3)  # noqa: E731
     h1_2d = lambda: build_h1_space(build_square_mesh(2), 3)  # noqa: E731
     bdm = lambda: build_hdiv_space(build_square_mesh(2), 2)  # noqa: E731
-    evals = (scalar_eval, scalar_grad_eval, vector_eval, vector_div_eval)
-    cases = [("1d-" + f.__name__, h1_1d, f) for f in evals]
-    cases += [("2d-h1-" + f.__name__, h1_2d, f) for f in evals[:2]]
-    cases += [("2d-bdm-" + f.__name__, bdm, f) for f in evals[2:]]
+    fields = list(FIELDS)
+    cases = [("1d-" + f, h1_1d, f) for f in fields]
+    cases += [("2d-h1-" + f, h1_2d, f) for f in fields[:2]]
+    cases += [("2d-bdm-" + f, bdm, f) for f in fields[2:]]
     return [pytest.param(make, f, id=name) for name, make, f in cases]
 
 
-@pytest.mark.parametrize("make_space,evaluate", _eval_cases())
-def test_evaluators_batch_over_element_arrays(make_space, evaluate, rng):
+@pytest.mark.parametrize("make_space,field", _eval_cases())
+def test_evaluators_batch_over_element_arrays(make_space, field, rng):
     """An element array gives the per-element results, stacked."""
     space = make_space()
     coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
@@ -354,8 +380,8 @@ def test_evaluators_batch_over_element_arrays(make_space, evaluate, rng):
     )
     ref = simplex_quadrature(space.mesh.dim, 5).points
     elems = np.array([3, 0, 4, 1])
-    got = evaluate(space, coeffs, elems, ref)
-    want = np.stack([evaluate(space, coeffs, int(e), ref) for e in elems])
+    got = _evaluate(field, space, coeffs, elems, ref)
+    want = np.stack([_evaluate(field, space, coeffs, int(e), ref) for e in elems])
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
@@ -402,33 +428,33 @@ def _pushed_tables(space, elems, ref):
     return np.einsum("eab,qnb->eaqn", mesh.maps_A[elems], vals) / det, ders[None, None] / det
 
 
-EVALUATORS = (scalar_eval, scalar_grad_eval, vector_eval, vector_div_eval)
 CONTRACT_SPACES = {
-    "1d-S3": (lambda: build_h1_space(build_interval_mesh(-1, 1, 5), 3), EVALUATORS),
-    "2d-S3": (lambda: build_h1_space(build_square_mesh(2), 3), EVALUATORS[:2]),
-    "2d-BDM2": (lambda: build_hdiv_space(build_square_mesh(2), 2), EVALUATORS[2:]),
+    "1d-S3": (lambda: build_h1_space(build_interval_mesh(-1, 1, 5), 3), list(FIELDS)),
+    "2d-S3": (lambda: build_h1_space(build_square_mesh(2), 3), list(FIELDS)[:2]),
+    "2d-BDM2": (lambda: build_hdiv_space(build_square_mesh(2), 2), list(FIELDS)[2:]),
 }
 
 
 @pytest.mark.parametrize("elem", [2, np.array([3, 0, 4, 1])], ids=["int", "array"])
-@pytest.mark.parametrize("make_space,evaluate", [
-    pytest.param(make, f, id=f"{name}-{f.__name__}")
-    for name, (make, evals) in CONTRACT_SPACES.items() for f in evals
+@pytest.mark.parametrize("make_space,field", [
+    pytest.param(make, f, id=f"{name}-{f}")
+    for name, (make, fields) in CONTRACT_SPACES.items() for f in fields
 ])
-def test_evaluator_contract(make_space, evaluate, elem, rng):
-    """Shapes (E,) q, (E,) q x d, (E,) q x d and (E,) q of scalar_eval,
-    scalar_grad_eval, vector_eval and vector_div_eval (S_p is the flux
-    space in 1D), and the values of the pushed basis tables."""
+def test_evaluator_contract(make_space, field, elem, rng):
+    """Shapes (E,) q, (E,) q x d, (E,) q x d and (E,) q of the values and
+    gradients of scalar_eval and the values and divergences of
+    vector_eval (S_p is the flux space in 1D), and the values of the
+    pushed basis tables."""
     space = make_space()
     d = space.mesh.dim
     coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     ref = simplex_quadrature(d, 5).points
-    got = evaluate(space, coeffs, elem, ref)
-    vector_valued = evaluate in (scalar_grad_eval, vector_eval)
+    got = _evaluate(field, space, coeffs, elem, ref)
+    vector_valued = field in ("scalar_grad_eval", "vector_eval")
     assert got.shape == np.shape(elem) + (len(ref),) + ((d,) if vector_valued else ())
 
     elems = np.atleast_1d(elem)
-    table = _pushed_tables(space, elems, ref)[evaluate in (scalar_grad_eval, vector_div_eval)]
+    table = _pushed_tables(space, elems, ref)[FIELDS[field][1]]
     lc = space.elem_signs[elems] * coeffs[space.elem_dofs[elems]]
     want = np.einsum("ecqn,en->eqc", table, lc)
     want = (want if vector_valued else want[..., 0]).reshape(got.shape)
