@@ -37,7 +37,9 @@ the loads here and the error integrals of b: a chunk holds at most
 CHUNK_POINTS quadrature points, which bounds the memory of the kernels
 that evaluate data at physical points whatever the mesh size.  Chunks
 are processed in a fixed order, so results are deterministic and reruns
-are bit-identical.
+are bit-identical.  The chunks, the breakpoint panels and the boundary
+facet tables of a rule depend on the mesh alone and are built once per
+mesh and rule, as read-only sampling plans that are freed with the mesh.
 
 The error rules have one owner, :func:`sample_pairs`: it yields the
 weights, the fields (phi, div phi, u, grad u) of any pairs and the
@@ -48,13 +50,21 @@ b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_FACETS, REFERENCE_VERTICES, barycentric, element_map_apply
+from .mesh import (
+    LOCAL_FACETS,
+    REFERENCE_VERTICES,
+    barycentric,
+    element_map_apply,
+    reference_points,
+)
 from .polyquad import _read_only, simplex_quadrature
 from .spaces import (
     check_flux_space,
@@ -120,15 +130,34 @@ def chunks(n_items, points_per_item):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-def element_groups(mesh, rule, breakpoints=()):
-    """Element chunks that share one reference quadrature.
+# What a pass over the element or boundary groups needs of the mesh and
+# the rule alone -- the element chunks, the panel rules of cut elements,
+# the boundary facets per local facet with their reference points,
+# measures and normals -- is its sampling plan, built once per (mesh,
+# rule, breakpoints) or (mesh, facet exactness) and kept read-only until
+# the mesh is freed.  A plan holds no array with both an element and a
+# point axis, so its memory is O(E) per key: every pass forms the
+# physical points and the weights times det A chunk by chunk.
 
-    Yields (elems, reference points, physical points (E, q, d), weights
-    times det A (E, q)).  A chunk holds at most CHUNK_POINTS points (but
-    at least one element).  A 1D element cut by an interior breakpoint
-    forms its own group, whose rule is split into panels at the cuts so
-    that discontinuous data stay exactly integrated.
-    """
+_PLANS = weakref.WeakKeyDictionary()
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(mesh, build, *key):
+    """``build(mesh, *key)``, built once per mesh, key and CHUNK_POINTS
+    (which fixes the chunks)."""
+    full = (build, CHUNK_POINTS, *key)
+    with _PLANS_LOCK:
+        plans = _PLANS.setdefault(mesh, {})
+        if full not in plans:
+            plans[full] = build(mesh, *key)
+        return plans[full]
+
+
+def _element_plan(mesh, rule, breakpoints):
+    """Groups (elems, reference points, reference weights) of
+    :func:`element_groups`, every point checked to lie inside the
+    reference simplex."""
     cuts = {}
     if mesh.dim == 1:
         x0, lc = mesh.maps_b[:, 0], mesh.maps_A[:, 0, 0]
@@ -139,16 +168,48 @@ def element_groups(mesh, rule, breakpoints=()):
     plain = np.ones(len(mesh.elements), dtype=bool)
     plain[list(cuts)] = False
     plain = np.flatnonzero(plain)
-    groups = [(plain[s], rule.points, rule.weights)
+    points = reference_points(rule.points)
+    groups = [(plain[s], points, rule.weights)
               for s in chunks(len(plain), len(rule.weights))]
     for e, ts in sorted(cuts.items()):
         edges = np.array([0.0, *sorted(ts), 1.0])
         lo, hi = edges[:-1, None], edges[1:, None]
         pts = lo + (hi - lo) * rule.points[:, 0]
-        groups.append((np.array([e]), pts.reshape(-1, 1),
+        groups.append((np.array([e]), reference_points(pts.reshape(-1, 1)),
                        ((hi - lo) * rule.weights).ravel()))
-    for elems, pts, wts in groups:
-        yield (elems, pts, element_map_apply(mesh, elems, pts),
+    return tuple(_read_only(*g) for g in groups)
+
+
+def _boundary_plan(mesh, exactness):
+    """Groups (elems, reference points, reference weights, measures,
+    normals) of :func:`boundary_groups`."""
+    fids = mesh.boundary_facets
+    rule = simplex_quadrature(mesh.dim - 1, exactness)
+    lam = barycentric(rule.points)
+    groups = []
+    for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
+        sel = mesh.boundary_local_facets == li
+        if sel.any():
+            ref = reference_points(lam @ REFERENCE_VERTICES[mesh.dim][list(facet)])
+            groups.append(_read_only(mesh.boundary_elems[sel], ref, rule.weights,
+                                     mesh.facet_measures[fids[sel]],
+                                     mesh.facet_normals[fids[sel]]))
+    return tuple(groups)
+
+
+def element_groups(mesh, rule, breakpoints=()):
+    """Element chunks that share one reference quadrature.
+
+    Yields (elems, reference points, physical points (E, q, d), weights
+    times det A (E, q)).  A chunk holds at most CHUNK_POINTS points (but
+    at least one element).  A 1D element cut by an interior breakpoint
+    forms its own group, whose rule is split into panels at the cuts so
+    that discontinuous data stay exactly integrated.  The groups come
+    from the plan of (mesh, rule, breakpoints); all but the physical
+    points and weights are the plan's read-only arrays.
+    """
+    for elems, pts, wts in _plan(mesh, _element_plan, rule, tuple(breakpoints)):
+        yield (elems, pts, element_map_apply(mesh, elems, pts, check=False),
                wts * mesh.det_A[elems][:, None])
 
 
@@ -159,22 +220,13 @@ def boundary_groups(mesh, exactness):
     weights (q,), physical points (F, q, d), facet measures (F,), outward
     normals (F, d)).  The facet rule is ``simplex_quadrature(d - 1,
     exactness)``, mapped onto each local facet through its barycentric
-    coordinates (in 1D the one point of a facet, with weight 1).
+    coordinates (in 1D the one point of a facet, with weight 1).  The
+    groups come from the plan of (mesh, exactness); all but the physical
+    points are the plan's read-only arrays.
     """
-    fids = mesh.boundary_facets
-    elems = mesh.facet_elems[fids, 0]
-    local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
-    normals = mesh.facet_normals[fids]
-    measures = mesh.facet_measures[fids]
-    rule = simplex_quadrature(mesh.dim - 1, exactness)
-    lam = barycentric(rule.points)
-    for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
-        sel = local == li
-        if not sel.any():
-            continue
-        ref = lam @ REFERENCE_VERTICES[mesh.dim][list(facet)]
-        yield (elems[sel], ref, rule.weights, element_map_apply(mesh, elems[sel], ref),
-               measures[sel], normals[sel])
+    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, exactness):
+        yield (elems, ref, wts, element_map_apply(mesh, elems, ref, check=False),
+               measures, normals)
 
 
 def _check_same_mesh(v_space, w_space):

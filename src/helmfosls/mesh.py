@@ -22,6 +22,11 @@ an edge in 2D; facet ``f`` is row ``f`` of these arrays:
 - ``facet_measures`` (F,): the edge length in 2D, 1.0 (counting measure)
   in 1D.
 
+``boundary_facets`` and ``interior_facets`` list the facets with one and
+with two adjacent elements.  Boundary facet ``boundary_facets[i]`` is the
+local facet ``boundary_local_facets[i]`` of its element
+``boundary_elems[i]``.
+
 Facets are sorted by their ``facet_vertices`` rows, so facet numbering
 does not depend on the element ordering.  ``elem_facets`` (E, d+1) holds
 the facet of each local facet (``LOCAL_FACETS``) of each element, and
@@ -107,7 +112,8 @@ class Mesh:
                     self.det_A, self.inv_A, self.element_measures,
                     self.elem_facets, self.elem_facet_signs, self.facet_vertices,
                     self.facet_elems, self.facet_normals, self.facet_measures,
-                    self.boundary_facets, self.interior_facets):
+                    self.boundary_facets, self.interior_facets,
+                    self.boundary_elems, self.boundary_local_facets):
             arr.flags.writeable = False
 
     # -- construction -------------------------------------------------
@@ -144,7 +150,8 @@ class Mesh:
         nf = len(counts)
 
         # slots grouped by facet, elements ascending within a facet (stable)
-        slot_elems = np.argsort(inverse, kind="stable") // (d + 1)
+        order = np.argsort(inverse, kind="stable")
+        slot_elems = order // (d + 1)
         first = np.cumsum(counts) - counts
         self.facet_elems = np.full((nf, 2), -1)
         self.facet_elems[:, 0] = slot_elems[first]
@@ -152,6 +159,9 @@ class Mesh:
         self.facet_elems[shared, 1] = slot_elems[first[shared] + 1]
         self.boundary_facets = np.flatnonzero(~shared)
         self.interior_facets = np.flatnonzero(shared)
+        # a boundary facet fills one slot: its element and local facet
+        self.boundary_elems, self.boundary_local_facets = np.divmod(
+            order[first[self.boundary_facets]], d + 1)
 
         # orient each normal out of its first element
         corners = v[self.facet_vertices]
@@ -195,17 +205,26 @@ class Mesh:
         return rel @ self.inv_A[elem].T
 
 
-def element_map_apply(mesh, elem, xhat):
-    """Apply the affine element map of ``elem`` to reference point(s).
-
-    Points must lie inside the reference simplex (barycentric
-    coordinates >= -1e-12); anything else is rejected.  An int array
-    ``elem`` maps the points by every listed element, adding a leading
-    element axis.
-    """
+def reference_points(xhat):
+    """Reference point(s) as a float array (n, d), checked to lie inside
+    the reference simplex (barycentric coordinates >= -1e-12); anything
+    else is rejected."""
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     if np.any(barycentric(xhat) < -1e-12):
         raise ValueError("point outside the reference simplex")
+    return xhat
+
+
+def element_map_apply(mesh, elem, xhat, check=True):
+    """Apply the affine element map of ``elem`` to reference point(s).
+
+    Points go through :func:`reference_points`, unless ``check`` is
+    False: then ``xhat`` must be its result already.  An int array
+    ``elem`` maps the points by every listed element, adding a leading
+    element axis.
+    """
+    if check:
+        xhat = reference_points(xhat)
     # every element maps the same points: one (E d, d) x (d, q) product
     a = mesh.maps_A[elem]
     linear = (a.reshape(-1, a.shape[-1]) @ xhat.T).reshape(a.shape[:-1] + (len(xhat),))

@@ -10,7 +10,9 @@ div(phi) = i laplacian(u) / k) is a view of that jet, and
 ``ExactBundle.fields`` returns all four from one jet call.
 
 All data callables are vectorized: points arrive as (n, d) arrays,
-normals as (n, d), and values return as complex (n,) or (n, d) arrays.
+normals as (n, d), and values return as (n,) or (n, d) arrays: complex
+for f and g, real or complex for a jet (the piecewise-1d solution is
+real), which its consumers cast.
 Problem definitions are pure and reusable from any thread.
 """
 
@@ -124,11 +126,9 @@ def piecewise_1d_problem(k):
     def jet(points):
         x = np.atleast_2d(points)[:, 0]
         c, s = np.cos(k * x), np.sin(k * x)
-        left = x <= 0
-        a = np.where(left, 1.0, amp)
-        u = np.where(left, c + 1 / k**2, amp * c - 1 / k**2)
-        return (u.astype(complex), (-k * a * s).astype(complex)[:, None],
-                (-k**2 * a * c).astype(complex))
+        # the branches' amplitude and offset: u = a c + offset
+        a, offset = np.where(x <= 0, [[1.0], [1 / k**2]], [[amp], [-1 / k**2]])
+        return a * c + offset, (-k * a * s)[:, None], -k**2 * a * c
 
     def f(points):
         x = np.atleast_2d(points)[:, 0]

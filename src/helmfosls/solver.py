@@ -55,8 +55,9 @@ def _factor_solve(system, hpd):
         )
     except RuntimeError as exc:
         raise SolverError(f"LU factorization failed: {exc}") from exc
-    # lu.U copies the whole U factor to read its diagonal; scipy's SuperLU has
-    # no copy-free access (only L, U, nnz, perm_c, perm_r, shape and solve)
+    # the first lu.U builds CSC copies of both factors, L and U, and keeps
+    # them on lu (a later lu.L is free); scipy's SuperLU has no copy-free
+    # access to the diagonal (only L, U, nnz, perm_c, perm_r, shape, solve)
     pivots = lu.U.diagonal()
     if hpd:
         if not np.array_equal(lu.perm_r, lu.perm_c):

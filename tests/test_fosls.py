@@ -1,4 +1,8 @@
 import dataclasses
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,10 +26,14 @@ from helmfosls.fosls import (
     split_solution,
 )
 from helmfosls.mesh import (
+    LOCAL_FACETS,
+    REFERENCE_VERTICES,
     Mesh,
+    barycentric,
     build_interval_mesh,
     build_polygonal_disk_mesh,
     build_square_mesh,
+    element_map_apply,
 )
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
 from helmfosls.solver import solve_hpd
@@ -557,3 +565,189 @@ class TestReferenceTensorAssembly:
         matrix, rhs = _oracle_fem(w, problem)
         assert _rel(system.matrix.toarray(), matrix.toarray()) <= 1e-13
         assert _rel(system.rhs, rhs) <= 1e-13
+
+
+# -- sampling plans --------------------------------------------------------
+
+PLAN_MESHES = {
+    # 7 elements: the kink x = 0 cuts the middle one
+    "interval-kink": (lambda: build_interval_mesh(-1, 1, 7), (0.0,)),
+    "square": (lambda: build_square_mesh(4), ()),
+    "disk": (lambda: build_polygonal_disk_mesh(8, 1), ()),
+}
+
+
+def _direct_element_groups(mesh, rule, breakpoints):
+    """The element groups built directly, every point set mapped by
+    ``element_map_apply`` with its insideness check."""
+    cut = {}
+    if mesh.dim == 1:
+        for b in breakpoints:
+            t = (b - mesh.maps_b[:, 0]) / mesh.maps_A[:, 0, 0]
+            for e in np.flatnonzero((0.0 < t) & (t < 1.0)):
+                cut.setdefault(e, []).append(t[e])
+    plain = np.array([e for e in range(len(mesh.elements)) if e not in cut])
+    groups = [(plain[s], rule.points, rule.weights)
+              for s in fosls.chunks(len(plain), len(rule.weights))]
+    for e, ts in sorted(cut.items()):
+        edges = np.array([0.0, *sorted(ts), 1.0])
+        lo, hi = edges[:-1, None], edges[1:, None]
+        groups.append((np.array([e]), (lo + (hi - lo) * rule.points[:, 0]).reshape(-1, 1),
+                       ((hi - lo) * rule.weights).ravel()))
+    return [(elems, pts, element_map_apply(mesh, elems, pts), wts * mesh.det_A[elems][:, None])
+            for elems, pts, wts in groups]
+
+
+def _direct_boundary_groups(mesh, exactness):
+    """The boundary groups built directly: each boundary facet's
+    local index searched in ``elem_facets``, its points mapped by
+    ``element_map_apply``."""
+    fids = mesh.boundary_facets
+    elems = mesh.facet_elems[fids, 0]
+    local = np.argmax(mesh.elem_facets[elems] == fids[:, None], axis=1)
+    rule = simplex_quadrature(mesh.dim - 1, exactness)
+    out = []
+    for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
+        sel = local == li
+        if sel.any():
+            ref = barycentric(rule.points) @ REFERENCE_VERTICES[mesh.dim][list(facet)]
+            out.append((elems[sel], ref, rule.weights, element_map_apply(mesh, elems[sel], ref),
+                        mesh.facet_measures[fids[sel]], mesh.facet_normals[fids[sel]]))
+    return out
+
+
+def _plan_groups(mesh, breakpoints, exactness=12):
+    rule = simplex_quadrature(mesh.dim, exactness)
+    return (list(element_groups(mesh, rule, breakpoints)),
+            list(boundary_groups(mesh, exactness + 2)))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(PLAN_MESHES))
+class TestSamplingPlans:
+    def test_groups_match_direct_construction(self, mesh_name):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        for repeat in range(2):  # the first call builds the plans, the second reuses them
+            volume, boundary = _plan_groups(mesh, breakpoints)
+            want_volume = _direct_element_groups(mesh, simplex_quadrature(mesh.dim, 12),
+                                                 breakpoints)
+            for got, want in [(volume, want_volume),
+                              (boundary, _direct_boundary_groups(mesh, 14))]:
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert len(g) == len(w)
+                    assert all(a.shape == b.shape and np.array_equal(a, b)
+                               for a, b in zip(g, w))
+        if mesh.dim == 1:  # the cut element forms its own panel group
+            assert [len(g[0]) for g in volume] == [6, 1]
+
+    def test_second_call_reuses_the_plan(self, mesh_name):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        first, second = _plan_groups(mesh, breakpoints), _plan_groups(mesh, breakpoints)
+        # all but the physical points (and the volume's weights times
+        # det A) are the plan's arrays
+        for groups_a, groups_b, kept in zip(first, second, [(0, 1), (0, 1, 2, 4, 5)]):
+            assert len(groups_a) == len(groups_b)
+            for a, b in zip(groups_a, groups_b):
+                assert all(a[i] is b[i] for i in kept)
+                fresh = [i for i in range(len(a)) if i not in kept]
+                assert all(a[i] is not b[i] and np.array_equal(a[i], b[i]) for i in fresh)
+
+    def test_plan_arrays_are_read_only(self, mesh_name):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        volume, boundary = _plan_groups(make(), breakpoints)
+        for elems, ref, _, _ in volume:
+            assert not elems.flags.writeable and not ref.flags.writeable
+        for elems, ref, wts, _, measures, normals in boundary:
+            assert not any(a.flags.writeable for a in (elems, ref, wts, measures, normals))
+
+    def test_keys_never_share_a_plan(self, mesh_name):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh, twin = make(), make()
+        rule = simplex_quadrature(mesh.dim, 12)
+        plan = fosls._plan(mesh, fosls._element_plan, rule, breakpoints)
+        others = [
+            fosls._plan(twin, fosls._element_plan, rule, breakpoints),
+            fosls._plan(mesh, fosls._element_plan, simplex_quadrature(mesh.dim, 14),
+                        breakpoints),
+            fosls._plan(mesh, fosls._element_plan, rule, (*breakpoints, 0.5)),
+        ]
+        assert all(other is not plan for other in others)
+        assert fosls._plan(mesh, fosls._element_plan, rule, breakpoints) is plan
+        bplan = fosls._plan(mesh, fosls._boundary_plan, 14)
+        assert fosls._plan(twin, fosls._boundary_plan, 14) is not bplan
+        assert fosls._plan(mesh, fosls._boundary_plan, 16) is not bplan
+        assert fosls._plan(mesh, fosls._boundary_plan, 14) is bplan
+
+    def test_plan_holds_no_element_by_point_array(self, mesh_name):
+        """Every plan array has an element axis or a point axis, not both,
+        so a plan's memory is O(E) per key."""
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        rule = simplex_quadrature(mesh.dim, 12)
+        plans = [fosls._plan(mesh, fosls._element_plan, rule, breakpoints),
+                 fosls._plan(mesh, fosls._boundary_plan, 14)]
+        for group in (g for plan in plans for g in plan):
+            n_elems, n_points = len(group[0]), len(group[1])
+            for a in group:
+                assert a.ndim <= 2
+                assert a.size <= max(n_elems, n_points) * mesh.dim
+
+    def test_plan_follows_chunk_points(self, mesh_name, monkeypatch):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        default, _ = _plan_groups(mesh, breakpoints)
+        monkeypatch.setattr(fosls, "CHUNK_POINTS", 1)
+        single, _ = _plan_groups(mesh, breakpoints)
+        assert len(default) < len(single) == len(mesh.elements)
+
+    def test_plans_are_freed_with_their_mesh(self, mesh_name):
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        _plan_groups(mesh, breakpoints)
+        alive = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert alive() is None
+
+
+@pytest.mark.parametrize("method", ["fosls", "fem"])
+@pytest.mark.parametrize("mesh_name", ["interval-kink", "square"])
+def test_threads_build_plans_on_a_shared_mesh(mesh_name, method):
+    """Four threads run compute_errors on one mesh whose plans are not
+    built yet; every report is bit-identical to a serial run on an equal
+    mesh."""
+    make, _ = PLAN_MESHES[mesh_name]
+    problem = (piecewise_1d_problem(10.0) if mesh_name == "interval-kink"
+               else plane_wave_problem(8.0))
+    serial_mesh, shared = make(), make()
+    system, report, _ = solve_case(problem, method, serial_mesh, 2)
+    serial = split_solution(system, report.solution)
+    want = dataclasses.astuple(compute_errors(serial, problem))
+    # the same coefficients on spaces of the fresh mesh
+    sol = dataclasses.replace(
+        serial, w_space=build_h1_space(shared, 2),
+        v_space=build_hdiv_space(shared, 2) if method == "fosls" else None)
+    got, errors = [], []
+
+    def run():
+        try:
+            got.append(dataclasses.astuple(compute_errors(sol, problem)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(got) == 4
+    for report_fields in got:
+        assert np.array_equal(report_fields, want, equal_nan=True)

@@ -225,6 +225,18 @@ class TestMeshInvariants:
         for fid in mesh.boundary_facets:
             assert len(adjacent(mesh, fid)) == 1
 
+    def test_boundary_facet_slots(self, mesh):
+        # boundary facet i is local facet boundary_local_facets[i] of
+        # element boundary_elems[i], its one adjacent element
+        for fid, elem, local in zip(mesh.boundary_facets, mesh.boundary_elems,
+                                    mesh.boundary_local_facets):
+            assert adjacent(mesh, fid) == [elem]
+            assert mesh.elem_facets[elem, local] == fid
+            corners = mesh.elements[elem, list(LOCAL_FACETS[mesh.dim][local])]
+            assert sorted(corners) == list(mesh.facet_vertices[fid])
+        assert not mesh.boundary_elems.flags.writeable
+        assert not mesh.boundary_local_facets.flags.writeable
+
     def test_interior_normals_opposite_sides(self, mesh):
         # the two adjacent elements see the stored normal with opposite signs
         for fid in mesh.interior_facets:
