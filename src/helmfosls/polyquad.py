@@ -13,11 +13,11 @@ simplex of ``mesh`` (its barycentric coordinates lam and its local edges):
 
 The interval is its own single edge, so its edge functions are its
 bubbles (1-t) t P_m(2t-1), and these are exactly the edge traces of the
-triangle functions.  Bases and quadrature rules are immutable value objects.
+triangle functions.  Bases and quadrature rules are immutable value
+objects: a basis computes its tables on every call and keeps none.
 ``make_scalar_basis`` returns one shared basis per (d, p) for the whole
-process, and a basis keeps the read-only tables of its most recently
-used point sets in a bounded ``functools.lru_cache``, so every space,
-flux basis and projection stage of that degree evaluates a rule once.
+process; ``spaces.reference_tables`` keeps the tables of each (basis,
+point set) that assembly, field evaluation and the BDM basis read.
 
 Quadrature rules are built once per argument and cached: ``gauss01``
 and ``simplex_quadrature`` return the same read-only arrays to every
@@ -61,32 +61,6 @@ def _read_only(*arrays):
     return arrays
 
 
-# point sets whose tables a basis keeps: the one (2, p) basis serves S_p
-# and the BDM_p scalar tables, and a 2D study asks it for at most 15
-# (volume rules, boundary-edge sets, both error passes); the bound
-# keeps ad-hoc point sets from growing the cache without limit
-TABLE_CACHE_SIZE = 16
-
-
-def cache_per_point_set(build, size=TABLE_CACHE_SIZE):
-    """``build(points, *args)`` with its results kept per point set.
-
-    ``build`` takes reference points (n, d) and hashable ``args`` and
-    returns a tuple of arrays.  The returned function answers a repeat
-    call, whose points have the same shape and bytes, with the same
-    read-only arrays, for the ``size`` most recently used keys.  Safe to
-    call from several threads at once.
-    """
-    @functools.lru_cache(size)
-    def cached(shape, data, *args):
-        return _read_only(*build(np.frombuffer(data).reshape(shape), *args))
-
-    def lookup(points, *args):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cached(pts.shape, pts.tobytes(), *args)
-    return lookup
-
-
 class ScalarBasis:
     """Hierarchical basis of P_p on the reference simplex.
 
@@ -109,9 +83,6 @@ class ScalarBasis:
         }
         # gradients of the barycentric coordinates
         self._dlam = np.vstack([-np.ones(d), np.eye(d)])
-        self._tables = cache_per_point_set(lambda pts: self._eval(pts))
-
-    TABLE_CACHE_SIZE = TABLE_CACHE_SIZE  # the bound of its table cache
 
     def eval(self, points):
         """Basis values at reference points; shape (n_points, dim)."""
@@ -122,12 +93,8 @@ class ScalarBasis:
         return self.eval_with_grad(points)[1]
 
     def eval_with_grad(self, points):
-        """(values, gradients), read-only and kept per point set
-        (:func:`cache_per_point_set`): batched kernels ask for the same
-        reference rules once per element chunk and field."""
-        return self._tables(points)
-
-    def _eval(self, pts):
+        """(values (n_points, dim), gradients (n_points, dim, d))."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         d, p, dlam = self.d, self.p, self._dlam
         lam = barycentric(pts)
         vals = np.empty((len(pts), self.dim))

@@ -22,6 +22,14 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def _wavenumber(k):
+    """``k`` as a float, rejected unless 0 < k < inf."""
+    k = float(k)
+    if not 0 < k < np.inf:
+        raise ValueError(f"wavenumber k must be positive and finite; got {k}")
+    return k
+
+
 @dataclass(frozen=True)
 class ExactBundle:
     """Closed-form exact solution: the jet ``points -> (u (n,), grad u
@@ -66,8 +74,7 @@ class WaveProblem:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber k must be positive")
+        _wavenumber(self.k)
 
 
 def robin_data_from_exact(jet, k):
@@ -87,9 +94,7 @@ def plane_wave_problem(k):
     Satisfies the homogeneous Helmholtz equation (f = 0); the impedance
     datum is manufactured from the closed form, so any 2D domain works.
     """
-    k = float(k)
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+    k = _wavenumber(k)
     k1 = k / np.sqrt(2.0)
     k2 = -k1
     kv = np.array([k1, k2])
@@ -118,9 +123,7 @@ def piecewise_1d_problem(k):
     is C^1 at zero while u'' jumps by the jump of f.  Meshes whose nodes
     avoid x = 0 keep the kink inside an element.
     """
-    k = float(k)
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+    k = _wavenumber(k)
     amp = 1.0 + 2.0 / k**2
 
     def jet(points):

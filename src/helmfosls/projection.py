@@ -184,7 +184,7 @@ class _VolumeWork:
         self.objective = self.moments(Ni, Gi)
         self.chol = scipy.linalg.cho_factor(self.objective)
         self.norm_gram = np.linalg.norm(self.objective)
-        _read_only(self.G_rows, self.k_val, self.k_grad, self.objective)
+        _read_only(self.N_rows, self.G_rows, self.k_val, self.k_grad, self.objective)
 
     def moments(self, r_vals, r_grads):
         """Objective moments p^2 L2 + H1 of residuals with values

@@ -14,8 +14,12 @@ spaces of its kind and degree: S_p holds the scalar basis of
 ``make_scalar_basis(d, p)``, BDM_p one ``BdmBasis`` per p whose tables
 derive from that same scalar basis.  Both answer
 ``eval_with_grad(points)`` with the values and first derivatives
-(gradients for S_p, divergences for BDM_p), read-only and kept per point
-set.
+(gradients for S_p, divergences for BDM_p), computed on every call.
+The tables are kept in one place, a bounded, thread-safe
+``functools.lru_cache`` per (basis, point set), read through
+:func:`reference_tables`: it holds the read-only value and derivative
+tables and the joined [value | derivative] table that fields multiply,
+each built once, and BDM_p reads its scalar tables through it too.
 
 Every field keeps a component axis.  A basis gives its reference tables
 as (points, basis, A) arrays of the A reference components of every
@@ -23,10 +27,10 @@ function (:func:`reference_tables`), and each kind defines once, in
 :func:`element_maps`, the per-element (..., c, A) maps to the c physical
 components, read by :func:`push_forward` and by assembly; the inverse is
 :func:`pull_back`.  A field is evaluated by one call per space: its
-signed local coefficients are gathered once and multiplied by one
-cached joined [value | derivative] table (:func:`_field_table`), and
-each half of the product is mapped afterwards by broadcast products per
-component, with no per-element matrix product.  The two evaluators are
+signed local coefficients are gathered once and multiplied by the
+kept joined [value | derivative] table of its basis, and each half of
+the product is mapped afterwards by broadcast products per component,
+with no per-element matrix product.  The two evaluators are
 views of that one path: ``scalar_eval`` and ``vector_eval`` return the
 values, or with ``with_derivative`` the values and the derivatives.
 H1 values are unchanged and gradients map by A^{-T}; H(div) fields map
@@ -42,13 +46,13 @@ of the global facet normal.
 """
 
 import itertools
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
-from .polyquad import _read_only, cache_per_point_set, gauss01, make_scalar_basis
+from .polyquad import _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
 KIND_HDIV = "vector-hdiv"
@@ -81,7 +85,8 @@ class BdmBasis:
     hierarchical basis, edge functions are its pseudo-inverse columns and
     interior functions an orthonormal basis of its null space.  The
     read-only ``coeffs`` (2 ns, dim) hold the x and y scalar coefficients
-    of every function; the tables come from the shared scalar basis.
+    of every function; the tables derive from the kept tables of the
+    shared scalar basis (:func:`reference_tables`).
     """
 
     def __init__(self, p):
@@ -121,7 +126,6 @@ class BdmBasis:
         if not np.allclose(check, target, atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
         _read_only(self.coeffs)
-        self._tables = cache_per_point_set(lambda pts: self._eval(pts))
 
     def eval(self, points):
         """Vector basis values; shape (n_points, dim, 2)."""
@@ -129,13 +133,10 @@ class BdmBasis:
 
     def eval_with_grad(self, points):
         """(values (n_points, dim, 2), divergences (n_points, dim)) on the
-        reference element, read-only and kept per point set like the
-        scalar tables they derive from."""
-        return self._tables(points)
-
-    def _eval(self, points):
-        sv, sg = self.scalar.eval_with_grad(points)
+        reference element."""
+        sv, sg = reference_tables(self.scalar, points)
         cx, cy = np.split(self.coeffs, 2)
+        sv = sv[..., 0]
         return np.stack([sv @ cx, sv @ cy], axis=-1), sg[:, :, 0] @ cx + sg[:, :, 1] @ cy
 
 
@@ -242,11 +243,37 @@ def build_hdiv_space(mesh, p):
 # or an int array of them, which adds a leading element axis.
 
 
+# (basis, point set) pairs whose tables are kept: the benchmark's warm-up
+# case and its four workloads, run in one process, read 91
+_TABLE_CACHE_SIZE = 128
+
+
+@lru_cache(_TABLE_CACHE_SIZE)
+def _kept_tables(shape, data, basis):
+    """One entry of the table cache; see :func:`_tables`."""
+    vals, ders = (t if t.ndim == 3 else t[..., None]
+                  for t in basis.eval_with_grad(np.frombuffer(data).reshape(shape)))
+    joined = np.concatenate([vals, ders], axis=2).transpose(1, 0, 2).astype(complex, order="C")
+    return _read_only(vals, ders, joined)
+
+
+def _tables(basis, points):
+    """The kept, read-only (values, derivatives, joined) tables of
+    ``basis`` at ``points``: those of :func:`reference_tables`, then the
+    complex joined table (m, q, A + A') that :func:`_field` multiplies,
+    per function and point the A value components and then the A'
+    derivative ones.  A repeat call with points of the same shape and
+    bytes returns the same arrays while the entry is kept."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _kept_tables(pts.shape, pts.tobytes(), basis)
+
+
 def reference_tables(basis, points):
     """Reference (values, first derivatives) of ``basis`` at ``points``,
     each of shape (points, basis, A): the A reference components of every
-    function (A = 1 for a scalar field)."""
-    return tuple(t if t.ndim == 3 else t[..., None] for t in basis.eval_with_grad(points))
+    function (A = 1 for a scalar field).  Read-only, and built once per
+    (basis, point set) while the entry is kept (:func:`_tables`)."""
+    return _tables(basis, points)[:2]
 
 
 def element_maps(space, elem):
@@ -301,27 +328,12 @@ def check_flux_space(space):
                          f"{space.mesh.dim}D mesh (BDM_p in 2D, S_p in 1D)")
 
 
-def _field_table(points, basis):
-    """The joined [value | derivative] table (m, q, A + A') of ``basis``
-    at ``points``: per function and point, the A reference components of
-    its value and then the A' of its first derivative
-    (:func:`reference_tables`), complex, so that coefficients multiply it
-    without a cast."""
-    vals, ders = reference_tables(basis, points)
-    return (np.concatenate([vals, ders], axis=2).transpose(1, 0, 2).astype(complex, order="C"),)
-
-
-# joined tables kept per (point set, basis): a study evaluates a few
-# bases (one per degree and kind) on about eight point sets each
-_field_tables = cache_per_point_set(_field_table, 64)
-
-
 def _field(space, coeffs, elem, ref_points):
     """Physical (values (..., q, c), first derivatives (..., q, c')) of a
     field.  Its signed local coefficients (..., m) are gathered once and
-    multiplied by the cached joined table of :func:`_field_table` in one
-    matrix product; each half is then mapped by :func:`element_maps`."""
-    (table,) = _field_tables(ref_points, space.basis)
+    multiplied by the kept joined table of its basis (:func:`_tables`) in
+    one matrix product; each half is then mapped by :func:`element_maps`."""
+    table = _tables(space.basis, ref_points)[2]
     m, q, _ = table.shape
     lc = space.elem_signs[elem] * coeffs[space.elem_dofs[elem]]
     ref = (lc @ table.reshape(m, -1)).reshape(lc.shape[:-1] + (q, -1))

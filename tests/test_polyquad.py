@@ -15,7 +15,13 @@ from helmfosls.polyquad import (
     make_scalar_basis,
     simplex_quadrature,
 )
-from helmfosls.spaces import BdmBasis, edge_reference_points
+from helmfosls.spaces import (
+    BdmBasis,
+    _kept_tables,
+    _tables,
+    edge_reference_points,
+    reference_tables,
+)
 
 
 def triangle_tables_by_loops(p, pts):
@@ -195,45 +201,47 @@ class TestScalarBasis:
     def test_kept_tables_are_read_only_and_follow_the_points(self):
         basis = make_scalar_basis(2, 3)
         pts = simplex_quadrature(2, 4).points
-        vals, grads = basis.eval_with_grad(pts)
-        assert not vals.flags.writeable and not grads.flags.writeable
+        kept = _tables(basis, pts)
+        assert not any(table.flags.writeable for table in kept)
+        vals = kept[0]
         moved = pts.copy()
         moved[0] = [0.5, 0.25]
-        np.testing.assert_array_equal(basis.eval(moved)[1:], vals[1:])
-        assert np.any(basis.eval(moved)[0] != vals[0])
-        np.testing.assert_array_equal(basis.eval(pts), vals)
+        moved_vals = reference_tables(basis, moved)[0]
+        np.testing.assert_array_equal(moved_vals[1:], vals[1:])
+        assert np.any(moved_vals[0] != vals[0])
+        np.testing.assert_array_equal(reference_tables(basis, pts)[0], vals)
 
     def test_tables_are_kept_per_point_set(self, monkeypatch):
         """Rules A, B, A build the tables twice; more than the cache holds
         of other point sets evict A.  A fresh basis: the shared one may
-        already hold rule A."""
+        already have tables kept at rule A."""
         basis = ScalarBasis(2, 3)
         builds = []
-        build = basis._eval
+        build = basis.eval_with_grad
         monkeypatch.setattr(
-            basis, "_eval", lambda pts: builds.append(len(pts)) or build(pts)
+            basis, "eval_with_grad", lambda pts: builds.append(len(pts)) or build(pts)
         )
+        bound = _kept_tables.cache_info().maxsize
         rule_a = simplex_quadrature(2, 4).points
         rule_b = simplex_quadrature(2, 7).points
-        first = basis.eval_with_grad(rule_a)
-        basis.eval_with_grad(rule_b)
-        again = basis.eval_with_grad(rule_a.copy())
+        first = reference_tables(basis, rule_a)
+        reference_tables(basis, rule_b)
+        again = reference_tables(basis, rule_a.copy())
         assert builds == [len(rule_a), len(rule_b)]
         assert again[0] is first[0] and again[1] is first[1]
-        for i in range(basis.TABLE_CACHE_SIZE):
-            basis.eval_with_grad(np.full((1, 2), 0.01 * (i + 1)))
-        basis.eval_with_grad(rule_a)
-        assert len(builds) == 2 + basis.TABLE_CACHE_SIZE + 1
+        for i in range(bound):
+            reference_tables(basis, np.full((1, 2), 0.001 * (i + 1)))
+        reference_tables(basis, rule_a)
+        assert len(builds) == 2 + bound + 1
 
     def test_bdm_tables_are_kept_per_point_set(self):
-        """The BDM values and divergences, derived from the scalar tables,
-        are kept per point set too: a repeat call (equal points in a new
-        array) returns the same read-only arrays.  A fresh basis: the
-        shared one may already hold the rule."""
+        """The BDM values and divergences are kept per point set too: a
+        repeat call (equal points in a new array) returns the same
+        read-only arrays.  A fresh basis, which no cache entry names."""
         basis = BdmBasis(2)
         rule = simplex_quadrature(2, 6).points
-        first = basis.eval_with_grad(rule)
-        again = basis.eval_with_grad(rule.copy())
+        first = reference_tables(basis, rule)
+        again = reference_tables(basis, rule.copy())
         assert again[0] is first[0] and again[1] is first[1]
         for table in first:
             with pytest.raises(ValueError):
@@ -244,20 +252,21 @@ class TestScalarBasis:
         assert make_scalar_basis(1, 3) is not make_scalar_basis(2, 3)
 
     def test_threads_share_one_basis(self):
-        """Two threads cycle one basis over more point sets than its cache
+        """Two threads cycle one basis over more point sets than the cache
         holds, switching as often as the interpreter allows; neither
         raises, and both get the tables of a fresh build."""
         basis = ScalarBasis(2, 1)
-        sets = [np.full((1, 2), 0.01 * (i + 1)) for i in range(basis.TABLE_CACHE_SIZE + 4)]
+        bound = _kept_tables.cache_info().maxsize
+        sets = [np.full((1, 2), 0.001 * (i + 1)) for i in range(bound + 4)]
         want = [ScalarBasis(2, 1).eval_with_grad(pts) for pts in sets]
         errors, wrong = [], []
 
         def cycle():
             try:
-                for _ in range(600):
+                for _ in range(25):
                     for pts, (vals, grads) in zip(sets, want):
-                        got_vals, got_grads = basis.eval_with_grad(pts)
-                        if not (np.array_equal(got_vals, vals)
+                        got_vals, got_grads = reference_tables(basis, pts)
+                        if not (np.array_equal(got_vals[..., 0], vals)
                                 and np.array_equal(got_grads, grads)):
                             wrong.append(pts)
             except Exception as exc:  # surfaced by the assertion below
@@ -361,3 +370,45 @@ def test_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+# the benchmark's warm-up case and three of its workloads at full size,
+# in one fresh process: the kept-table cache's statistics, its bound, and
+# every evaluation of a scalar basis as (d, p, point shape, point bytes)
+_TRAFFIC = """
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[2])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+import numpy as np
+from helmfosls import polyquad, spaces
+evaluated = []
+evaluate = polyquad.ScalarBasis.eval_with_grad
+def counted(basis, points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    evaluated.append((basis.d, basis.p, pts.shape, pts.tobytes()))
+    return evaluate(basis, points)
+polyquad.ScalarBasis.eval_with_grad = counted
+workloads.warm_up()
+for name in ("study-1d", "study-2d", "solve-2d"):
+    workloads.run(name, "full", 0, sys.argv[3])
+info = spaces._kept_tables.cache_info()
+print(info.misses, info.currsize, info.maxsize, len(evaluated), len(set(evaluated)))
+"""
+
+
+def test_kept_tables_hold_the_benchmark_traffic(tmp_path):
+    """The bound of the table cache covers the traffic it was sized from:
+    every (basis, point set) of the run is built once and none is
+    evicted, and S_p and BDM_p at the same points evaluate the scalar
+    basis once."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAFFIC, str(root / "src"),
+         str(root / "bench" / "workloads.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    misses, currsize, bound, evaluations, point_sets = map(int, out.stdout.split())
+    assert misses == currsize <= bound
+    assert evaluations == point_sets

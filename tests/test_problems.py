@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import polynomial_problem
@@ -197,7 +199,13 @@ class TestRegistry:
             make_problem("corner-bessel", 1.0)
 
     def test_rejects_nonpositive_wavenumber(self):
-        with pytest.raises(ValueError):
-            piecewise_1d_problem(0.0)
-        with pytest.raises(ValueError):
-            WaveProblem(name="x", dim=1, k=-1.0, f=None, g=None)
+        """Every constructor requires 0 < k < inf, as the CLI does; the
+        factories check before they divide by k."""
+        constructors = [
+            plane_wave_problem, piecewise_1d_problem,
+            lambda k: WaveProblem(name="x", dim=1, k=k, f=None, g=None),
+        ]
+        for make in constructors:
+            for k in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="wavenumber"):
+                    make(k)
