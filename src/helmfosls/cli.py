@@ -6,9 +6,11 @@ builds the spaces, assembles, solves and computes error norms, then
 writes one CSV row per run plus a log-log plot-data file (relative L2
 error against degrees of freedom per wavelength, one series per degree)
 and ``runs.json``: per run, in CSV row order, the system size, the
-solver statistics and the wall times of the spaces, assembly, solve and
-error stages.
-Exit codes: 0 success, 2 config error, 3 solver failure.
+solver statistics, the quadrature drift, kh/p and p/log k, and the wall
+times of the spaces, assembly, solve and error stages.  The output
+directory is created before the first run.
+Exit codes: 0 success, 2 config error (an unusable output directory
+too), 3 solver failure.
 """
 
 import argparse
@@ -156,6 +158,11 @@ def solve_case(problem, method, mesh, p):
 def run_study(config):
     """Execute a study; returns (ConvergenceTable, output paths)."""
     config.validate()
+    outdir = Path(config.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
     problem = make_problem(config.problem, config.k)
     methods = ["fosls", "fem"] if config.method == "both" else [config.method]
     meshes = {n: MESH_BUILDERS[config.problem](n) for n in config.mesh_sequence}
@@ -168,10 +175,11 @@ def run_study(config):
                 mesh = meshes[n]
                 khp = config.k * mesh.h / p
                 # p / log k is undefined where log k <= 0
+                p_log_k = p / math.log(config.k) if config.k > 1 else None
                 log.info(
                     "run %s %s p=%d n=%d: kh/p=%.3g, p/log(k)=%s",
                     config.problem, method, p, n, khp,
-                    f"{p / math.log(config.k):.3g}" if config.k > 1 else "n/a",
+                    "n/a" if p_log_k is None else f"{p_log_k:.3g}",
                 )
                 if khp > 1:
                     log.warning(
@@ -200,11 +208,11 @@ def run_study(config):
                     "method": method, "p": p, "n_elems": len(mesh.elements),
                     "dofs": system.n_total, "nnz": int(system.matrix.nnz),
                     "fill": report.fill, "min_pivot": report.min_pivot,
-                    "relative_residual": report.relative_residual, "seconds": seconds,
+                    "relative_residual": report.relative_residual,
+                    "quad_drift": errors.quad_drift, "kh_over_p": khp,
+                    "p_over_log_k": p_log_k, "seconds": seconds,
                 })
 
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "results.csv"
     plot_path = outdir / "plot_l2_vs_nlambda.csv"
     runs_path = outdir / "runs.json"

@@ -58,13 +58,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (
-    LOCAL_FACETS,
-    REFERENCE_VERTICES,
-    barycentric,
-    element_map_apply,
-    reference_points,
-)
+from .mesh import LOCAL_FACETS, element_map_apply, local_simplex_points, reference_points
 from .polyquad import _read_only, simplex_quadrature
 from .spaces import (
     check_flux_space,
@@ -185,12 +179,11 @@ def _boundary_plan(mesh, exactness):
     normals) of :func:`boundary_groups`."""
     fids = mesh.boundary_facets
     rule = simplex_quadrature(mesh.dim - 1, exactness)
-    lam = barycentric(rule.points)
     groups = []
     for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
         sel = mesh.boundary_local_facets == li
         if sel.any():
-            ref = reference_points(lam @ REFERENCE_VERTICES[mesh.dim][list(facet)])
+            ref = reference_points(local_simplex_points(mesh.dim, facet, rule.points))
             groups.append(_read_only(mesh.boundary_elems[sel], ref, rule.weights,
                                      mesh.facet_measures[fids[sel]],
                                      mesh.facet_normals[fids[sel]]))
@@ -219,10 +212,10 @@ def boundary_groups(mesh, exactness):
     Yields (elems, reference points on that local facet, reference facet
     weights (q,), physical points (F, q, d), facet measures (F,), outward
     normals (F, d)).  The facet rule is ``simplex_quadrature(d - 1,
-    exactness)``, mapped onto each local facet through its barycentric
-    coordinates (in 1D the one point of a facet, with weight 1).  The
-    groups come from the plan of (mesh, exactness); all but the physical
-    points are the plan's read-only arrays.
+    exactness)``, mapped onto each local facet by
+    ``mesh.local_simplex_points`` (in 1D the one point of a facet, with
+    weight 1).  The groups come from the plan of (mesh, exactness); all
+    but the physical points are the plan's read-only arrays.
     """
     for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, exactness):
         yield (elems, ref, wts, element_map_apply(mesh, elems, ref, check=False),

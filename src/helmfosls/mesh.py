@@ -3,10 +3,12 @@
 The reference simplex is described once, here, for d = 1 and 2: its
 vertices (``REFERENCE_VERTICES``: [0, 1] in 1D, the unit triangle
 conv{(0,0), (1,0), (0,1)} in 2D), its local facets and local edges
-(``LOCAL_EDGES``: the interval is its own single edge), its measure and
-its barycentric coordinates (:func:`barycentric`).  The mesh geometry,
-the hierarchical basis and the spaces read this description instead of
-branching on d.
+(``LOCAL_EDGES``: the interval is its own single edge), the triangle's
+edge normals and lengths (``REF_EDGE_NORMALS``, ``REF_EDGE_LENGTHS``),
+its measure, its barycentric coordinates (:func:`barycentric`) and the
+map of a reference k-simplex onto a local edge or facet
+(:func:`local_simplex_points`).  Every other module reads this
+description instead of branching on d.
 
 A mesh stores vertices, element connectivity, the per-element affine
 maps F_K(x) = A x + b from the reference simplex (column j of A is the
@@ -31,8 +33,11 @@ Facets are sorted by their ``facet_vertices`` rows, so facet numbering
 does not depend on the element ordering.  ``elem_facets`` (E, d+1) holds
 the facet of each local facet (``LOCAL_FACETS``) of each element, and
 ``elem_facet_signs`` (E, d+1) is +1 where the stored normal points out of
-that element and -1 where it points in.  Instances are immutable after
-construction and safe to share across threads.
+that element and -1 where it points in.  ``elem_edges`` (E, local
+edges) holds the global edge, out of ``n_edges``, of each local edge
+(``LOCAL_EDGES``): a triangle's edges are its facets, an interval's one
+edge is the element itself.  Instances are immutable after construction
+and safe to share across threads.
 """
 
 import functools
@@ -58,6 +63,11 @@ LOCAL_EDGES = {
     1: ((0, 1),),
     2: LOCAL_FACETS[2],
 }
+
+# outward unit normals and lengths of the triangle's edges (0,1), (0,2), (1,2)
+REF_EDGE_NORMALS = np.array([[0.0, -1.0], [-1.0, 0.0],
+                             [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
+REF_EDGE_LENGTHS = np.array([1.0, 1.0, np.sqrt(2.0)])
 
 # reference simplex measure |K_hat|
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5}
@@ -87,6 +97,14 @@ def barycentric(xhat):
     return np.concatenate([lam0[:, None], xhat], axis=1)
 
 
+def local_simplex_points(d, local_vertices, points):
+    """Points (n, k) of the reference k-simplex mapped onto the local edge
+    or facet of the reference d-simplex with the k + 1 ``local_vertices``,
+    in their order: reference coordinates (n, d).  On the 0/1 reference
+    vertices every product of the map is exact."""
+    return barycentric(points) @ REFERENCE_VERTICES[d][list(local_vertices)]
+
+
 class Mesh:
     """Simplicial mesh with per-element affine maps and a facet table.
 
@@ -107,13 +125,17 @@ class Mesh:
 
         self._build_maps()
         self._build_facets()
+        # a triangle's edges are its facets; an interval's is the element
+        ne = len(self.elements)
+        self.elem_edges = self.elem_facets if dim == 2 else np.arange(ne)[:, None]
+        self.n_edges = len(self.facet_vertices) if dim == 2 else ne
         self.h = float(max(self.element_diameters()))
         for arr in (self.vertices, self.elements, self.maps_A, self.maps_b,
                     self.det_A, self.inv_A, self.element_measures,
                     self.elem_facets, self.elem_facet_signs, self.facet_vertices,
                     self.facet_elems, self.facet_normals, self.facet_measures,
                     self.boundary_facets, self.interior_facets,
-                    self.boundary_elems, self.boundary_local_facets):
+                    self.boundary_elems, self.boundary_local_facets, self.elem_edges):
             arr.flags.writeable = False
 
     # -- construction -------------------------------------------------

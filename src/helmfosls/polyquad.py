@@ -13,7 +13,10 @@ simplex of ``mesh`` (its barycentric coordinates lam and its local edges):
 
 The interval is its own single edge, so its edge functions are its
 bubbles (1-t) t P_m(2t-1), and these are exactly the edge traces of the
-triangle functions.  Bases and quadrature rules are immutable value
+triangle functions.  ``ScalarBasis.dof_classes`` states this split once;
+it is the layout ``spaces`` numbers S_p (and, from ``BdmBasis``'s own
+``dof_classes``, BDM_p) from, and the one the projection fixes in
+order.  Bases and quadrature rules are immutable value
 objects: a basis computes its tables on every call and keeps none.
 ``make_scalar_basis`` returns one shared basis per (d, p) for the whole
 process; ``spaces.reference_tables`` keeps the tables of each (basis,

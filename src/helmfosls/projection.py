@@ -33,7 +33,11 @@ pairs, so Gauss-Legendre nodes integrate it exactly once the weight
 Each stage evaluates its residual once, on one point set.  For an edge
 that set joins the Gauss nodes of the L2 term, the same nodes halved and
 mirrored for the weighted term, and the Duffy nodes: each x and each
-y = x(1-s) once, since every row of the (x, y) grid shares its x.  Each
+y = x(1-s) once, since every row of the (x, y) grid shares its x; it is
+mapped onto each local edge by ``mesh.local_simplex_points``, and the
+trace basis is evaluated on it once.  The volume stage reads its basis
+tables through ``spaces.reference_tables``, kept with those of the
+field path at the same rule.  Each
 stage writes its inner product once, as the moments of a residual
 against its basis: products of the residual values (and, for the edge,
 its divided differences; for the volume, its gradients) with read-only
@@ -49,9 +53,9 @@ import numpy as np
 import scipy.linalg
 
 from .fosls import chunks
-from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
+from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply, local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis, simplex_quadrature
-from .spaces import KIND_HDIV, _scatter_local, edge_reference_points, pull_back
+from .spaces import KIND_HDIV, _scatter_local, pull_back, reference_tables
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,6 @@ class _EdgeWork:
 
         # plain Gauss data for the L2 term (and the full trace-basis Gram)
         tq, wq = gauss01(p + 6)
-        trace = basis.eval(tq[:, None])
-        self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, trace, trace)
 
         # the distance-weighted term int_0^(1/2) uv / t dt, mirrored under
         # t -> 1-t: with t = s/2 it is int_0^1 uv(s/2) / s ds, a polynomial
@@ -115,8 +117,11 @@ class _EdgeWork:
         self.points = np.concatenate([tq, t_left, 1 - t_left, x, Y.ravel()])
         self.n_lin = len(tq) + 2 * len(t_left)
 
-        # one row per bubble t(1-t) P_m(2t-1) at every point
-        bub_lin, bub_dd = self._split(basis.eval(self.points[:, None])[:, 2:].T)
+        # the trace basis at every point, evaluated once: its L2 nodes tq
+        # are the first rows; one row per bubble t(1-t) P_m(2t-1)
+        trace = basis.eval(self.points[:, None])
+        self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, trace[:len(tq)], trace[:len(tq)])
+        bub_lin, bub_dd = self._split(trace[:, 2:].T)
         w_l2 = np.concatenate([wq, np.zeros(2 * len(t_left))])
         w_d = np.concatenate([np.zeros(len(tq)), w_dist, w_dist])
         w_sem = (2.0 * w[:, None] * w[None, :] * x[:, None]).ravel()
@@ -169,11 +174,12 @@ class _VolumeWork:
         basis = make_scalar_basis(2, p)
         rule = simplex_quadrature(2, 2 * p + 8)
         self.points, w = rule.points, rule.weights
-        N, G = basis.eval_with_grad(rule.points)
+        # the kept tables, which the field path reads at the same rule
+        N, G = reference_tables(basis, rule.points)
         # the basis as rows: values (basis, q) and gradients (basis, 2q),
         # whose columns are (point, component) pairs as in grad_u(...)
         # flattened over its last two axes
-        self.N_rows = N.T
+        self.N_rows = N[..., 0].T
         self.G_rows = G.transpose(1, 0, 2).reshape(basis.dim, -1)
         self.interior = basis.dof_classes["interior"]
         Ni, Gi = self.N_rows[self.interior], self.G_rows[self.interior]
@@ -258,8 +264,8 @@ def project_reference(u, d, p, grad_u=None):
     for l, (i, j) in enumerate(LOCAL_EDGES[d]):
         ui, uj = vertex_vals[..., i, None], vertex_vals[..., j, None]
 
-        def r(t, l=l, ui=ui, uj=uj):
-            pts = edge_reference_points(l, t, d)
+        def r(t, edge=(i, j), ui=ui, uj=uj):
+            pts = local_simplex_points(d, edge, t[:, None])
             return np.asarray(u(pts), dtype=complex) - (ui * (1 - t) + uj * t)
 
         c, kkt = work.solve(r, batch)

@@ -5,9 +5,18 @@ and the vector space BDM_p = P_p^2 per element (normal-trace continuous,
 H(div)-conforming).  In 1D, H(div) coincides with H1 and the scalar space
 is the flux space (the normal trace at an endpoint is +/- the point
 value), so ``build_hdiv_space`` returns S_p on an interval mesh: every
-caller builds its flux space the same way in 1D and 2D.  Local edges,
-reference vertices and the reference-edge map (:func:`edge_reference_points`)
-come from the reference simplex of ``mesh``.
+caller builds its flux space the same way in 1D and 2D.  The reference
+geometry (local edges, edge normals and lengths, the map onto a local
+edge) comes from ``mesh``; this module only numbers and maps.
+
+Both kinds are numbered by one routine, ``FunctionSpace(mesh, basis,
+edge_signs=1.0)``, from the layout the basis states in ``dof_classes``
+(vertex functions, one block per local edge, the interior last) and the
+global edges of the mesh (``mesh.elem_edges``): vertex dofs by vertex
+id, then one block per global edge, then one contiguous block per
+element interior.  ``build_h1_space`` passes the scalar basis, and
+``build_hdiv_space`` the ``BdmBasis`` with the canonical normal
+orientation of each local edge as ``edge_signs``.
 
 Every space reads its reference tables from one basis, shared by all
 spaces of its kind and degree: S_p holds the scalar basis of
@@ -41,8 +50,8 @@ by the contravariant Piola transform
 Inter-element continuity is handled through per-element sign tables: an
 edge function whose Legendre kernel has odd degree flips sign when the
 local edge direction disagrees with the global one (ascending vertex
-index), and a normal-trace dof additionally flips with the orientation
-of the global facet normal.
+index), for both kinds, and a normal-trace dof additionally flips with
+the orientation of the global facet normal (``edge_signs``).
 """
 
 import itertools
@@ -51,28 +60,12 @@ from functools import cache, lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply
+from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS
+from .mesh import element_map_apply, local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
 KIND_HDIV = "vector-hdiv"
-
-# outward unit normals of the reference triangle edges (0,1), (0,2), (1,2)
-REF_EDGE_NORMALS = np.array([
-    [0.0, -1.0],
-    [-1.0, 0.0],
-    [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
-])
-REF_EDGE_LENGTHS = np.array([1.0, 1.0, np.sqrt(2.0)])
-
-
-def edge_reference_points(local_edge, t, d=2):
-    """Reference coordinates a (1 - t) + b t on the local edge (a, b) of
-    the reference d-simplex (``LOCAL_EDGES[d]``) at parameters t."""
-    i, j = LOCAL_EDGES[d][local_edge]
-    a, b = REFERENCE_VERTICES[d][i], REFERENCE_VERTICES[d][j]
-    t = np.asarray(t, dtype=float)
-    return a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
 
 
 class BdmBasis:
@@ -81,6 +74,8 @@ class BdmBasis:
     The first 3(p+1) functions carry one unit Legendre moment of the
     normal trace on one edge each and zero moments on the others; the
     remaining (p+1)(p-1) span the subspace with vanishing normal trace.
+    ``dof_classes`` says so in the layout of ``ScalarBasis``: no vertex
+    functions, one block of p+1 per local edge, the interior last.
     Built numerically: the moment map is assembled on the vector-valued
     hierarchical basis, edge functions are its pseudo-inverse columns and
     interior functions an orthonormal basis of its null space.  The
@@ -92,24 +87,22 @@ class BdmBasis:
     def __init__(self, p):
         self.p = p
         self.scalar = make_scalar_basis(2, p)
-        ns = self.scalar.dim
-        self.dim = 2 * ns
-        self.n_edge = p + 1
-        self.n_interior = (p + 1) * (p - 1)
+        self.dim = 2 * self.scalar.dim
+        self.dof_classes = {
+            "vertex": [],
+            "edge": [list(range(l * (p + 1), (l + 1) * (p + 1))) for l in range(3)],
+            "interior": list(range(3 * (p + 1), self.dim)),
+        }
 
         t, w = gauss01(p + 2)
         legv = npleg.legvander(2 * t - 1, p)
         rows = []
-        for l in range(3):
-            pts = edge_reference_points(l, t)
-            sv = self.scalar.eval(pts)
+        for l, edge in enumerate(LOCAL_EDGES[2]):
+            sv = self.scalar.eval(local_simplex_points(2, edge, t[:, None]))
             n_hat = REF_EDGE_NORMALS[l]
             normal_comp = np.concatenate([sv * n_hat[0], sv * n_hat[1]], axis=1)
-            for m in range(p + 1):
-                rows.append(
-                    REF_EDGE_LENGTHS[l]
-                    * np.einsum("q,q,qj->j", w, legv[:, m], normal_comp)
-                )
+            rows += [REF_EDGE_LENGTHS[l] * np.einsum("q,q,qj->j", w, legv[:, m], normal_comp)
+                     for m in range(p + 1)]
         T = np.array(rows)
         edge_cols = np.linalg.pinv(T)
         # the interior functions are whatever orthonormal basis of null(T)
@@ -120,10 +113,7 @@ class BdmBasis:
         null_cols = vh[len(s):].T
         self.coeffs = np.hstack([edge_cols, null_cols])
         # sanity: the dual pairing must come out as the identity
-        check = T @ self.coeffs
-        target = np.zeros_like(check)
-        target[:, : T.shape[0]] = np.eye(T.shape[0])
-        if not np.allclose(check, target, atol=1e-9):
+        if not np.allclose(T @ self.coeffs, np.eye(*T.shape), atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
         _read_only(self.coeffs)
 
@@ -144,71 +134,46 @@ _bdm_basis = cache(BdmBasis)
 
 
 class FunctionSpace:
-    """Global conforming space over a mesh.
+    """Global conforming space over a mesh, numbered from
+    ``basis.dof_classes`` alone (see the module docstring).
 
     ``elem_dofs``/``elem_signs`` (E, local dim) map local basis indices to
-    (global dof, orientation sign) per element.  Global dofs are numbered
-    by entity: vertices (S_p only, by vertex id), then facets (a block per
-    facet, in facet order), then element interiors (a contiguous block per
-    element, in element order).  ``basis`` is the shared reference basis
-    (``ScalarBasis`` for S_p, ``BdmBasis`` for BDM_p).  Immutable after
-    construction.
+    (global dof, orientation sign) per element.  The m-th function of a
+    local edge whose direction opposes the global one has sign (-1)^m,
+    times ``edge_signs`` (a scalar or (E, local edges)).  ``kind`` and
+    ``p`` come from the shared ``basis`` (``ScalarBasis`` for S_p,
+    ``BdmBasis`` for BDM_p).  Immutable after construction.
     """
 
-    def __init__(self, kind, mesh, p, n_dofs, elem_dofs, elem_signs, basis):
-        self.kind = kind
+    def __init__(self, mesh, basis, edge_signs=1.0):
+        self.kind = KIND_HDIV if isinstance(basis, BdmBasis) else KIND_H1
         self.mesh = mesh
-        self.p = p
-        self.n_dofs = n_dofs
-        self.elem_dofs = elem_dofs
-        self.elem_signs = elem_signs
+        self.p = basis.p
         self.basis = basis
-        self.elem_dofs.flags.writeable = False
-        self.elem_signs.flags.writeable = False
+        classes = basis.dof_classes
+        ne, nv = len(mesh.elements), len(classes["vertex"])
+        n, ni = len(classes["edge"][0]), len(classes["interior"])
+        first_edge = len(mesh.vertices) if nv else 0
+        first_int = first_edge + mesh.n_edges * n
+        self.n_dofs = first_int + ne * ni
+        i, j = np.array(LOCAL_EDGES[mesh.dim]).T
+        reversed_ = (mesh.elements[:, i] > mesh.elements[:, j])[:, :, None]
+        signs = (np.where(reversed_, (-1.0) ** np.arange(n), 1.0)
+                 * np.asarray(edge_signs)[..., None]).reshape(ne, -1)
+        # columns in the local order of dof_classes: vertices, edges, interior
+        edge_dofs = first_edge + mesh.elem_edges[:, :, None] * n + np.arange(n)
+        self.elem_dofs = np.hstack([mesh.elements[:, :nv], edge_dofs.reshape(ne, -1),
+                                    np.arange(first_int, self.n_dofs).reshape(ne, ni)])
+        self.elem_signs = np.hstack([np.ones((ne, nv)), signs, np.ones((ne, ni))])
+        _read_only(self.elem_dofs, self.elem_signs)
 
     def local_dim(self):
         return self.elem_dofs.shape[1]
 
 
-def _interior_dofs(offset, n_elems, n_per_elem):
-    """(E, n) dofs of element interiors: one contiguous block per element."""
-    return offset + np.arange(n_elems * n_per_elem).reshape(n_elems, n_per_elem)
-
-
-def _edge_dofs(mesh, offset, n_per_edge):
-    """(E, 3 n) dofs of the three local edges: the block of each edge's facet."""
-    dofs = offset + mesh.elem_facets[:, :, None] * n_per_edge + np.arange(n_per_edge)
-    return dofs.reshape(len(dofs), -1)
-
-
-def _edge_parity(mesh, n_per_edge):
-    """(E, 3, n) signs (-1)^m of the m-th Legendre kernel on local edges
-    whose direction opposes the global one (ascending vertex index)."""
-    i, j = np.array(LOCAL_EDGES[mesh.dim]).T
-    reversed_ = mesh.elements[:, i] > mesh.elements[:, j]
-    return np.where(reversed_[:, :, None], (-1.0) ** np.arange(n_per_edge), 1.0)
-
-
 def build_h1_space(mesh, p):
     """Continuous scalar space S_p over the mesh."""
-    basis = make_scalar_basis(mesh.dim, p)
-    nv = len(mesh.vertices)
-    ne = len(mesh.elements)
-    if mesh.dim == 1:  # the interval's one edge is the element itself
-        n_dofs = nv + ne * (p - 1)
-        elem_dofs = np.hstack([mesh.elements, _interior_dofs(nv, ne, p - 1)])
-        elem_signs = np.ones((ne, basis.dim))
-        return FunctionSpace(KIND_H1, mesh, p, n_dofs, elem_dofs, elem_signs, basis)
-
-    n_edge = p - 1
-    n_int = (p - 1) * (p - 2) // 2
-    n_edge_dofs = len(mesh.facet_vertices) * n_edge
-    n_dofs = nv + n_edge_dofs + ne * n_int
-    elem_dofs = np.hstack([mesh.elements, _edge_dofs(mesh, nv, n_edge),
-                           _interior_dofs(nv + n_edge_dofs, ne, n_int)])
-    elem_signs = np.hstack([np.ones((ne, 3)), _edge_parity(mesh, n_edge).reshape(ne, -1),
-                            np.ones((ne, n_int))])
-    return FunctionSpace(KIND_H1, mesh, p, n_dofs, elem_dofs, elem_signs, basis)
+    return FunctionSpace(mesh, make_scalar_basis(mesh.dim, p))
 
 
 def build_hdiv_space(mesh, p):
@@ -218,25 +183,14 @@ def build_hdiv_space(mesh, p):
         return build_h1_space(mesh, p)
     if p < 1:
         raise ValueError("degree p must be at least 1")
-    bdm = _bdm_basis(p)
-    ne = len(mesh.elements)
-    nle = bdm.n_edge
-    n_edge_dofs = len(mesh.facet_vertices) * nle
-    n_dofs = n_edge_dofs + ne * bdm.n_interior
-
     # normal-trace dofs are oriented by a canonical per-facet normal built
     # from vertex ids alone (rotate the ascending-vertex tangent), so the
     # numbering and signs do not depend on the element ordering
     corners = mesh.vertices[mesh.facet_vertices]
     canon = (corners[:, 1] - corners[:, 0])[:, ::-1] * [1.0, -1.0]
     canon_match = np.where(np.einsum("fd,fd->f", mesh.facet_normals, canon) > 0, 1.0, -1.0)
-    sigma = mesh.elem_facet_signs * canon_match[mesh.elem_facets]
-
-    elem_dofs = np.hstack([_edge_dofs(mesh, 0, nle),
-                           _interior_dofs(n_edge_dofs, ne, bdm.n_interior)])
-    elem_signs = np.hstack([(sigma[:, :, None] * _edge_parity(mesh, nle)).reshape(ne, -1),
-                            np.ones((ne, bdm.n_interior))])
-    return FunctionSpace(KIND_HDIV, mesh, p, n_dofs, elem_dofs, elem_signs, bdm)
+    return FunctionSpace(mesh, _bdm_basis(p),
+                         mesh.elem_facet_signs * canon_match[mesh.elem_facets])
 
 
 # -- the element map and field evaluation.  ``elem`` is one element index

@@ -23,15 +23,20 @@ import sympy
 from helmfosls.analysis import compute_errors, tail_slope
 from helmfosls.cli import solve_case
 from helmfosls.fosls import assemble_fosls, galerkin_residual, split_solution
-from helmfosls.mesh import build_interval_mesh, build_square_mesh
+from helmfosls.mesh import (
+    LOCAL_EDGES,
+    REF_EDGE_LENGTHS,
+    REF_EDGE_NORMALS,
+    build_interval_mesh,
+    build_square_mesh,
+    local_simplex_points,
+)
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.problems import piecewise_1d_problem, plane_wave_problem
 from helmfosls.projection import h12_00_gram, project_reference
 from helmfosls.spaces import (
-    REF_EDGE_NORMALS,
     build_h1_space,
     build_hdiv_space,
-    edge_reference_points,
     push_forward,
 )
 
@@ -305,12 +310,12 @@ def _commutation_deviation():
         tt = np.linspace(0, 1, 29)
         for l in range(3):
             n_hat = REF_EDGE_NORMALS[l]
-            epts = edge_reference_points(l, tt)
+            epts = local_simplex_points(2, LOCAL_EDGES[2][l], tt[:, None])
             lhs = (basis2.eval(epts) @ comp[0]) * n_hat[0] + (
                 basis2.eval(epts) @ comp[1]
             ) * n_hat[1]
             trace = lambda s, l=l, n_hat=n_hat: (
-                phi(edge_reference_points(l, np.atleast_2d(s)[:, 0])) @ n_hat
+                phi(local_simplex_points(2, LOCAL_EDGES[2][l], np.atleast_2d(s))) @ n_hat
             )
             rhs = basis1.eval(tt[:, None]) @ project_reference(trace, 1, p).result
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -319,7 +324,6 @@ def _commutation_deviation():
 
 def _piola_deviation():
     from helmfosls.mesh import Mesh
-    from helmfosls.spaces import REF_EDGE_LENGTHS
 
     worst = 0.0
     p = 3
@@ -341,7 +345,7 @@ def _piola_deviation():
         worst = max(worst, abs(ref_int - phys_int) / max(1.0, abs(ref_int)))
         for l in range(3):
             fid = mesh.elem_facets[0, l]
-            ref_pts = edge_reference_points(l, t)
+            ref_pts = local_simplex_points(2, LOCAL_EDGES[2][l], t[:, None])
             flux_ref = np.sum(
                 wt * REF_EDGE_LENGTHS[l] * (phi_hat(ref_pts)[0] @ REF_EDGE_NORMALS[l])
             )

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import pathlib
 import subprocess
@@ -158,7 +159,7 @@ class TestRunStudy:
         cfg = StudyConfig(problem="piecewise-1d", method="both", k=10.0,
                           degrees=[2, 1], mesh_sequence=[5, 15],
                           output_dir=str(out), avoid_node_at_zero=True)
-        _, paths = run_study(cfg)
+        table, paths = run_study(cfg)
         assert paths[2] == out / "runs.json"
         rows = [line.split(",") for line in paths[0].read_text().strip().split("\n")[2:]]
         runs = json.loads(paths[2].read_text())
@@ -171,6 +172,15 @@ class TestRunStudy:
             assert 0 < run["min_pivot"] and 0 <= run["relative_residual"] <= 1e-10
             assert set(run["seconds"]) == {"spaces", "assembly", "solve", "errors"}
             assert all(t >= 0 for t in run["seconds"].values())
+        # the observability of each run: quadrature drift, kh/p, p/log k
+        for run, record in zip(runs, table.rows):
+            assert run["quad_drift"] == record.errors.quad_drift
+            assert run["kh_over_p"] == 10.0 * record.h / record.p
+            assert run["p_over_log_k"] == record.p / math.log(10.0)
+        cfg.k, cfg.output_dir = 1.0, str(tmp_path / "k1")
+        # p / log k is undefined at k <= 1: null, as the log prints n/a
+        assert all(run["p_over_log_k"] is None
+                   for run in json.loads(run_study(cfg)[1][2].read_text()))
 
     def test_method_both_doubles_rows(self, tmp_path):
         out = tmp_path / "out"
@@ -286,6 +296,20 @@ class TestMainEntryPoint:
         write_config(cfg_path, method="bogus")
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unusable_output_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+        """An output path that names a file is a config error, found before
+        any run is solved."""
+        cfg_path = tmp_path / "study.json"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        write_config(cfg_path, mesh_sequence=[5, 15], degrees=[1, 2])
+        calls = []
+        monkeypatch.setattr(cli, "solve_case", lambda *args: calls.append(args))
+        assert cli.main(["run", str(cfg_path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot create output directory" in err
+        assert "Traceback" not in err and calls == []
 
     def test_float_mesh_count_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"

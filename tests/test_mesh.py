@@ -6,6 +6,8 @@ import pytest
 from helmfosls.mesh import (
     LOCAL_EDGES,
     LOCAL_FACETS,
+    REF_EDGE_LENGTHS,
+    REF_EDGE_NORMALS,
     REFERENCE_VERTICES,
     Mesh,
     barycentric,
@@ -13,6 +15,7 @@ from helmfosls.mesh import (
     build_polygonal_disk_mesh,
     build_square_mesh,
     element_map_apply,
+    local_simplex_points,
 )
 
 
@@ -137,6 +140,37 @@ class TestReferenceSimplex:
         np.testing.assert_array_equal(lam[:, 1:], xy)
         # a point (d = 0) has no coordinates and the one barycentric weight 1
         np.testing.assert_array_equal(barycentric(np.zeros((3, 0))), np.ones((3, 1)))
+
+    def test_local_simplex_map_edge_normals_and_lengths(self, rng):
+        """Edge points are a (1 - t) + b t exactly; the facet of an interval
+        is its vertex; the stored normals and lengths are those of the
+        triangle's edges."""
+        t = rng.random(20)
+        for d in (1, 2):
+            for a, b in LOCAL_EDGES[d]:
+                va, vb = REFERENCE_VERTICES[d][[a, b]]
+                np.testing.assert_array_equal(local_simplex_points(d, (a, b), t[:, None]),
+                                              va * (1 - t)[:, None] + vb * t[:, None])
+        for i in (0, 1):
+            np.testing.assert_array_equal(local_simplex_points(1, (i,), np.zeros((1, 0))), [[i]])
+        for (a, b), n, length in zip(LOCAL_EDGES[2], REF_EDGE_NORMALS, REF_EDGE_LENGTHS):
+            tangent = REFERENCE_VERTICES[2][b] - REFERENCE_VERTICES[2][a]
+            assert np.linalg.norm(tangent) == pytest.approx(length, rel=1e-15)
+            assert n @ tangent == pytest.approx(0.0, abs=1e-15)
+            assert np.linalg.norm(n) == pytest.approx(1.0, rel=1e-15)
+            # outward: away from the opposite vertex
+            opposite = REFERENCE_VERTICES[2][3 - a - b]
+            assert n @ (opposite - REFERENCE_VERTICES[2][a]) < 0
+
+    def test_global_edges(self):
+        """A triangle's edges are its facets; an interval's one edge is the
+        element itself."""
+        square = build_square_mesh(3)
+        assert square.elem_edges is square.elem_facets
+        assert square.n_edges == len(square.facet_vertices)
+        interval = build_interval_mesh(0.0, 1.0, 4)
+        np.testing.assert_array_equal(interval.elem_edges, np.arange(4)[:, None])
+        assert interval.n_edges == 4 and not interval.elem_edges.flags.writeable
 
 
 class TestElementMap:

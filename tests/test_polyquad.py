@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from helmfosls.mesh import LOCAL_EDGES, REFERENCE_VERTICES
+from helmfosls.mesh import LOCAL_EDGES, REFERENCE_VERTICES, local_simplex_points
 from helmfosls.polyquad import (
     ScalarBasis,
     gauss01,
@@ -19,7 +19,6 @@ from helmfosls.spaces import (
     BdmBasis,
     _kept_tables,
     _tables,
-    edge_reference_points,
     reference_tables,
 )
 
@@ -134,7 +133,8 @@ class TestScalarBasis:
         are bit-identical to it.  The interior BDM functions come from an
         SVD null-space basis that one ulp in these tables can rotate."""
         basis = make_scalar_basis(2, p)
-        edges = np.vstack([edge_reference_points(l, gauss01(p + 6)[0]) for l in range(3)])
+        t = gauss01(p + 6)[0][:, None]
+        edges = np.vstack([local_simplex_points(2, edge, t) for edge in LOCAL_EDGES[2]])
         for pts in (simplex_quadrature(2, 2 * p + 2).points,
                     simplex_quadrature(2, 4 * p + 16).points, edges):
             vals, grads = basis.eval_with_grad(pts)
@@ -152,7 +152,7 @@ class TestScalarBasis:
         vals1, grads1 = make_scalar_basis(1, p).eval_with_grad(t[:, None])
         tri = make_scalar_basis(2, p)
         for l, (i, j) in enumerate(LOCAL_EDGES[2]):
-            vals, grads = tri.eval_with_grad(edge_reference_points(l, t))
+            vals, grads = tri.eval_with_grad(local_simplex_points(2, (i, j), t[:, None]))
             tangent = REFERENCE_VERTICES[2][j] - REFERENCE_VERTICES[2][i]
             cols = [i, j, *tri.dof_classes["edge"][l]]
             for got, want in ((vals, vals1), (grads @ tangent, grads1[:, :, 0])):
@@ -372,7 +372,7 @@ def test_import_leaves_scipy_special_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# the benchmark's warm-up case and three of its workloads at full size,
+# the benchmark's warm-up case and its four workloads at full size,
 # in one fresh process: the kept-table cache's statistics, its bound, and
 # every evaluation of a scalar basis as (d, p, point shape, point bytes)
 _TRAFFIC = """
@@ -391,7 +391,7 @@ def counted(basis, points):
     return evaluate(basis, points)
 polyquad.ScalarBasis.eval_with_grad = counted
 workloads.warm_up()
-for name in ("study-1d", "study-2d", "solve-2d"):
+for name in ("study-1d", "study-2d", "solve-2d", "project-2d"):
     workloads.run(name, "full", 0, sys.argv[3])
 info = spaces._kept_tables.cache_info()
 print(info.misses, info.currsize, info.maxsize, len(evaluated), len(set(evaluated)))
@@ -401,8 +401,8 @@ print(info.misses, info.currsize, info.maxsize, len(evaluated), len(set(evaluate
 def test_kept_tables_hold_the_benchmark_traffic(tmp_path):
     """The bound of the table cache covers the traffic it was sized from:
     every (basis, point set) of the run is built once and none is
-    evicted, and S_p and BDM_p at the same points evaluate the scalar
-    basis once."""
+    evicted, and S_p, BDM_p and the staged projection at the same points
+    evaluate the scalar basis once."""
     root = pathlib.Path(__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", _TRAFFIC, str(root / "src"),

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from helmfosls import fosls, projection
-from helmfosls.mesh import build_polygonal_disk_mesh, build_square_mesh
+from helmfosls.mesh import (
+    LOCAL_EDGES,
+    REF_EDGE_NORMALS,
+    build_polygonal_disk_mesh,
+    build_square_mesh,
+    local_simplex_points,
+)
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.projection import (
     _edge_work,
@@ -14,9 +20,7 @@ from helmfosls.projection import (
     project_reference,
 )
 from helmfosls.spaces import (
-    REF_EDGE_NORMALS,
     build_hdiv_space,
-    edge_reference_points,
     interpolate_hdiv_polynomial,
     vector_eval,
 )
@@ -582,7 +586,8 @@ class TestHdivProjection:
             e = mesh.facet_elems[fid, 0]
             li = list(mesh.elem_facets[e]).index(fid)
             sigma, normal = mesh.elem_facet_signs[e, li], mesh.facet_normals[fid]
-            vals = vector_eval(space, coeffs, e, edge_reference_points(li, t))
+            edge = local_simplex_points(2, LOCAL_EDGES[2][li], t[:, None])
+            vals = vector_eval(space, coeffs, e, edge)
             flux = np.sum(w * mesh.facet_measures[fid] * (vals @ (sigma * normal)))
             total += flux
             if abs(normal[0] - 1.0) < 1e-12:
@@ -635,12 +640,12 @@ class TestHdivProjection:
         tt = np.linspace(0, 1, 29)
         for l in range(3):
             n_hat = REF_EDGE_NORMALS[l]
-            epts = edge_reference_points(l, tt)
+            epts = local_simplex_points(2, LOCAL_EDGES[2][l], tt[:, None])
             lhs = (basis2.eval(epts) @ comp[0]) * n_hat[0] + (
                 basis2.eval(epts) @ comp[1]
             ) * n_hat[1]
             trace = lambda s, l=l, n_hat=n_hat: (
-                phi(edge_reference_points(l, np.atleast_2d(s)[:, 0])) @ n_hat
+                phi(local_simplex_points(2, LOCAL_EDGES[2][l], np.atleast_2d(s))) @ n_hat
             )
             proj1d = project_reference(trace, 1, p)
             rhs = basis1.eval(tt[:, None]) @ proj1d.result

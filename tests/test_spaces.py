@@ -3,10 +3,13 @@ import pytest
 
 from helmfosls.mesh import (
     LOCAL_EDGES,
+    REF_EDGE_LENGTHS,
+    REF_EDGE_NORMALS,
     Mesh,
     build_interval_mesh,
     build_polygonal_disk_mesh,
     build_square_mesh,
+    local_simplex_points,
 )
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.spaces import (
@@ -119,6 +122,42 @@ class TestDofCounts:
             np.testing.assert_array_equal(flux.elem_signs, h1.elem_signs)
 
 
+LAYOUT_MESHES = {
+    "interval": lambda: build_interval_mesh(-1, 1, 5),
+    "square": lambda: build_square_mesh(3),
+    "disk": lambda: build_polygonal_disk_mesh(8, 1),
+}
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("mesh_name", sorted(LAYOUT_MESHES))
+@pytest.mark.parametrize("build", [build_h1_space, build_hdiv_space])
+def test_layout_follows_the_dof_classes(build, mesh_name, p):
+    """Both kinds are laid out from ``basis.dof_classes``: the interior
+    functions are the trailing local block, and their global dofs one
+    contiguous block per element, in element order, after every vertex
+    and edge dof; local edge l of element e holds the block first_edge +
+    elem_edges[e, l] n + arange(n).  Static condensation relies on this."""
+    mesh = LAYOUT_MESHES[mesh_name]()
+    space = build(mesh, p)
+    classes, dofs = space.basis.dof_classes, space.elem_dofs
+    ne, dim = len(mesh.elements), space.local_dim()
+    interior = classes["interior"]
+    assert interior == list(range(dim - len(interior), dim))
+    first_int = space.n_dofs - ne * len(interior)
+    np.testing.assert_array_equal(dofs[:, interior].ravel(), np.arange(first_int, space.n_dofs))
+    assert np.all(np.delete(dofs, interior, axis=1) < first_int)
+
+    np.testing.assert_array_equal(dofs[:, classes["vertex"]],
+                                  mesh.elements[:, :len(classes["vertex"])])
+    first_edge = len(mesh.vertices) if classes["vertex"] else 0
+    n = len(classes["edge"][0])
+    for l, cols in enumerate(classes["edge"]):
+        np.testing.assert_array_equal(
+            dofs[:, cols], first_edge + mesh.elem_edges[:, l, None] * n + np.arange(n))
+    np.testing.assert_array_equal(np.unique(dofs), np.arange(space.n_dofs))
+
+
 class TestBoundaryDofInfo:
     """The local dofs of a boundary facet's local index are all the basis
     functions with a (normal) trace on that facet."""
@@ -145,7 +184,7 @@ class TestBoundaryDofInfo:
         p = 2
         space = build_hdiv_space(mesh, p)
         t = np.linspace(0.1, 0.9, 5)
-        nle = space.basis.n_edge
+        nle = len(space.basis.dof_classes["edge"][0])
         for fid in mesh.boundary_facets:
             elem = mesh.facet_elems[fid, 0]
             li = list(mesh.elem_facets[elem]).index(fid)
@@ -259,8 +298,6 @@ class TestPiola:
     def test_divergence_and_flux_commute(self, p, rng):
         """Volume divergence and edge fluxes are preserved by the map,
         element by element, for one batched call over five triangles."""
-        from helmfosls.spaces import REF_EDGE_LENGTHS, REF_EDGE_NORMALS, \
-            edge_reference_points
         sb = make_scalar_basis(2, p)
         rule = simplex_quadrature(2, 2 * p + 2)
         t, wt = gauss01(p + 2)
@@ -279,7 +316,7 @@ class TestPiola:
 
         # per-facet flux preservation
         for l in range(3):
-            ref_pts = edge_reference_points(l, t)
+            ref_pts = local_simplex_points(2, LOCAL_EDGES[2][l], t[:, None])
             pushed = push_forward(space, elems, phi_hat(ref_pts))
             flux_ref = (phi_hat(ref_pts) @ REF_EDGE_NORMALS[l]) @ wt * REF_EDGE_LENGTHS[l]
             for e in elems:
