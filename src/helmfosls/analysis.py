@@ -3,9 +3,11 @@
 Error integrals reduce over ``fosls.sample_pairs``, the sampler of
 ``fosls.evaluate_b``: the exact and the discrete pair at the points of
 the error rules (exactness 2p + 8, exactness + 2 on boundary facets).
-They are re-run at doubled exactness; the relative drift between the
-two, boundary terms included, is reported so that quadrature-limited
-numbers are visible.  The least-squares residual components
+Each integral is also taken on the rules of doubled exactness, and the
+relative drift between the two, boundary terms included, is reported so
+that quadrature-limited numbers are visible.  Both rules are sampled in
+one sweep: every group holds the points of both, and its fields are
+formed once and reduced once per rule.  The least-squares residual components
 
     e1 = || ik (phi - phi_h) + grad(u - u_h) ||_{L2}
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}
@@ -14,7 +16,8 @@ are tracked separately because they converge at different orders.
 On each chunk the exact solution is sampled by one jet call
 (``ExactBundle.fields``) and the discrete solution by one evaluator
 call per space (``fosls.pair_fields``), and each squared norm is one
-weighted reduction of re^2 + im^2 on the real view of its field.  A
+product of the per-element scales with re^2 + im^2 on the real view of
+its field, then one product with the reference weights of both rules.  A
 classical FEM solution carries no flux: its flux errors are never
 formed, and the flux entries of its report are NaN.
 Everything here is pure post-processing over immutable solutions.
@@ -34,8 +37,9 @@ class ErrorReport:
 
     Flux-based entries (e1, e2, flux_l2, e_bnd) are NaN for classical FEM
     solutions, which carry no discrete flux.  ``quad_drift`` is the
-    largest relative change of any entry when the quadrature rule is
-    doubled.
+    largest relative change of any entry when the exactness of the
+    quadrature rules is doubled; both rules are sampled in the same
+    sweep, at the same evaluations of the fields.
     """
 
     l2_rel: float
@@ -82,34 +86,23 @@ class ConvergenceTable:
         return out
 
 
-def _sq_sums(wts, fields):
-    """Quadrature of |field|^2 over (element, point) axes and components,
-    for each field: the weights times re^2 + im^2 of its real view."""
-    w = wts.reshape(-1)
-    out = []
-    for f in fields:
-        z = f.reshape(w.size, -1).view(float)
-        out.append((w @ (z * z)).sum())
+def _sq_sums(scales, weights, fields):
+    """Quadrature of |field|^2 over (element, point) axes and components
+    on each of R rules, for each field: one product of the per-element
+    scales (E,) with re^2 + im^2 of its real view, summed over the
+    components, then the reference weights (R, q).  Returns (R, fields)."""
+    q = weights.shape[1]
+    out = np.empty((len(weights), len(fields)))
+    for i, f in enumerate(fields):
+        z = f.reshape(len(scales), -1).view(float)
+        out[:, i] = weights @ (scales @ (z * z)).reshape(q, -1).sum(axis=1)
     return out
 
 
-def _accumulate(sol, problem, exactness=None):
-    """Error norms (the fields of :class:`ErrorReport` but the drift) on
-    the rules of ``fosls.sample_pairs`` at ``exactness`` (by default the
-    error rules).  A classical FEM solution has no flux: its flux errors
-    are never formed, and its flux entries are NaN."""
-    has_flux = sol.phi_coeffs is not None
-    vol, bnd = np.zeros(6), np.zeros(2)
-    for wts, (ex, uh), normals in sample_pairs((problem.exact, sol), sol.w_space,
-                                               problem.breakpoints, exactness):
-        eu, egu = ex[2] - uh[2], ex[3] - uh[3]
-        fields = [eu] if normals is not None else [ex[2], eu, egu]
-        if has_flux:
-            err = (ex[0] - uh[0], ex[1] - uh[1], eu, egu)
-            fields += ([impedance_trace(err, normals)] if normals is not None
-                       else [*ls_residuals(err, problem.k), err[0]])
-        sums = vol if normals is None else bnd
-        sums[:len(fields)] += _sq_sums(wts, fields)
+def _norms(vol, bnd, has_flux):
+    """The fields of :class:`ErrorReport` but the drift from the squared
+    volume norms (u, e_u, grad e_u, e1, e2, e_phi) and boundary norms
+    (e_u, phi.n + u); the flux entries are NaN without a flux."""
     u2, eu2, geu2, e12, e22, ephi2 = vol
     bnd_eu2, imp2 = bnd
     nan = float("nan")
@@ -125,12 +118,35 @@ def _accumulate(sol, problem, exactness=None):
     }
 
 
+def _accumulate(sol, problem, exactnesses):
+    """Error norms (the fields of :class:`ErrorReport` but the drift) on
+    each rule of ``fosls.sample_pairs`` at ``exactnesses``, one dict per
+    rule, from one sweep: each group's fields are formed once and reduced
+    once per rule.  A classical FEM solution has no flux: its flux errors
+    are never formed, and its flux entries are NaN."""
+    has_flux = sol.phi_coeffs is not None
+    vol, bnd = np.zeros((len(exactnesses), 6)), np.zeros((len(exactnesses), 2))
+    for scales, weights, (ex, uh), normals in sample_pairs(
+            (problem.exact, sol), sol.w_space, problem.breakpoints, exactnesses):
+        eu, egu = ex[2] - uh[2], ex[3] - uh[3]
+        fields = [eu] if normals is not None else [ex[2], eu, egu]
+        if has_flux:
+            err = (ex[0] - uh[0], ex[1] - uh[1], eu, egu)
+            fields += ([impedance_trace(err, normals)] if normals is not None
+                       else [*ls_residuals(err, problem.k), err[0]])
+        sums = vol if normals is None else bnd
+        sums[:, :len(fields)] += _sq_sums(scales, weights, fields)
+    return [_norms(v, b, has_flux) for v, b in zip(vol, bnd)]
+
+
 def compute_errors(sol, problem):
-    """Error report for a discrete solution; needs an exact solution."""
+    """Error report for a discrete solution; needs an exact solution.
+    The error rules and the doubled rules of the drift are sampled in one
+    sweep (:func:`_accumulate`)."""
     if problem.exact is None:
         raise ValueError("compute_errors requires a problem with an exact solution")
-    base = _accumulate(sol, problem)
-    fine = _accumulate(sol, problem, 2 * error_exactness(sol.w_space.p))
+    exactness = error_exactness(sol.w_space.p)
+    base, fine = _accumulate(sol, problem, (exactness, 2 * exactness))
     drift = 0.0
     for key, val in base.items():
         ref = fine[key]

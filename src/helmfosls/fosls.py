@@ -38,14 +38,20 @@ CHUNK_POINTS quadrature points, which bounds the memory of the kernels
 that evaluate data at physical points whatever the mesh size.  Chunks
 are processed in a fixed order, so results are deterministic and reruns
 are bit-identical.  The chunks, the breakpoint panels and the boundary
-facet tables of a rule depend on the mesh alone and are built once per
-mesh and rule, as read-only sampling plans that are freed with the mesh.
+facet tables of a set of rules depend on the mesh alone and are built
+once per mesh and rules, as read-only sampling plans that are freed with
+the mesh.
 
 The error rules have one owner, :func:`sample_pairs`: it yields the
-weights, the fields (phi, div phi, u, grad u) of any pairs and the
-boundary normals on the volume and facet rules, and both
+weights of each rule, the fields (phi, div phi, u, grad u) of any pairs
+and the boundary normals on the volume and facet rules, and both
 :func:`evaluate_b` and ``analysis.compute_errors`` reduce over it, so
-b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.
+b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.  It samples several
+rules in one sweep: ``compute_errors`` asks for the error rules and the
+doubled ones behind its drift check together, and every group then
+holds the points of both, is mapped once and evaluates each pair once,
+with one row of reference weights per rule.  ``evaluate_b`` and the
+loads of assembly use the plan of one rule.
 """
 
 import functools
@@ -125,12 +131,16 @@ def chunks(n_items, points_per_item):
 
 
 # What a pass over the element or boundary groups needs of the mesh and
-# the rule alone -- the element chunks, the panel rules of cut elements,
+# the rules alone -- the element chunks, the panel rules of cut elements,
 # the boundary facets per local facet with their reference points,
 # measures and normals -- is its sampling plan, built once per (mesh,
-# rule, breakpoints) or (mesh, facet exactness) and kept read-only until
-# the mesh is freed.  A plan holds no array with both an element and a
-# point axis, so its memory is O(E) per key: every pass forms the
+# rules, breakpoints) or (mesh, facet exactnesses) and kept read-only
+# until the mesh is freed.  A plan samples several rules at once: each
+# group holds the points of every rule in turn and an (R, q) table of
+# reference weights whose row r holds the weights of rule r on its own
+# points and 0 on the others, so one pass over the groups evaluates each
+# field once for all R rules.  A plan holds no array with both an element
+# and a point axis, so its memory is O(E) per key: every pass forms the
 # physical points and the weights times det A chunk by chunk.
 
 _PLANS = weakref.WeakKeyDictionary()
@@ -148,10 +158,24 @@ def _plan(mesh, build, *key):
         return plans[full]
 
 
-def _element_plan(mesh, rule, breakpoints):
-    """Groups (elems, reference points, reference weights) of
-    :func:`element_groups`, every point checked to lie inside the
-    reference simplex."""
+def _union(parts):
+    """Reference points (q, d) and weights (R, q) of R rules sampled
+    together from their (points, weights): the points of every rule in
+    turn, each checked to lie inside the reference simplex, and row r the
+    weights of rule r on its own points, 0 elsewhere."""
+    points = reference_points(np.concatenate([pts for pts, _ in parts]))
+    weights = np.zeros((len(parts), len(points)))
+    start = 0
+    for row, (_, w) in zip(weights, parts):
+        row[start:start + len(w)] = w
+        start += len(w)
+    return points, weights
+
+
+def _element_plan(mesh, rules, breakpoints):
+    """Groups (elems, reference points, reference weights (R, q)) of the
+    R rules of ``rules`` sampled together (:func:`_union`); the groups of
+    a single rule are those of :func:`element_groups`."""
     cuts = {}
     if mesh.dim == 1:
         x0, lc = mesh.maps_b[:, 0], mesh.maps_A[:, 0, 0]
@@ -162,29 +186,31 @@ def _element_plan(mesh, rule, breakpoints):
     plain = np.ones(len(mesh.elements), dtype=bool)
     plain[list(cuts)] = False
     plain = np.flatnonzero(plain)
-    points = reference_points(rule.points)
-    groups = [(plain[s], points, rule.weights)
-              for s in chunks(len(plain), len(rule.weights))]
+    points, weights = _union([(rule.points, rule.weights) for rule in rules])
+    groups = [(plain[s], points, weights) for s in chunks(len(plain), len(points))]
     for e, ts in sorted(cuts.items()):
         edges = np.array([0.0, *sorted(ts), 1.0])
         lo, hi = edges[:-1, None], edges[1:, None]
-        pts = lo + (hi - lo) * rule.points[:, 0]
-        groups.append((np.array([e]), reference_points(pts.reshape(-1, 1)),
-                       ((hi - lo) * rule.weights).ravel()))
+        panels = [((lo + (hi - lo) * rule.points[:, 0]).reshape(-1, 1),
+                   ((hi - lo) * rule.weights).ravel()) for rule in rules]
+        groups.append((np.array([e]), *_union(panels)))
     return tuple(_read_only(*g) for g in groups)
 
 
-def _boundary_plan(mesh, exactness):
-    """Groups (elems, reference points, reference weights, measures,
-    normals) of :func:`boundary_groups`."""
+def _boundary_plan(mesh, exactnesses):
+    """Groups (elems, reference points, reference weights (R, q),
+    measures, normals) of the R facet rules of ``exactnesses`` sampled
+    together (:func:`_union`); the groups of a single rule are those of
+    :func:`boundary_groups`."""
     fids = mesh.boundary_facets
-    rule = simplex_quadrature(mesh.dim - 1, exactness)
+    rules = [simplex_quadrature(mesh.dim - 1, e) for e in exactnesses]
     groups = []
     for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
         sel = mesh.boundary_local_facets == li
         if sel.any():
-            ref = reference_points(local_simplex_points(mesh.dim, facet, rule.points))
-            groups.append(_read_only(mesh.boundary_elems[sel], ref, rule.weights,
+            ref, wts = _union([(local_simplex_points(mesh.dim, facet, rule.points),
+                                rule.weights) for rule in rules])
+            groups.append(_read_only(mesh.boundary_elems[sel], ref, wts,
                                      mesh.facet_measures[fids[sel]],
                                      mesh.facet_normals[fids[sel]]))
     return tuple(groups)
@@ -201,9 +227,9 @@ def element_groups(mesh, rule, breakpoints=()):
     from the plan of (mesh, rule, breakpoints); all but the physical
     points and weights are the plan's read-only arrays.
     """
-    for elems, pts, wts in _plan(mesh, _element_plan, rule, tuple(breakpoints)):
+    for elems, pts, wts in _plan(mesh, _element_plan, (rule,), tuple(breakpoints)):
         yield (elems, pts, element_map_apply(mesh, elems, pts, check=False),
-               wts * mesh.det_A[elems][:, None])
+               wts[0] * mesh.det_A[elems][:, None])
 
 
 def boundary_groups(mesh, exactness):
@@ -215,10 +241,11 @@ def boundary_groups(mesh, exactness):
     exactness)``, mapped onto each local facet by
     ``mesh.local_simplex_points`` (in 1D the one point of a facet, with
     weight 1).  The groups come from the plan of (mesh, exactness); all
-    but the physical points are the plan's read-only arrays.
+    but the physical points are the plan's read-only arrays (the weights
+    a view of the plan's one row).
     """
-    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, exactness):
-        yield (elems, ref, wts, element_map_apply(mesh, elems, ref, check=False),
+    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, (exactness,)):
+        yield (elems, ref, wts[0], element_map_apply(mesh, elems, ref, check=False),
                measures, normals)
 
 
@@ -454,26 +481,34 @@ def error_exactness(p):
     return 2 * p + 8
 
 
-def sample_pairs(pairs, w_space, breakpoints=(), exactness=None):
-    """Fields of several pairs at the points of the error rules.
+def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None):
+    """Fields of several pairs at the points of the error rules, every
+    rule of ``exactnesses`` sampled in one sweep.
 
-    The volume rule has ``exactness`` (by default
-    :func:`error_exactness` of the degree of ``w_space``, which also
-    gives the mesh), panel-split at ``breakpoints`` in 1D; boundary
-    facets use exactness + 2.  Yields, per element or boundary group,
-    (weights (E, q), the :func:`pair_fields` of each pair, outward
-    normals (E, d)); the normals are None on volume groups.  The weights
-    hold det A in the volume and the facet measure on the boundary.
+    The volume rules have the exactnesses ``exactnesses`` (by default the
+    one rule of :func:`error_exactness` of the degree of ``w_space``,
+    which also gives the mesh), panel-split at ``breakpoints`` in 1D;
+    boundary facets use each exactness + 2.  Every element or boundary
+    group holds the points of all R rules at once (see the sampling
+    plans), so its points are mapped once, and each pair is evaluated
+    once.  Yields, per group, (scales (E,), reference weights (R, q), the
+    :func:`pair_fields` of each pair, outward normals (E, d)): rule r
+    weighs the group's points by scales[:, None] * weights[r], and the
+    scales are det A in the volume and the facet measure on the
+    boundary.  The normals are None on volume groups.
     """
     mesh = w_space.mesh
-    if exactness is None:
-        exactness = error_exactness(w_space.p)
-    rule = simplex_quadrature(mesh.dim, exactness)
-    for elems, ref, phys, wdet in element_groups(mesh, rule, breakpoints):
-        yield wdet, [pair_fields(pair, elems, ref, phys) for pair in pairs], None
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, exactness + 2):
-        yield (measures[:, None] * wts, [pair_fields(pair, elems, ref, phys) for pair in pairs],
-               normals)
+    if exactnesses is None:
+        exactnesses = (error_exactness(w_space.p),)
+    rules = tuple(simplex_quadrature(mesh.dim, e) for e in exactnesses)
+    facets = tuple(e + 2 for e in exactnesses)
+    for elems, ref, wts in _plan(mesh, _element_plan, rules, tuple(breakpoints)):
+        phys = element_map_apply(mesh, elems, ref, check=False)
+        yield (mesh.det_A[elems], wts, [pair_fields(pair, elems, ref, phys) for pair in pairs],
+               None)
+    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, facets):
+        phys = element_map_apply(mesh, elems, ref, check=False)
+        yield measures, wts, [pair_fields(pair, elems, ref, phys) for pair in pairs], normals
 
 
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
@@ -486,14 +521,14 @@ def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     to rounding.
     """
     total = 0.0 + 0.0j
-    for wts, (fa, fb), normals in sample_pairs((pair_a, pair_b), w_space, breakpoints):
+    for scales, (wts,), (fa, fb), normals in sample_pairs((pair_a, pair_b), w_space,
+                                                          breakpoints):
         if normals is None:
             (ra1, ra2), (rb1, rb2) = ls_residuals(fa, k), ls_residuals(fb, k)
-            first = np.einsum("eqd,eqd->eq", ra1, rb1.conj())
-            total += np.sum(wts * (first + ra2 * rb2.conj()))
+            density = np.einsum("eqd,eqd->eq", ra1, rb1.conj()) + ra2 * rb2.conj()
         else:
-            ta, tb = impedance_trace(fa, normals), impedance_trace(fb, normals)
-            total += k * np.sum(wts * ta * tb.conj())
+            density = k * impedance_trace(fa, normals) * impedance_trace(fb, normals).conj()
+        total += scales @ density @ wts
     return total
 
 

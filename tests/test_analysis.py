@@ -164,14 +164,34 @@ class TestComputeErrors:
         assert err.quad_drift < 1e-3
 
     def test_boundary_rule_follows_exactness(self):
-        """bnd_l2 and e_bnd use a facet rule that grows with ``exactness``,
-        so the doubled pass behind quad_drift covers them too."""
+        """bnd_l2 and e_bnd use a facet rule that grows with each
+        exactness of the sweep, so the doubled rules behind quad_drift
+        cover them too."""
         prob = plane_wave_problem(8.0)
         sol = solve_method("fosls", build_square_mesh(4), 2, prob)
-        coarse = analysis._accumulate(sol, prob, 2)
-        default = analysis._accumulate(sol, prob)
+        coarse, default = analysis._accumulate(sol, prob, (2, error_exactness(2)))
         assert coarse["bnd_l2"] != default["bnd_l2"]
         assert coarse["e_bnd"] != default["e_bnd"]
+
+    def test_one_jet_call_per_group(self, monkeypatch):
+        """The error rules and the doubled rules of the drift are sampled
+        in one sweep: on 7 elements with the kink x = 0 cutting the middle
+        one, the exact jet is called once per group -- one chunk, one
+        panel group and two boundary groups -- and each space's
+        evaluator once per group."""
+        prob = piecewise_1d_problem(10.0)
+        sol = solve_method("fosls", build_interval_mesh(-1, 1, 7), 2, prob)
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        exact = type(prob.exact)
+        monkeypatch.setattr(exact, "fields", counted("jet", exact.fields))
+        for name in ("scalar_eval", "vector_eval"):
+            monkeypatch.setattr(fosls, name, counted(name, getattr(fosls, name)))
+        compute_errors(sol, prob)
+        assert sorted(calls) == ["jet"] * 4 + ["scalar_eval"] * 4 + ["vector_eval"] * 4
 
     def test_all_entries_nonnegative_finite_for_fosls(self):
         prob = piecewise_1d_problem(10.0)
@@ -261,13 +281,14 @@ def _element_field(space, coeffs, e, ref):
     return v @ mesh.maps_A[e].T / mesh.det_A[e], dv / mesh.det_A[e]
 
 
-def _oracle_errors(sol, problem):
+def _oracle_errors(sol, problem, exactness=None):
     """The ErrorReport entries but quad_drift, summed element by element
-    and facet by facet on the error rules (1D elements cut by a
-    breakpoint split into panels), sharing no kernel with
-    ``compute_errors``."""
+    and facet by facet on the rules of ``exactness`` (by default the
+    error rules; 1D elements cut by a breakpoint split into panels),
+    sharing no kernel with ``compute_errors``."""
     mesh, k, d = sol.w_space.mesh, problem.k, sol.w_space.mesh.dim
-    exactness = error_exactness(sol.w_space.p)
+    if exactness is None:
+        exactness = error_exactness(sol.w_space.p)
     has_flux = sol.phi_coeffs is not None
     total = dict.fromkeys(["u2", "eu2", "geu2", "e1", "e2", "ephi", "bnd_eu2", "imp"], 0.0)
 
@@ -325,15 +346,21 @@ def _oracle_errors(sol, problem):
 def test_compute_errors_matches_element_loop_oracle(dim, p, method):
     """Every ErrorReport entry but quad_drift equals the element-by-element
     oracle to 1e-12 relative (1D: the kink x = 0 cuts the middle of 7
-    elements); the FEM flux entries are NaN."""
+    elements); the FEM flux entries are NaN.  quad_drift equals the
+    largest relative change of an entry between the oracle at the error
+    exactness e and at 2e to 2e-13 absolute (the drift is itself a
+    difference of entries that may each move by rounding)."""
     if dim == 1:
         prob, mesh = piecewise_1d_problem(10.0), build_interval_mesh(-1, 1, 7)
     else:
         prob, mesh = plane_wave_problem(8.0), build_square_mesh(3)
     sol = solve_method(method, mesh, p, prob)
     got = dataclasses.asdict(compute_errors(sol, prob))
-    got.pop("quad_drift")
     want = _oracle_errors(sol, prob)
+    fine = _oracle_errors(sol, prob, 2 * error_exactness(p))
+    drift = max(abs(value - fine[name]) / abs(fine[name]) for name, value in want.items()
+                if not math.isnan(value))
+    assert abs(got.pop("quad_drift") - drift) <= 2e-13
     assert got.keys() == want.keys()
     for name, value in want.items():
         if method == "fem" and name in FLUX_ENTRIES:

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 import sympy
 
 import helmfosls.fosls as fosls
@@ -646,12 +647,15 @@ class TestSamplingPlans:
         mesh = make()
         first, second = _plan_groups(mesh, breakpoints), _plan_groups(mesh, breakpoints)
         # all but the physical points (and the volume's weights times
-        # det A) are the plan's arrays
-        for groups_a, groups_b, kept in zip(first, second, [(0, 1), (0, 1, 2, 4, 5)]):
+        # det A) are the plan's arrays; the boundary weights are a view
+        # of the one row of the plan's weight table
+        for groups_a, groups_b, kept, viewed in zip(first, second, [(0, 1), (0, 1, 4, 5)],
+                                                    [(), (2,)]):
             assert len(groups_a) == len(groups_b)
             for a, b in zip(groups_a, groups_b):
                 assert all(a[i] is b[i] for i in kept)
-                fresh = [i for i in range(len(a)) if i not in kept]
+                assert all(a[i].base is not None and a[i].base is b[i].base for i in viewed)
+                fresh = [i for i in range(len(a)) if i not in kept + viewed]
                 assert all(a[i] is not b[i] and np.array_equal(a[i], b[i]) for i in fresh)
 
     def test_plan_arrays_are_read_only(self, mesh_name):
@@ -665,34 +669,71 @@ class TestSamplingPlans:
     def test_keys_never_share_a_plan(self, mesh_name):
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh, twin = make(), make()
-        rule = simplex_quadrature(mesh.dim, 12)
-        plan = fosls._plan(mesh, fosls._element_plan, rule, breakpoints)
+        rule, rule14 = simplex_quadrature(mesh.dim, 12), simplex_quadrature(mesh.dim, 14)
+        plan = fosls._plan(mesh, fosls._element_plan, (rule,), breakpoints)
         others = [
-            fosls._plan(twin, fosls._element_plan, rule, breakpoints),
-            fosls._plan(mesh, fosls._element_plan, simplex_quadrature(mesh.dim, 14),
-                        breakpoints),
-            fosls._plan(mesh, fosls._element_plan, rule, (*breakpoints, 0.5)),
+            fosls._plan(twin, fosls._element_plan, (rule,), breakpoints),
+            fosls._plan(mesh, fosls._element_plan, (rule14,), breakpoints),
+            fosls._plan(mesh, fosls._element_plan, (rule, rule14), breakpoints),
+            fosls._plan(mesh, fosls._element_plan, (rule,), (*breakpoints, 0.5)),
         ]
         assert all(other is not plan for other in others)
-        assert fosls._plan(mesh, fosls._element_plan, rule, breakpoints) is plan
-        bplan = fosls._plan(mesh, fosls._boundary_plan, 14)
-        assert fosls._plan(twin, fosls._boundary_plan, 14) is not bplan
-        assert fosls._plan(mesh, fosls._boundary_plan, 16) is not bplan
-        assert fosls._plan(mesh, fosls._boundary_plan, 14) is bplan
+        assert fosls._plan(mesh, fosls._element_plan, (rule,), breakpoints) is plan
+        bplan = fosls._plan(mesh, fosls._boundary_plan, (14,))
+        assert fosls._plan(twin, fosls._boundary_plan, (14,)) is not bplan
+        assert fosls._plan(mesh, fosls._boundary_plan, (16,)) is not bplan
+        assert fosls._plan(mesh, fosls._boundary_plan, (14, 16)) is not bplan
+        assert fosls._plan(mesh, fosls._boundary_plan, (14,)) is bplan
 
     def test_plan_holds_no_element_by_point_array(self, mesh_name):
         """Every plan array has an element axis or a point axis, not both,
-        so a plan's memory is O(E) per key."""
+        so a plan's memory is O(E) per key: the weight table of R rules
+        has R rows."""
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
-        rule = simplex_quadrature(mesh.dim, 12)
-        plans = [fosls._plan(mesh, fosls._element_plan, rule, breakpoints),
-                 fosls._plan(mesh, fosls._boundary_plan, 14)]
-        for group in (g for plan in plans for g in plan):
+        rules = tuple(simplex_quadrature(mesh.dim, e) for e in (12, 24))
+        plans = [(fosls._plan(mesh, fosls._element_plan, rules[:1], breakpoints), 1),
+                 (fosls._plan(mesh, fosls._boundary_plan, (14,)), 1),
+                 (fosls._plan(mesh, fosls._element_plan, rules, breakpoints), 2),
+                 (fosls._plan(mesh, fosls._boundary_plan, (14, 26)), 2)]
+        for group, n_rules in ((g, n) for plan, n in plans for g in plan):
             n_elems, n_points = len(group[0]), len(group[1])
             for a in group:
                 assert a.ndim <= 2
-                assert a.size <= max(n_elems, n_points) * mesh.dim
+                assert a.size <= max(n_elems, n_points) * max(mesh.dim, n_rules)
+
+    def test_two_rule_plan_holds_both_rules(self, mesh_name):
+        """A plan of two rules holds, per group, the points of each rule
+        in turn and one row of weights per rule, zero off its own points;
+        its elements are those of the one-rule groups, in order, and a
+        chunk holds at most CHUNK_POINTS points of the union."""
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        rules = tuple(simplex_quadrature(mesh.dim, e) for e in (12, 24))
+        direct = [_direct_element_groups(mesh, rule, breakpoints) for rule in rules]
+        volume = fosls._plan(mesh, fosls._element_plan, rules, breakpoints)
+        assert np.array_equal(np.concatenate([g[0] for g in volume]),
+                              np.concatenate([g[0] for g in direct[0]]))
+        for elems, pts, wts in volume:
+            assert len(elems) == 1 or len(elems) * len(pts) <= fosls.CHUNK_POINTS
+            assert wts.shape == (2, len(pts))
+            lo = 0
+            for r in range(2):
+                want = next(g for g in direct[r] if elems[0] in g[0])
+                row, hi = list(want[0]).index(elems[0]), lo + len(want[1])
+                assert np.array_equal(pts[lo:hi], want[1])
+                assert np.array_equal(wts[r, lo:hi] * mesh.det_A[elems[0]], want[3][row])
+                assert not np.any(np.delete(wts[r], np.s_[lo:hi]))
+                lo = hi
+            assert lo == len(pts)
+        boundary = fosls._plan(mesh, fosls._boundary_plan, (14, 26))
+        direct = [_direct_boundary_groups(mesh, e) for e in (14, 26)]
+        assert len(boundary) == len(direct[0])
+        for (elems, ref, wts, measures, normals), *want in zip(boundary, *direct):
+            for got, i in [(elems, 0), (measures, 4), (normals, 5)]:
+                assert all(np.array_equal(got, w[i]) for w in want)
+            assert np.array_equal(ref, np.concatenate([w[1] for w in want]))
+            assert np.array_equal(wts, block_diag(*(w[2][None] for w in want)))
 
     def test_plan_follows_chunk_points(self, mesh_name, monkeypatch):
         make, breakpoints = PLAN_MESHES[mesh_name]

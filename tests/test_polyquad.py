@@ -7,7 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from helmfosls.mesh import LOCAL_EDGES, REFERENCE_VERTICES, local_simplex_points
+from helmfosls.mesh import (
+    LOCAL_EDGES,
+    REFERENCE_VERTICES,
+    build_square_mesh,
+    local_simplex_points,
+)
 from helmfosls.polyquad import (
     ScalarBasis,
     gauss01,
@@ -17,9 +22,11 @@ from helmfosls.polyquad import (
 )
 from helmfosls.spaces import (
     BdmBasis,
+    FunctionSpace,
     _kept_tables,
     _tables,
     reference_tables,
+    scalar_eval,
 )
 
 
@@ -202,14 +209,32 @@ class TestScalarBasis:
         basis = make_scalar_basis(2, 3)
         pts = simplex_quadrature(2, 4).points
         kept = _tables(basis, pts)
-        assert not any(table.flags.writeable for table in kept)
-        vals = kept[0]
+        assert not any(table.flags.writeable
+                       for table in (kept.values, kept.derivatives, kept.joined))
+        vals = kept.values
         moved = pts.copy()
         moved[0] = [0.5, 0.25]
         moved_vals = reference_tables(basis, moved)[0]
         np.testing.assert_array_equal(moved_vals[1:], vals[1:])
         assert np.any(moved_vals[0] != vals[0])
         np.testing.assert_array_equal(reference_tables(basis, pts)[0], vals)
+
+    def test_joined_table_is_built_when_a_field_reads_it(self):
+        """Reading the reference tables leaves the joined table unbuilt;
+        the first field evaluation at the points builds it once, and
+        later ones reuse it.  A fresh basis, which no cache entry names."""
+        space = FunctionSpace(build_square_mesh(1), ScalarBasis(2, 2))
+        pts = np.array([[0.125, 0.25], [0.5, 0.375]])
+        kept = _tables(space.basis, pts)
+        reference_tables(space.basis, pts)
+        assert "joined" not in vars(kept)
+        coeffs = np.arange(space.n_dofs, dtype=complex)
+        first = scalar_eval(space, coeffs, 0, pts)
+        joined = vars(kept)["joined"]
+        np.testing.assert_array_equal(scalar_eval(space, coeffs, 0, pts), first)
+        assert _tables(space.basis, pts).joined is joined
+        np.testing.assert_array_equal(
+            joined, np.concatenate([kept.values, kept.derivatives], axis=2).transpose(1, 0, 2))
 
     def test_tables_are_kept_per_point_set(self, monkeypatch):
         """Rules A, B, A build the tables twice; more than the cache holds
@@ -372,9 +397,10 @@ def test_import_leaves_scipy_special_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# the benchmark's warm-up case and its four workloads at full size,
-# in one fresh process: the kept-table cache's statistics, its bound, and
-# every evaluation of a scalar basis as (d, p, point shape, point bytes)
+# the benchmark's warm-up case and then the named workloads at the given
+# size, in one fresh process: the kept-table cache's statistics, its
+# bound, and every evaluation of a scalar basis as (d, p, point shape,
+# point bytes)
 _TRAFFIC = """
 import importlib.util, sys
 sys.path.insert(0, sys.argv[1])
@@ -391,11 +417,23 @@ def counted(basis, points):
     return evaluate(basis, points)
 polyquad.ScalarBasis.eval_with_grad = counted
 workloads.warm_up()
-for name in ("study-1d", "study-2d", "solve-2d", "project-2d"):
-    workloads.run(name, "full", 0, sys.argv[3])
+for name in sys.argv[5:]:
+    workloads.run(name, sys.argv[4], 0, sys.argv[3])
 info = spaces._kept_tables.cache_info()
 print(info.misses, info.currsize, info.maxsize, len(evaluated), len(set(evaluated)))
 """
+
+
+def _traffic(tmp_path, size, *workloads):
+    """(misses, entries, bound, scalar evaluations, distinct point sets) of
+    the table cache after the warm-up case and ``workloads``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRAFFIC, str(root / "src"),
+         str(root / "bench" / "workloads.py"), str(tmp_path), size, *workloads],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return tuple(map(int, out.stdout.split()))
 
 
 def test_kept_tables_hold_the_benchmark_traffic(tmp_path):
@@ -403,12 +441,15 @@ def test_kept_tables_hold_the_benchmark_traffic(tmp_path):
     every (basis, point set) of the run is built once and none is
     evicted, and S_p, BDM_p and the staged projection at the same points
     evaluate the scalar basis once."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", _TRAFFIC, str(root / "src"),
-         str(root / "bench" / "workloads.py"), str(tmp_path)],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    misses, currsize, bound, evaluations, point_sets = map(int, out.stdout.split())
+    misses, currsize, bound, evaluations, point_sets = _traffic(
+        tmp_path, "full", "study-1d", "study-2d", "solve-2d", "project-2d")
     assert misses == currsize <= bound
     assert evaluations == point_sets
+
+
+def test_kept_tables_hold_the_study_smoke_traffic(tmp_path):
+    """The warm-up case and the smoke-size studies in 1D and 2D, each
+    through ``cli.run_study`` in one process, evict nothing from the table
+    cache: every entry was built once, and the cache is not full."""
+    misses, currsize, bound, _, _ = _traffic(tmp_path, "smoke", "study-1d", "study-2d")
+    assert misses == currsize < bound
