@@ -32,26 +32,30 @@ a reference tensor (n_factors, m * m) cached per (bases, rule, pairing),
 with the paired phases folded in.  The boundary blocks take one
 reference tensor per local facet, and the loads are weighted data (E, q)
 times a reference table (q, m), scaled per element by the element map.
-Blocks are scattered through one COO index pattern.  Chunks bound only
-the loads here and the error integrals of b: a chunk holds at most
+Blocks are scattered through one COO index pattern.
+
+Every quadrature pass over the mesh -- the loads of assembly, the error
+integrals and b -- walks :func:`sweep`, which yields element groups and
+then boundary groups in one format: the elements, the reference and
+physical points, per-element scales (det A, or the facet measure) and
+one row of reference weights per rule.  A chunk holds at most
 CHUNK_POINTS quadrature points, which bounds the memory of the kernels
 that evaluate data at physical points whatever the mesh size.  Chunks
 are processed in a fixed order, so results are deterministic and reruns
 are bit-identical.  The chunks, the breakpoint panels and the boundary
 facet tables of a set of rules depend on the mesh alone and are built
 once per mesh and rules, as read-only sampling plans that are freed with
-the mesh.
+the mesh.  The loads of assembly sweep the data rule, whose exactness is
+that of the error rules, so they share its volume plan with ``evaluate_b``.
 
-The error rules have one owner, :func:`sample_pairs`: it yields the
-weights of each rule, the fields (phi, div phi, u, grad u) of any pairs
-and the boundary normals on the volume and facet rules, and both
-:func:`evaluate_b` and ``analysis.compute_errors`` reduce over it, so
-b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.  It samples several
-rules in one sweep: ``compute_errors`` asks for the error rules and the
-doubled ones behind its drift check together, and every group then
-holds the points of both, is mapped once and evaluates each pair once,
-with one row of reference weights per rule.  ``evaluate_b`` and the
-loads of assembly use the plan of one rule.
+The error rules have one owner, :func:`sample_pairs`: it maps the groups
+of :func:`sweep` to the fields (phi, div phi, u, grad u) of any pairs on
+the volume and facet rules, and both :func:`evaluate_b` and
+``analysis.compute_errors`` reduce over it, so b(e, e) = e1^2 + e2^2 +
+k e_bnd^2 holds to rounding.  ``compute_errors`` asks for the error
+rules and the doubled ones behind its drift check together, and every
+group then holds the points of both, is mapped once and evaluates each
+pair once.
 """
 
 import functools
@@ -116,7 +120,7 @@ def split_solution(system, x):
     return DiscreteSolution(None, x, None, system.w_space)
 
 
-# -- element and boundary groups ----------------------------------------
+# -- sampling plans and the sweep over them --------------------------------
 
 # quadrature points per element chunk: bounds the memory of the batched
 # kernels, whose tables grow with the number of points they hold
@@ -130,18 +134,19 @@ def chunks(n_items, points_per_item):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-# What a pass over the element or boundary groups needs of the mesh and
-# the rules alone -- the element chunks, the panel rules of cut elements,
-# the boundary facets per local facet with their reference points,
-# measures and normals -- is its sampling plan, built once per (mesh,
-# rules, breakpoints) or (mesh, facet exactnesses) and kept read-only
-# until the mesh is freed.  A plan samples several rules at once: each
-# group holds the points of every rule in turn and an (R, q) table of
-# reference weights whose row r holds the weights of rule r on its own
-# points and 0 on the others, so one pass over the groups evaluates each
-# field once for all R rules.  A plan holds no array with both an element
-# and a point axis, so its memory is O(E) per key: every pass forms the
-# physical points and the weights times det A chunk by chunk.
+# What a sweep needs of the mesh and the rules alone -- the element
+# chunks with their det A, the panel rules of cut elements, the boundary
+# facets per local facet with their reference points, measures and
+# normals -- is its sampling plan, built once per (mesh, rules,
+# breakpoints) or (mesh, facet exactnesses) and kept read-only until the
+# mesh is freed.  Both kinds of plan hold groups (elems, reference points,
+# reference weights (R, q), scales (E,), normals or None).  A plan samples
+# several rules at once: each group holds the points of every rule in
+# turn and an (R, q) table of reference weights whose row r holds the
+# weights of rule r on its own points and 0 on the others, so one pass
+# over the groups evaluates each field once for all R rules.  A plan
+# holds no array with both an element and a point axis, so its memory is
+# O(E) per key: every pass forms the physical points chunk by chunk.
 
 _PLANS = weakref.WeakKeyDictionary()
 _PLANS_LOCK = threading.Lock()
@@ -173,9 +178,9 @@ def _union(parts):
 
 
 def _element_plan(mesh, rules, breakpoints):
-    """Groups (elems, reference points, reference weights (R, q)) of the
-    R rules of ``rules`` sampled together (:func:`_union`); the groups of
-    a single rule are those of :func:`element_groups`."""
+    """Groups (elems, reference points, reference weights (R, q), det A
+    (E,), None) of the R rules of ``rules`` sampled together
+    (:func:`_union`), in the layout of :func:`_boundary_plan`."""
     cuts = {}
     if mesh.dim == 1:
         x0, lc = mesh.maps_b[:, 0], mesh.maps_A[:, 0, 0]
@@ -194,14 +199,13 @@ def _element_plan(mesh, rules, breakpoints):
         panels = [((lo + (hi - lo) * rule.points[:, 0]).reshape(-1, 1),
                    ((hi - lo) * rule.weights).ravel()) for rule in rules]
         groups.append((np.array([e]), *_union(panels)))
-    return tuple(_read_only(*g) for g in groups)
+    return tuple((*_read_only(*g, mesh.det_A[g[0]]), None) for g in groups)
 
 
 def _boundary_plan(mesh, exactnesses):
     """Groups (elems, reference points, reference weights (R, q),
-    measures, normals) of the R facet rules of ``exactnesses`` sampled
-    together (:func:`_union`); the groups of a single rule are those of
-    :func:`boundary_groups`."""
+    measures (F,), normals (F, d)) of the R facet rules of
+    ``exactnesses`` sampled together (:func:`_union`)."""
     fids = mesh.boundary_facets
     rules = [simplex_quadrature(mesh.dim - 1, e) for e in exactnesses]
     groups = []
@@ -216,37 +220,30 @@ def _boundary_plan(mesh, exactnesses):
     return tuple(groups)
 
 
-def element_groups(mesh, rule, breakpoints=()):
-    """Element chunks that share one reference quadrature.
+def sweep(mesh, exactnesses, facet_exactnesses, breakpoints=()):
+    """The element and boundary groups of several rules, sampled together.
 
-    Yields (elems, reference points, physical points (E, q, d), weights
-    times det A (E, q)).  A chunk holds at most CHUNK_POINTS points (but
-    at least one element).  A 1D element cut by an interior breakpoint
-    forms its own group, whose rule is split into panels at the cuts so
-    that discontinuous data stay exactly integrated.  The groups come
-    from the plan of (mesh, rule, breakpoints); all but the physical
-    points and weights are the plan's read-only arrays.
+    Yields (elems, reference points, physical points (E, q, d), scales
+    (E,), reference weights (R, q), outward normals (E, d) or None): rule
+    r weighs the group's points by scales[:, None] * weights[r].  The
+    volume groups come first, with the rules ``simplex_quadrature(d, e)``
+    of ``exactnesses``, scales det A and normals None.  An element chunk
+    holds at most CHUNK_POINTS points (but at least one element), and a
+    1D element cut by an interior breakpoint forms its own group, whose
+    rules are split into panels at the cuts so that discontinuous data
+    stay exactly integrated.  The boundary groups follow, one per local
+    facet index, with the facet rules of ``facet_exactnesses`` mapped
+    onto that local facet (in 1D the one point of a facet, with weight
+    1) and the facet measures as scales.  All but the physical points are
+    the read-only arrays of the plans of (mesh, rules, breakpoints) and
+    (mesh, facet exactnesses).
     """
-    for elems, pts, wts in _plan(mesh, _element_plan, (rule,), tuple(breakpoints)):
-        yield (elems, pts, element_map_apply(mesh, elems, pts, check=False),
-               wts[0] * mesh.det_A[elems][:, None])
-
-
-def boundary_groups(mesh, exactness):
-    """Boundary facets grouped by their local index in the adjacent element.
-
-    Yields (elems, reference points on that local facet, reference facet
-    weights (q,), physical points (F, q, d), facet measures (F,), outward
-    normals (F, d)).  The facet rule is ``simplex_quadrature(d - 1,
-    exactness)``, mapped onto each local facet by
-    ``mesh.local_simplex_points`` (in 1D the one point of a facet, with
-    weight 1).  The groups come from the plan of (mesh, exactness); all
-    but the physical points are the plan's read-only arrays (the weights
-    a view of the plan's one row).
-    """
-    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, (exactness,)):
-        yield (elems, ref, wts[0], element_map_apply(mesh, elems, ref, check=False),
-               measures, normals)
+    rules = tuple(simplex_quadrature(mesh.dim, e) for e in exactnesses)
+    for build, *key in ((_element_plan, rules, tuple(breakpoints)),
+                        (_boundary_plan, tuple(facet_exactnesses))):
+        for elems, ref, wts, scales, normals in _plan(mesh, build, *key):
+            yield (elems, ref, element_map_apply(mesh, elems, ref, check=False), scales, wts,
+                   normals)
 
 
 def _check_same_mesh(v_space, w_space):
@@ -373,8 +370,10 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
     (``boundary``).  The volume blocks are one product of per-element
     factors with the cached volume tensor, the boundary blocks one tensor
     per local facet, and the loads products of weighted data with
-    reference tables, panel-split at the breakpoints so that a
-    discontinuous f stays exactly integrated."""
+    reference tables.  The boundary terms and the loads come from one
+    :func:`sweep` of the data rule (:func:`error_exactness`),
+    panel-split at the breakpoints so that a discontinuous f stays
+    exactly integrated."""
     spaces = [w_space] if v_space is None else [v_space, w_space]
     if v_space is not None:
         _check_same_mesh(v_space, w_space)
@@ -382,7 +381,7 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
     mesh, k = w_space.mesh, problem.k
     p = max(s.p for s in spaces)
     rule = simplex_quadrature(mesh.dim, 2 * p + 2)
-    rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
+    data = (error_exactness(p),)  # the exactness of the data rules, volume and facets
 
     offsets = np.cumsum([0] + [s.n_dofs for s in spaces])
     dofs = np.hstack([s.elem_dofs + o for s, o in zip(spaces, offsets)])
@@ -395,19 +394,18 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
     m1, m2 = _ls_parts([(k * vm, dm) for vm, dm in maps])
     factors = _factors(mesh.det_A, [np.concatenate(m1, axis=2), np.concatenate(m2, axis=2)])
     blocks = _blocks(factors, _volume_tensor(tuple(s.basis for s in spaces), rule, hermitian))
-    # (-i f / k, R2 D2)
-    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
-        _, r2 = _ls_parts([reference_tables(s.basis, ref) for s in spaces])
-        wv = wdet * (-1j / k) * _data(problem.f, phys)
-        loads[elems] = np.hstack([_load(wv, t, m[elems]) for t, m in zip(r2, m2)]) * test2
-
-    # k c (T, T) and c (i g, T) with the trace T = [phi.n | u]
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+    for elems, ref, phys, scales, wts, normals in sweep(mesh, data, data, problem.breakpoints):
+        if normals is None:  # (-i f / k, R2 D2)
+            _, r2 = _ls_parts([reference_tables(s.basis, ref) for s in spaces])
+            wv = wts[0] * scales[:, None] * (-1j / k) * _data(problem.f, phys)
+            loads[elems] = np.hstack([_load(wv, t, m[elems]) for t, m in zip(r2, m2)]) * test2
+            continue
+        # k c (T, T) and c (i g, T) with the trace T = [phi.n | u]
         tables = [reference_tables(s.basis, ref)[0] for s in spaces]
         trace = [normals[:, None, :] @ vm[elems] for vm, _ in flux_maps] + [wm[elems]]
-        blocks[elems] += _blocks(_factors(k * measures, [np.concatenate(trace, axis=2)]),
-                                 _tensor(wts, [(_join(*tables), boundary)]))
-        wv = measures[:, None] * wts * (boundary * 1j) * _data(problem.g, phys, normals)
+        blocks[elems] += _blocks(_factors(k * scales, [np.concatenate(trace, axis=2)]),
+                                 _tensor(wts[0], [(_join(*tables), boundary)]))
+        wv = scales[:, None] * wts[0] * (boundary * 1j) * _data(problem.g, phys, normals)
         loads[elems] += np.hstack([_load(wv, t, m) for t, m in zip(tables, trace)])
 
     matrix, rhs = _scatter(dofs, signs, blocks, loads, offsets[-1])
@@ -477,38 +475,29 @@ def impedance_trace(fields, normals):
 
 
 def error_exactness(p):
-    """Exactness 2p + 8 of the error rules (evaluate_b, compute_errors)."""
+    """Exactness 2p + 8 of the data rule of assembly's loads and of the
+    error rules (evaluate_b, compute_errors)."""
     return 2 * p + 8
 
 
 def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None):
     """Fields of several pairs at the points of the error rules, every
-    rule of ``exactnesses`` sampled in one sweep.
+    rule of ``exactnesses`` sampled in one :func:`sweep`.
 
     The volume rules have the exactnesses ``exactnesses`` (by default the
     one rule of :func:`error_exactness` of the degree of ``w_space``,
     which also gives the mesh), panel-split at ``breakpoints`` in 1D;
-    boundary facets use each exactness + 2.  Every element or boundary
-    group holds the points of all R rules at once (see the sampling
-    plans), so its points are mapped once, and each pair is evaluated
-    once.  Yields, per group, (scales (E,), reference weights (R, q), the
-    :func:`pair_fields` of each pair, outward normals (E, d)): rule r
-    weighs the group's points by scales[:, None] * weights[r], and the
-    scales are det A in the volume and the facet measure on the
-    boundary.  The normals are None on volume groups.
+    boundary facets use each exactness + 2.  Each group's points are
+    mapped once and each pair is evaluated once for all R rules.  Yields,
+    per group, (scales (E,), reference weights (R, q), the
+    :func:`pair_fields` of each pair, outward normals (E, d) or None) as
+    :func:`sweep` does.
     """
-    mesh = w_space.mesh
     if exactnesses is None:
         exactnesses = (error_exactness(w_space.p),)
-    rules = tuple(simplex_quadrature(mesh.dim, e) for e in exactnesses)
-    facets = tuple(e + 2 for e in exactnesses)
-    for elems, ref, wts in _plan(mesh, _element_plan, rules, tuple(breakpoints)):
-        phys = element_map_apply(mesh, elems, ref, check=False)
-        yield (mesh.det_A[elems], wts, [pair_fields(pair, elems, ref, phys) for pair in pairs],
-               None)
-    for elems, ref, wts, measures, normals in _plan(mesh, _boundary_plan, facets):
-        phys = element_map_apply(mesh, elems, ref, check=False)
-        yield measures, wts, [pair_fields(pair, elems, ref, phys) for pair in pairs], normals
+    for elems, ref, phys, scales, wts, normals in sweep(
+            w_space.mesh, exactnesses, [e + 2 for e in exactnesses], breakpoints):
+        yield scales, wts, [pair_fields(pair, elems, ref, phys) for pair in pairs], normals
 
 
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):

@@ -19,9 +19,7 @@ from helmfosls.fosls import (
     _scatter,
     assemble_classical_fem,
     assemble_fosls,
-    boundary_groups,
     difference,
-    element_groups,
     evaluate_b,
     galerkin_residual,
     split_solution,
@@ -492,18 +490,20 @@ def _oracle_fosls(v_space, w_space, problem):
     d2 = np.where(np.arange(m) < mv, 1.0, 1j)
     blocks = np.zeros((len(dofs), m, m), dtype=complex)
     loads = np.zeros((len(dofs), m), dtype=complex)
-    for elems, ref, _, wdet in element_groups(mesh, simplex_quadrature(mesh.dim, 2 * p + 2)):
+    for elems, ref, _, wdet in _direct_element_groups(
+            mesh, simplex_quadrature(mesh.dim, 2 * p + 2), ()):
         (phi, dphi), (u, gu) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
         r1 = np.concatenate([k * phi, gu], axis=3)
         r2 = np.concatenate([dphi, k * u], axis=3)
         blocks[elems] += (_gram(wdet, r1, r1) * np.outer(d1.conj(), d1)
                           + _gram(wdet, r2, r2) * np.outer(d2.conj(), d2))
     rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
-    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+    for elems, ref, phys, wdet in _direct_element_groups(mesh, rhs_rule, problem.breakpoints):
         (_, dphi), (u, _) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
         r2 = np.concatenate([dphi, k * u], axis=3)[:, 0]
         loads[elems] += _pushed_load(wdet, (-1j / k) * _data(problem.f, phys), r2) * d2.conj()
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+    for elems, ref, wts, phys, measures, normals in _direct_boundary_groups(
+            mesh, rhs_rule.exactness):
         wj = measures[:, None] * wts
         (phi, _), (u, _) = (_pushed_tables(s, elems, ref) for s in (v_space, w_space))
         trace = np.concatenate([np.einsum("eaqn,ea->eqn", phi, normals), u[:, 0]], axis=2)
@@ -520,14 +520,16 @@ def _oracle_fem(w_space, problem):
     m = w_space.local_dim()
     blocks = np.zeros((len(mesh.elements), m, m), dtype=complex)
     loads = np.zeros((len(mesh.elements), m), dtype=complex)
-    for elems, ref, _, wdet in element_groups(mesh, simplex_quadrature(mesh.dim, 2 * p + 2)):
+    for elems, ref, _, wdet in _direct_element_groups(
+            mesh, simplex_quadrature(mesh.dim, 2 * p + 2), ()):
         u, gu = _pushed_tables(w_space, elems, ref)
         blocks[elems] += _gram(wdet, gu, gu) - k**2 * _gram(wdet, u, u)
     rhs_rule = simplex_quadrature(mesh.dim, 2 * p + 8)
-    for elems, ref, phys, wdet in element_groups(mesh, rhs_rule, problem.breakpoints):
+    for elems, ref, phys, wdet in _direct_element_groups(mesh, rhs_rule, problem.breakpoints):
         u, _ = _pushed_tables(w_space, elems, ref)
         loads[elems] += _pushed_load(wdet, _data(problem.f, phys), u[:, 0])
-    for elems, ref, wts, phys, measures, normals in boundary_groups(mesh, rhs_rule.exactness):
+    for elems, ref, wts, phys, measures, normals in _direct_boundary_groups(
+            mesh, rhs_rule.exactness):
         wj = measures[:, None] * wts
         u, _ = _pushed_tables(w_space, elems, ref)
         blocks[elems] += -1j * k * _gram(wj, u, u)
@@ -618,9 +620,12 @@ def _direct_boundary_groups(mesh, exactness):
 
 
 def _plan_groups(mesh, breakpoints, exactness=12):
-    rule = simplex_quadrature(mesh.dim, exactness)
-    return (list(element_groups(mesh, rule, breakpoints)),
-            list(boundary_groups(mesh, exactness + 2)))
+    """The volume and the boundary groups of a one-rule sweep, checking
+    that the volume groups come first."""
+    groups = list(fosls.sweep(mesh, (exactness,), (exactness + 2,), breakpoints))
+    n_volume = sum(g[5] is None for g in groups)
+    assert all(g[5] is not None for g in groups[n_volume:])
+    return groups[:n_volume], groups[n_volume:]
 
 
 @pytest.mark.parametrize("mesh_name", sorted(PLAN_MESHES))
@@ -630,10 +635,16 @@ class TestSamplingPlans:
         mesh = make()
         for repeat in range(2):  # the first call builds the plans, the second reuses them
             volume, boundary = _plan_groups(mesh, breakpoints)
+            assert all(g[4].shape == (1, len(g[1])) for g in volume + boundary)
+            # the sweep's groups in the layouts of the direct builders
+            got_volume = [(elems, ref, phys, wts[0] * scales[:, None])
+                          for elems, ref, phys, scales, wts, _ in volume]
+            got_boundary = [(elems, ref, wts[0], phys, scales, normals)
+                            for elems, ref, phys, scales, wts, normals in boundary]
             want_volume = _direct_element_groups(mesh, simplex_quadrature(mesh.dim, 12),
                                                  breakpoints)
-            for got, want in [(volume, want_volume),
-                              (boundary, _direct_boundary_groups(mesh, 14))]:
+            for got, want in [(got_volume, want_volume),
+                              (got_boundary, _direct_boundary_groups(mesh, 14))]:
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert len(g) == len(w)
@@ -646,24 +657,22 @@ class TestSamplingPlans:
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
         first, second = _plan_groups(mesh, breakpoints), _plan_groups(mesh, breakpoints)
-        # all but the physical points (and the volume's weights times
-        # det A) are the plan's arrays; the boundary weights are a view
-        # of the one row of the plan's weight table
-        for groups_a, groups_b, kept, viewed in zip(first, second, [(0, 1), (0, 1, 4, 5)],
-                                                    [(), (2,)]):
+        # all but the physical points are the plan's arrays (the volume's
+        # normals are None)
+        kept = (0, 1, 3, 4, 5)
+        for groups_a, groups_b in zip(first, second):
             assert len(groups_a) == len(groups_b)
             for a, b in zip(groups_a, groups_b):
                 assert all(a[i] is b[i] for i in kept)
-                assert all(a[i].base is not None and a[i].base is b[i].base for i in viewed)
-                fresh = [i for i in range(len(a)) if i not in kept + viewed]
+                fresh = [i for i in range(len(a)) if i not in kept]
                 assert all(a[i] is not b[i] and np.array_equal(a[i], b[i]) for i in fresh)
 
     def test_plan_arrays_are_read_only(self, mesh_name):
         make, breakpoints = PLAN_MESHES[mesh_name]
         volume, boundary = _plan_groups(make(), breakpoints)
-        for elems, ref, _, _ in volume:
-            assert not elems.flags.writeable and not ref.flags.writeable
-        for elems, ref, wts, _, measures, normals in boundary:
+        for elems, ref, _, scales, wts, _ in volume:
+            assert not any(a.flags.writeable for a in (elems, ref, scales, wts))
+        for elems, ref, _, measures, wts, normals in boundary:
             assert not any(a.flags.writeable for a in (elems, ref, wts, measures, normals))
 
     def test_keys_never_share_a_plan(self, mesh_name):
@@ -686,21 +695,20 @@ class TestSamplingPlans:
         assert fosls._plan(mesh, fosls._boundary_plan, (14,)) is bplan
 
     def test_plan_holds_no_element_by_point_array(self, mesh_name):
-        """Every plan array has an element axis or a point axis, not both,
-        so a plan's memory is O(E) per key: the weight table of R rules
-        has R rows."""
+        """Every plan array a sweep yields has an element axis or a point
+        axis, not both, so a plan's memory is O(E) per key: the weight
+        table of R rules has R rows.  Only the physical points, formed
+        per pass, have both."""
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
-        rules = tuple(simplex_quadrature(mesh.dim, e) for e in (12, 24))
-        plans = [(fosls._plan(mesh, fosls._element_plan, rules[:1], breakpoints), 1),
-                 (fosls._plan(mesh, fosls._boundary_plan, (14,)), 1),
-                 (fosls._plan(mesh, fosls._element_plan, rules, breakpoints), 2),
-                 (fosls._plan(mesh, fosls._boundary_plan, (14, 26)), 2)]
-        for group, n_rules in ((g, n) for plan, n in plans for g in plan):
-            n_elems, n_points = len(group[0]), len(group[1])
-            for a in group:
-                assert a.ndim <= 2
-                assert a.size <= max(n_elems, n_points) * max(mesh.dim, n_rules)
+        for n_rules, volume, facets in [(1, (12,), (14,)), (2, (12, 24), (14, 26))]:
+            for group in fosls.sweep(mesh, volume, facets, breakpoints):
+                n_elems, n_points = len(group[0]), len(group[1])
+                for i, a in enumerate(group):
+                    if i == 2 or a is None:  # the physical points; the volume's normals
+                        continue
+                    assert a.ndim <= 2
+                    assert a.size <= max(n_elems, n_points) * max(mesh.dim, n_rules)
 
     def test_two_rule_plan_holds_both_rules(self, mesh_name):
         """A plan of two rules holds, per group, the points of each rule
@@ -714,7 +722,8 @@ class TestSamplingPlans:
         volume = fosls._plan(mesh, fosls._element_plan, rules, breakpoints)
         assert np.array_equal(np.concatenate([g[0] for g in volume]),
                               np.concatenate([g[0] for g in direct[0]]))
-        for elems, pts, wts in volume:
+        for elems, pts, wts, scales, normals in volume:
+            assert normals is None and np.array_equal(scales, mesh.det_A[elems])
             assert len(elems) == 1 or len(elems) * len(pts) <= fosls.CHUNK_POINTS
             assert wts.shape == (2, len(pts))
             lo = 0
@@ -735,6 +744,22 @@ class TestSamplingPlans:
             assert np.array_equal(ref, np.concatenate([w[1] for w in want]))
             assert np.array_equal(wts, block_diag(*(w[2][None] for w in want)))
 
+    def test_sweep_integrates_one_exactly(self, mesh_name):
+        """Each rule of a two-rule sweep integrates 1 to the domain measure
+        over the volume groups and to the boundary measure over the
+        boundary groups (16 chords of the unit circle on the disk)."""
+        make, breakpoints = PLAN_MESHES[mesh_name]
+        mesh = make()
+        boundary_measure = {"interval-kink": 2.0, "square": 4.0,
+                            "disk": 16 * 2 * np.sin(np.pi / 16)}[mesh_name]
+        volume, boundary = np.zeros(2), np.zeros(2)
+        for _, _, _, scales, wts, normals in fosls.sweep(mesh, (12, 24), (14, 26),
+                                                         breakpoints):
+            sums = volume if normals is None else boundary
+            sums += [np.sum(scales[:, None] * row) for row in wts]
+        np.testing.assert_allclose(volume, mesh.domain_measure, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(boundary, boundary_measure, rtol=1e-13, atol=0)
+
     def test_plan_follows_chunk_points(self, mesh_name, monkeypatch):
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
@@ -751,6 +776,30 @@ class TestSamplingPlans:
         del mesh
         gc.collect()
         assert alive() is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (build_interval_mesh(-1, 1, 45), piecewise_1d_problem(10.0)),
+    lambda: (build_square_mesh(8), plane_wave_problem(8.0)),
+], ids=["piecewise-1d", "plane-wave-2d"])
+def test_runs_share_the_sampling_plans(make):
+    """A FOSLS run with its error norms builds four plans on a fresh mesh:
+    the volume and facet plans of assembly's data rule and the two-rule
+    volume and facet plans of the error norms.  The FEM at the same degree
+    builds none, a second degree four more.  b(e, e) then adds only its
+    facet plan at exactness + 2: its volume plan is that of assembly."""
+    mesh, problem = make()
+    counts = []
+    for p in (2, 3):
+        for method in ("fosls", "fem"):
+            system, report, _ = solve_case(problem, method, mesh, p)
+            sol = split_solution(system, report.solution)
+            compute_errors(sol, problem)
+            counts.append(len(fosls._PLANS[mesh]))
+    err = difference(problem.exact, sol)
+    evaluate_b(err, err, sol.w_space, problem.k, problem.breakpoints)
+    counts.append(len(fosls._PLANS[mesh]))
+    assert counts == [4, 4, 8, 8, 9]
 
 
 @pytest.mark.parametrize("method", ["fosls", "fem"])
