@@ -143,10 +143,11 @@ def chunks(n_items, points_per_item):
 # reference weights (R, q), scales (E,), normals or None).  A plan samples
 # several rules at once: each group holds the points of every rule in
 # turn and an (R, q) table of reference weights whose row r holds the
-# weights of rule r on its own points and 0 on the others, so one pass
-# over the groups evaluates each field once for all R rules.  A plan
-# holds no array with both an element and a point axis, so its memory is
-# O(E) per key: every pass forms the physical points chunk by chunk.
+# weights of rule r on its own points and 0 on the others (rules on the
+# same points share them), so one pass over the groups evaluates each
+# field once for all R rules.  A plan holds no array with both an
+# element and a point axis, so its memory is O(E) per key: every pass
+# forms the physical points chunk by chunk.
 
 _PLANS = weakref.WeakKeyDictionary()
 _PLANS_LOCK = threading.Lock()
@@ -167,7 +168,11 @@ def _union(parts):
     """Reference points (q, d) and weights (R, q) of R rules sampled
     together from their (points, weights): the points of every rule in
     turn, each checked to lie inside the reference simplex, and row r the
-    weights of rule r on its own points, 0 elsewhere."""
+    weights of rule r on its own points, 0 elsewhere.  Rules on the same
+    points, as every facet rule is in 1D (the one point of a vertex, with
+    weight 1), keep them once, and row r holds the weights of rule r."""
+    if all(np.array_equal(pts, parts[0][0]) for pts, _ in parts):
+        return reference_points(parts[0][0]), np.array([w for _, w in parts])
     points = reference_points(np.concatenate([pts for pts, _ in parts]))
     weights = np.zeros((len(parts), len(points)))
     start = 0
@@ -233,10 +238,10 @@ def sweep(mesh, exactnesses, facet_exactnesses, breakpoints=()):
     rules are split into panels at the cuts so that discontinuous data
     stay exactly integrated.  The boundary groups follow, one per local
     facet index, with the facet rules of ``facet_exactnesses`` mapped
-    onto that local facet (in 1D the one point of a facet, with weight
-    1) and the facet measures as scales.  All but the physical points are
-    the read-only arrays of the plans of (mesh, rules, breakpoints) and
-    (mesh, facet exactnesses).
+    onto that local facet (in 1D the one point of a facet, held once,
+    with weight 1 in every rule) and the facet measures as scales.  All
+    but the physical points are the read-only arrays of the plans of
+    (mesh, rules, breakpoints) and (mesh, facet exactnesses).
     """
     rules = tuple(simplex_quadrature(mesh.dim, e) for e in exactnesses)
     for build, *key in ((_element_plan, rules, tuple(breakpoints)),

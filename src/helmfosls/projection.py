@@ -15,6 +15,19 @@ construction possible: mapping the componentwise operator through the
 Piola transform yields a global flux projection whose normal trace on a
 facet is the one-dimensional edge projection of the normal trace data.
 
+``project_hdiv_global`` builds that projection without pulling an edge
+point back.  Its edge stage runs once per directed mesh edge, a global
+edge together with the direction in which an element walks it, on the
+physical trace of the field; the vertex stage of that 1D projection
+gives the endpoint values.  Every stage is linear and the Piola matrix
+det A A^{-1} is constant on an element, so an element's vertex values
+and edge bubbles are that matrix applied to the coefficients of the
+directed edges it walks.  The direction stays in the key because the
+discrete edge operator is not reversal-symmetric, so each element sees
+exactly the edge operator of the reference algorithm.  The interior
+stage (p >= 3) runs on chunks of elements, through the same helper as
+:func:`project_reference`.
+
 The H^{1/2}_00 inner product on the unit interval combines the L2
 product, the Aronszajn-Slobodeckij seminorm
 
@@ -53,7 +66,8 @@ import numpy as np
 import scipy.linalg
 
 from .fosls import chunks
-from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, element_map_apply, local_simplex_points
+from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, barycentric, element_map_apply
+from .mesh import local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis, simplex_quadrature
 from .spaces import KIND_HDIV, _scatter_local, pull_back, reference_tables
 
@@ -273,15 +287,48 @@ def project_reference(u, d, p, grad_u=None):
         trace["edge"].append({"coeffs": c, "kkt": kkt})
 
     if d == 2 and p >= 3:
-        vol = _volume_work(p)
-        pts = vol.points
-        r_vals = np.asarray(u(pts), dtype=complex) - coeffs @ vol.N_rows
-        grads = np.asarray(grad_u(pts), dtype=complex)
-        r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - coeffs @ vol.G_rows
-        c, kkt = vol.solve(r_vals, r_grads)
-        coeffs[..., vol.interior] = c
-        trace["volume"] = {"coeffs": c, "kkt": kkt}
+        trace["volume"] = _interior_stage(p, coeffs, u, grad_u)
     return ReferenceProjection(p=p, d=d, result=coeffs, step_trace=trace)
+
+
+def _interior_stage(p, coeffs, u, grad_u):
+    """The interior stage on the triangle at degree p >= 3: fix, in place,
+    the interior coefficients of the stack ``coeffs`` (..., dim), whose
+    vertex and edge coefficients are set, from ``u`` and ``grad_u`` (as
+    in :func:`project_reference`) on the volume rule.  Returns the step
+    trace {"coeffs", "kkt"}."""
+    vol = _volume_work(p)
+    pts = vol.points
+    r_vals = np.asarray(u(pts), dtype=complex) - coeffs @ vol.N_rows
+    grads = np.asarray(grad_u(pts), dtype=complex)
+    r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - coeffs @ vol.G_rows
+    c, kkt = vol.solve(r_vals, r_grads)
+    coeffs[..., vol.interior] = c
+    return {"coeffs": c, "kkt": kkt}
+
+
+def _directed_edges(mesh):
+    """The directed edges the elements walk: their (start, end) vertex
+    ids (D, 2), and the directed edge (E, local edges) that each local
+    edge (i, j) of each element walks, from its vertex i to its vertex j.
+    A directed edge is a global edge (``mesh.elem_edges``) together with
+    a direction, reversed where ``elements[:, i] > elements[:, j]``;
+    directed edges are numbered in ascending (global edge, direction)
+    order, which depends on the mesh alone."""
+    pairs = mesh.elements[:, LOCAL_EDGES[mesh.dim]]
+    keys = 2 * mesh.elem_edges + (pairs[..., 0] > pairs[..., 1])
+    _, first, walk = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return pairs.reshape(-1, 2)[first], walk.reshape(keys.shape)
+
+
+def _edge_trace(fn, ends, t):
+    """Values (edges, 2, n) of ``fn`` at the parameters t (n, 1) of the
+    segments from ends[:, 0] to ends[:, 1] (edges, 2, 2), whose points
+    are one product of the ends with the barycentric coordinates of t."""
+    phys = (ends.swapaxes(1, 2).reshape(-1, 2) @ barycentric(t).T).reshape(
+        len(ends), 2, -1).swapaxes(1, 2)
+    vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=complex)
+    return vals.reshape(phys.shape).swapaxes(1, 2)
 
 
 def _pull(mesh, elems, fn, jacobian, pts):
@@ -293,20 +340,53 @@ def _pull(mesh, elems, fn, jacobian, pts):
     return pull_back(mesh, elems, vals, jacobian).swapaxes(1, 2)
 
 
+def _staged_pull_back(mesh, p, phi, jac_phi):
+    """Scalar coefficients (elements, 2, dim) of the staged projection of
+    the Piola pull-back det A A^{-1} (phi o F) on every element, one row
+    per component (see the module docstring).
+
+    The edge stage is ``project_reference(trace, 1, p)`` over chunks of
+    directed edges (:func:`_directed_edges`); the interior stage
+    (p >= 3) reads the pulled-back field and its Jacobian on chunks of
+    elements.  Every chunk holds at most ``fosls.CHUNK_POINTS`` points
+    of the edge point set, the largest a stage evaluates per edge or
+    element.
+    """
+    per_chunk = _edge_work(p).points.size
+    pairs, walk = _directed_edges(mesh)
+    ends = mesh.vertices[pairs]
+    # (directed edges, component, 1D coefficient): endpoint values, bubbles
+    edges = np.concatenate([
+        project_reference(partial(_edge_trace, phi, ends[s]), 1, p).result
+        for s in chunks(len(pairs), per_chunk)
+    ])
+    elems = np.arange(len(mesh.elements))
+    walked = pull_back(mesh, elems, edges[walk].swapaxes(-1, -2).reshape(len(elems), -1, 2))
+    walked = walked.reshape(walk.shape + (p + 1, 2)).transpose(0, 3, 1, 2)
+    line, basis = make_scalar_basis(1, p).dof_classes, make_scalar_basis(2, p)
+    comp = np.zeros((len(elems), 2, basis.dim), dtype=complex)
+    for l, (edge, cols) in enumerate(zip(LOCAL_EDGES[2], basis.dof_classes["edge"])):
+        comp[..., list(edge)] = walked[:, :, l, line["vertex"]]
+        comp[..., cols] = walked[:, :, l, line["edge"][0]]
+    if p >= 3:
+        for s in chunks(len(elems), per_chunk):
+            pull = partial(_pull, mesh, elems[s])
+            _interior_stage(p, comp[s], partial(pull, phi, False), partial(pull, jac_phi, True))
+    return comp
+
+
 def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     """Project a smooth vector field into the global flux space.
 
-    The elements are taken in chunks whose edge-stage point sets, the
-    largest a stage evaluates, fit in ``fosls.CHUNK_POINTS``.  On a chunk
-    the field is pulled back by the Piola transform of every element
-    once per stage, one staged projection runs on the stack of (element,
-    component) functions and the BDM coefficients of all its elements
-    come from one solve.  Because each edge stage depends only on the
-    trace there, the two elements adjacent to a facet assign the same
-    normal-moment dofs (up to roundoff, reported as the optional
-    mismatch: the largest difference between the global value of a dof
-    and the value one of its elements assigns), so the result is
-    H(div)-conforming.
+    On every element the staged reference projection is applied to the
+    Piola pull-back of the field, component by component, with its edge
+    stage run once per directed mesh edge (see the module docstring),
+    and the BDM coefficients of all elements come from one solve.
+    Because each edge stage depends only on the trace there, the two
+    elements adjacent to a facet assign the same normal-moment dofs (up
+    to roundoff, reported as the optional mismatch: the largest
+    difference between the global value of a dof and the value one of
+    its elements assigns), so the result is H(div)-conforming.
 
     ``phi`` maps physical points (n, 2) to values (n, 2); ``jac_phi``
     returns (n, 2, 2) Jacobians d phi_i / d x_j and is required for
@@ -317,18 +397,9 @@ def project_hdiv_global(phi, space, jac_phi=None, return_max_mismatch=False):
     p = space.p
     if p >= 3 and jac_phi is None:
         raise ValueError("jac_phi is required for p >= 3")
-    mesh = space.mesh
-    local = []
-    # the largest reference point set is that of an edge stage
-    for s in chunks(len(mesh.elements), _edge_work(p).points.size):
-        elems = np.arange(len(mesh.elements))[s]
-        pull = partial(_pull, mesh, elems)
-        grad = None if jac_phi is None else partial(pull, jac_phi, True)
-        comp = project_reference(partial(pull, phi, False), 2, p, grad_u=grad)
-        local.append(np.linalg.solve(
-            space.basis.coeffs, comp.result.reshape(len(elems), -1).T
-        ))
-    local = np.concatenate(local, axis=1)
+    n_elems = len(space.mesh.elements)
+    local = np.linalg.solve(space.basis.coeffs, _staged_pull_back(
+        space.mesh, p, phi, jac_phi).reshape(n_elems, -1).T)
     coeffs = _scatter_local(space, local)
     if return_max_mismatch:
         mismatch = np.max(np.abs(space.elem_signs * coeffs[space.elem_dofs] - local.T))

@@ -712,7 +712,8 @@ class TestSamplingPlans:
 
     def test_two_rule_plan_holds_both_rules(self, mesh_name):
         """A plan of two rules holds, per group, the points of each rule
-        in turn and one row of weights per rule, zero off its own points;
+        in turn and one row of weights per rule, zero off its own points
+        (a 1D facet holds its one point once, with weight 1 in both rows);
         its elements are those of the one-rule groups, in order, and a
         chunk holds at most CHUNK_POINTS points of the union."""
         make, breakpoints = PLAN_MESHES[mesh_name]
@@ -741,6 +742,10 @@ class TestSamplingPlans:
         for (elems, ref, wts, measures, normals), *want in zip(boundary, *direct):
             for got, i in [(elems, 0), (measures, 4), (normals, 5)]:
                 assert all(np.array_equal(got, w[i]) for w in want)
+            if mesh.dim == 1:  # both rules are the facet's one point, held once
+                assert all(np.array_equal(ref, w[1]) for w in want)
+                assert np.array_equal(wts, np.ones((2, 1)))
+                continue
             assert np.array_equal(ref, np.concatenate([w[1] for w in want]))
             assert np.array_equal(wts, block_diag(*(w[2][None] for w in want)))
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -10,6 +11,7 @@ from helmfosls.mesh import (
     REF_EDGE_NORMALS,
     build_polygonal_disk_mesh,
     build_square_mesh,
+    element_map_apply,
     local_simplex_points,
 )
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
@@ -22,6 +24,7 @@ from helmfosls.projection import (
 from helmfosls.spaces import (
     build_hdiv_space,
     interpolate_hdiv_polynomial,
+    pull_back,
     vector_eval,
 )
 
@@ -493,6 +496,34 @@ class TestReferenceProjection:
         assert calls == []
 
 
+def _directed_edges(mesh):
+    """The (global edge, reversed) pairs the elements walk: local edge
+    (i, j) of an element walks its edge from vertex i to vertex j."""
+    return {(edge, elem[i] > elem[j])
+            for elem, edges in zip(mesh.elements, mesh.elem_edges)
+            for (i, j), edge in zip(LOCAL_EDGES[2], edges)}
+
+
+def _elementwise_projection(phi, space, jac_phi):
+    """The staged projection element by element: the reference algorithm
+    on the Piola pull-back det A A^{-1} (phi o F) of every element, which
+    projects each of its three edges for itself; (coefficients,
+    mismatch) as ``project_hdiv_global`` returns them."""
+    mesh = space.mesh
+    local = []
+    for e in range(len(mesh.elements)):
+        def pulled(fn, jacobian, pts, e=e):
+            vals = np.asarray(fn(element_map_apply(mesh, e, pts)), dtype=complex)
+            return np.moveaxis(pull_back(mesh, e, vals, jacobian), 1, 0)
+        comp = project_reference(partial(pulled, phi, False), 2, space.p,
+                                 grad_u=partial(pulled, jac_phi, True))
+        local.append(np.linalg.solve(space.basis.coeffs, comp.result.ravel()))
+    local = np.array(local)
+    coeffs = np.zeros(space.n_dofs, dtype=complex)
+    coeffs[space.elem_dofs] = space.elem_signs * local
+    return coeffs, np.max(np.abs(space.elem_signs * coeffs[space.elem_dofs] - local))
+
+
 def _counted(fn, calls):
     """``fn``, appending its positional arguments to ``calls`` per call."""
     def wrapped(*args, **kwargs):
@@ -518,19 +549,27 @@ class TestEvaluationBudget:
         )
         assert [len(a[0]) for a in grad_calls] == [volume_points]
 
-    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_chunks_are_sized_by_the_edge_point_set(self, p, monkeypatch):
+        """One staged projection per chunk of directed edges, which reads
+        phi at the endpoints and, for p >= 2, at the edge point set; one
+        phi and one Jacobian call per chunk of elements of the interior
+        stage.  Both kinds of chunk are sized by the edge point set."""
         mesh = build_square_mesh(6)
         space = build_hdiv_space(mesh, p)
         phi, jac = TestHdivProjection().smooth_field()
-        reference_calls, phi_calls = [], []
+        reference_calls, phi_calls, jac_calls = [], [], []
         monkeypatch.setattr(projection, "project_reference", _counted(
             projection.project_reference, reference_calls))
-        project_hdiv_global(_counted(phi, phi_calls), space, jac_phi=jac)
+        project_hdiv_global(_counted(phi, phi_calls), space,
+                            jac_phi=_counted(jac, jac_calls))
         per_chunk = fosls.CHUNK_POINTS // _edge_work(p).points.size
-        n_chunks = -(-len(mesh.elements) // per_chunk)
-        assert len(reference_calls) == n_chunks
-        assert len(phi_calls) == n_chunks * (1 if p == 1 else 5)
+        edge_chunks = -(-len(_directed_edges(mesh)) // per_chunk)
+        interior_chunks = -(-len(mesh.elements) // per_chunk) if p >= 3 else 0
+        assert len(reference_calls) == edge_chunks
+        assert all(args[1:] == (1, p) for args in reference_calls)
+        assert len(phi_calls) == edge_chunks * (1 if p == 1 else 2) + interior_chunks
+        assert len(jac_calls) == interior_chunks
 
 
 class TestHdivProjection:
@@ -671,6 +710,24 @@ class TestHdivProjection:
         scale = np.max(np.abs(default))
         assert np.max(np.abs(single - default)) <= 1e-13 * scale
         assert abs(single_mismatch - mismatch) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh_name", ["square", "disk"])
+    def test_matches_elementwise_staged_projection(self, mesh_name, p):
+        """Projecting each directed edge once gives the coefficients of the
+        element-by-element projection, on meshes whose elements walk
+        shared edges in both directions."""
+        mesh = (build_square_mesh(3) if mesh_name == "square"
+                else build_polygonal_disk_mesh(8, 1))
+        assert mesh.n_edges < len(_directed_edges(mesh)) < mesh.elem_edges.size
+        space = build_hdiv_space(mesh, p)
+        phi, jac = self.smooth_field()
+        want, want_mismatch = _elementwise_projection(phi, space, jac)
+        got, mismatch = project_hdiv_global(phi, space, jac_phi=jac,
+                                            return_max_mismatch=True)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for m in (mismatch, want_mismatch):
+            assert m <= 1e-11 * (1 + np.max(np.abs(got)))
 
     def test_mismatch_reports_disagreeing_neighbours(self, monkeypatch):
         """A field that shifts on every call gives neighbouring elements
