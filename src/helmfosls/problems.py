@@ -101,7 +101,7 @@ def plane_wave_problem(k):
 
     def jet(points):
         u = np.exp(1j * (np.atleast_2d(points) @ kv))
-        return u, 1j * np.outer(u, kv), -(k1**2 + k2**2) * u
+        return u, u[:, None] * (1j * kv), -(k1**2 + k2**2) * u
 
     def f(points):
         return np.zeros(len(np.atleast_2d(points)), dtype=complex)

@@ -26,7 +26,10 @@ directed edges it walks.  The direction stays in the key because the
 discrete edge operator is not reversal-symmetric, so each element sees
 exactly the edge operator of the reference algorithm.  The interior
 stage (p >= 3) runs on chunks of elements, through the same helper as
-:func:`project_reference`.
+:func:`project_reference`.  Each chunk is sized by the points its stage
+evaluates: the edge point set per directed edge, the volume rule per
+element.  Only the coefficients are read, so no KKT residual is formed;
+:class:`ReferenceProjection` forms its step trace when it is first read.
 
 The H^{1/2}_00 inner product on the unit interval combines the L2
 product, the Aronszajn-Slobodeckij seminorm
@@ -60,7 +63,7 @@ row per function, and the rows do not interact.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -91,12 +94,26 @@ class EdgeNormGram:
 @dataclass
 class ReferenceProjection:
     """Result of the staged projection: coefficients in the hierarchical
-    basis plus a per-step trace of sub-solutions and KKT residuals."""
+    basis, the vertex values and, per minimization step, its
+    (work, coefficients, moments); ``volume`` is None where there is no
+    interior stage."""
 
     p: int
     d: int
     result: np.ndarray
-    step_trace: dict
+    vertex: np.ndarray
+    edges: list
+    volume: tuple | None
+
+    @cached_property
+    def step_trace(self):
+        """The per-step trace {"vertex": values, "edge": [step, ...],
+        "volume": step or None}, each step {"coeffs", "kkt"}, formed on
+        first read; each ``kkt`` is the largest over the stack."""
+        def step(work, c, m):
+            return {"coeffs": c, "kkt": _kkt(work, c, m)}
+        return {"vertex": self.vertex, "edge": [step(*e) for e in self.edges],
+                "volume": step(*self.volume) if self.volume else None}
 
 
 class _EdgeWork:
@@ -173,11 +190,13 @@ class _EdgeWork:
 
     def solve(self, r, batch):
         """Minimize the edge objective over bubbles for every function of
-        the stack (leading shape ``batch``); returns (coeffs, kkt).  The
-        trace ``r`` is called once, on ``points``."""
+        the stack (leading shape ``batch``); returns (coeffs, moments).
+        The trace ``r`` is called once, on ``points``."""
         if self.p == 1:
-            return np.zeros(batch + (0,), dtype=complex), 0.0
-        return _minimize(self, self.moments(r(self.points)))
+            none = np.zeros(batch + (0,), dtype=complex)
+            return none, none
+        m = self.moments(r(self.points))
+        return _minimize(self, m), m
 
 
 class _VolumeWork:
@@ -212,23 +231,25 @@ class _VolumeWork:
         basis."""
         return r_vals @ self.k_val + r_grads @ self.k_grad
 
-    def solve(self, r_vals, r_grads):
-        return _minimize(self, self.moments(r_vals, r_grads))
-
 
 def _minimize(work, m):
-    """Solve ``work.objective c = m`` for every row of the moments m.
-
-    Returns (c, kkt) with kkt the largest relative KKT residual
-    |G c - m| / (|G| |c| + |m|) over the rows.
-    """
+    """Solve ``work.objective c = m`` for every row of the moments m."""
     flat = m.reshape(-1, m.shape[-1])
-    c = scipy.linalg.cho_solve(work.chol, flat.T).T
-    kkt = np.linalg.norm(c @ work.objective - flat, axis=1) / (
+    return scipy.linalg.cho_solve(work.chol, flat.T).T.reshape(m.shape)
+
+
+def _kkt(work, c, m):
+    """The largest relative KKT residual |G c - m| / (|G| |c| + |m|) over
+    the rows of the coefficients c that :func:`_minimize` gave for the
+    moments m (0 where there are no bubbles)."""
+    if m.shape[-1] == 0:
+        return 0.0
+    c, m = c.reshape(-1, m.shape[-1]), m.reshape(-1, m.shape[-1])
+    kkt = np.linalg.norm(c @ work.objective - m, axis=1) / (
         work.norm_gram * np.linalg.norm(c, axis=1)
-        + np.linalg.norm(flat, axis=1) + 1e-300
+        + np.linalg.norm(m, axis=1) + 1e-300
     )
-    return c.reshape(m.shape), float(np.max(kkt))
+    return float(np.max(kkt))
 
 
 _edge_work = cache(_EdgeWork)
@@ -251,8 +272,8 @@ def project_reference(u, d, p, grad_u=None):
     row each.  ``grad_u`` maps them to gradients (..., n, d) and is
     required only where an interior stage exists (d = 2, p >= 3).
     Smoothness sufficient for point evaluation at vertices is the
-    caller's responsibility.  Each ``kkt`` in the step trace is the
-    largest over the stack.
+    caller's responsibility.  The step trace, with its KKT residuals, is
+    formed when it is first read.
     """
     if d == 3:
         raise NotImplementedError(
@@ -271,7 +292,7 @@ def project_reference(u, d, p, grad_u=None):
     batch = vertex_vals.shape[:-1]
     coeffs = np.zeros(batch + (basis.dim,), dtype=complex)
     coeffs[..., : d + 1] = vertex_vals
-    trace = {"vertex": vertex_vals, "edge": [], "volume": None}
+    edges, volume = [], None
     work = _edge_work(p)
 
     # the interval is its own single edge (0, 1)
@@ -282,13 +303,14 @@ def project_reference(u, d, p, grad_u=None):
             pts = local_simplex_points(d, edge, t[:, None])
             return np.asarray(u(pts), dtype=complex) - (ui * (1 - t) + uj * t)
 
-        c, kkt = work.solve(r, batch)
+        c, m = work.solve(r, batch)
         coeffs[..., basis.dof_classes["edge"][l]] = c
-        trace["edge"].append({"coeffs": c, "kkt": kkt})
+        edges.append((work, c, m))
 
     if d == 2 and p >= 3:
-        trace["volume"] = _interior_stage(p, coeffs, u, grad_u)
-    return ReferenceProjection(p=p, d=d, result=coeffs, step_trace=trace)
+        volume = _interior_stage(p, coeffs, u, grad_u)
+    return ReferenceProjection(p=p, d=d, result=coeffs, vertex=vertex_vals,
+                               edges=edges, volume=volume)
 
 
 def _interior_stage(p, coeffs, u, grad_u):
@@ -296,15 +318,16 @@ def _interior_stage(p, coeffs, u, grad_u):
     the interior coefficients of the stack ``coeffs`` (..., dim), whose
     vertex and edge coefficients are set, from ``u`` and ``grad_u`` (as
     in :func:`project_reference`) on the volume rule.  Returns the step
-    trace {"coeffs", "kkt"}."""
+    (work, coefficients, moments)."""
     vol = _volume_work(p)
     pts = vol.points
     r_vals = np.asarray(u(pts), dtype=complex) - coeffs @ vol.N_rows
     grads = np.asarray(grad_u(pts), dtype=complex)
     r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - coeffs @ vol.G_rows
-    c, kkt = vol.solve(r_vals, r_grads)
+    m = vol.moments(r_vals, r_grads)
+    c = _minimize(vol, m)
     coeffs[..., vol.interior] = c
-    return {"coeffs": c, "kkt": kkt}
+    return vol, c, m
 
 
 def _directed_edges(mesh):
@@ -348,17 +371,16 @@ def _staged_pull_back(mesh, p, phi, jac_phi):
     The edge stage is ``project_reference(trace, 1, p)`` over chunks of
     directed edges (:func:`_directed_edges`); the interior stage
     (p >= 3) reads the pulled-back field and its Jacobian on chunks of
-    elements.  Every chunk holds at most ``fosls.CHUNK_POINTS`` points
-    of the edge point set, the largest a stage evaluates per edge or
-    element.
+    elements.  Every chunk holds at most ``fosls.CHUNK_POINTS`` of the
+    points its stage evaluates: the edge point set per directed edge,
+    the volume rule per element.
     """
-    per_chunk = _edge_work(p).points.size
     pairs, walk = _directed_edges(mesh)
     ends = mesh.vertices[pairs]
     # (directed edges, component, 1D coefficient): endpoint values, bubbles
     edges = np.concatenate([
         project_reference(partial(_edge_trace, phi, ends[s]), 1, p).result
-        for s in chunks(len(pairs), per_chunk)
+        for s in chunks(len(pairs), _edge_work(p).points.size)
     ])
     elems = np.arange(len(mesh.elements))
     walked = pull_back(mesh, elems, edges[walk].swapaxes(-1, -2).reshape(len(elems), -1, 2))
@@ -369,7 +391,7 @@ def _staged_pull_back(mesh, p, phi, jac_phi):
         comp[..., list(edge)] = walked[:, :, l, line["vertex"]]
         comp[..., cols] = walked[:, :, l, line["edge"][0]]
     if p >= 3:
-        for s in chunks(len(elems), per_chunk):
+        for s in chunks(len(elems), len(_volume_work(p).points)):
             pull = partial(_pull, mesh, elems[s])
             _interior_stage(p, comp[s], partial(pull, phi, False), partial(pull, jac_phi, True))
     return comp

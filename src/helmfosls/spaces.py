@@ -283,11 +283,13 @@ def push_forward(space, elem, field, derivative=False):
 def pull_back(mesh, elem, field, jacobian=False):
     """Reference H(div) values phi_hat = det A A^{-1} (phi o F) on ``elem``
     from physical ones; with ``jacobian``, the reference Jacobians
-    det A A^{-1} J A of phi_hat from the Jacobians J of phi (chain rule)."""
+    det A A^{-1} J A of phi_hat from the Jacobians J of phi (chain rule),
+    contracted left to right: the path ``optimize=True`` picks for every
+    shape, given here so that no call searches for it."""
     m = np.asarray(mesh.det_A[elem])[..., None, None] * mesh.inv_A[elem]
     if jacobian:
         return np.einsum("...ij,...njk,...kl->...nil", m, field, mesh.maps_A[elem],
-                         optimize=True)
+                         optimize=["einsum_path", (0, 1), (0, 1)])
     return field @ np.swapaxes(m, -1, -2)
 
 

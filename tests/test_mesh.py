@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helmfosls import mesh as mesh_module
 from helmfosls.mesh import (
     LOCAL_EDGES,
     LOCAL_FACETS,
@@ -317,3 +318,39 @@ def test_rejects_facet_shared_by_three_elements():
     elems = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(ValueError, match=r"facet \(0, 1\) shared by more than two"):
         Mesh(2, verts, elems, 1.5)
+
+
+def _unique_rows(tuples, n):
+    """The facet table by np.unique(axis=0): sorted rows, inverse, counts."""
+    return np.unique(tuples, axis=0, return_inverse=True, return_counts=True)
+
+
+def _shuffled_square_mesh():
+    square = build_square_mesh(5)
+    order = np.random.default_rng(7).permutation(len(square.elements))
+    return Mesh(2, square.vertices, square.elements[order], 1.0)
+
+
+MESH_ARRAYS = ("vertices", "elements", "facet_vertices", "elem_facets",
+               "elem_facet_signs", "facet_elems", "facet_normals",
+               "facet_measures", "boundary_facets", "interior_facets",
+               "boundary_elems", "boundary_local_facets", "elem_edges")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_square_mesh(7),
+    lambda: build_interval_mesh(-1, 1, 9),
+    lambda: build_polygonal_disk_mesh(8, 2),
+    _shuffled_square_mesh,
+], ids=["square", "interval", "disk", "shuffled-square"])
+def test_facet_table_matches_unique_rows(build, monkeypatch):
+    """Integer keys number facets (and the disk's refinement edges) as
+    np.unique(axis=0) of the vertex tuples does: every array is equal,
+    dtype included."""
+    got = build()
+    monkeypatch.setattr(mesh_module, "_unique_tuples", _unique_rows)
+    want = build()
+    for name in MESH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)

@@ -17,6 +17,7 @@ from helmfosls.mesh import (
 from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.projection import (
     _edge_work,
+    _volume_work,
     h12_00_gram,
     project_hdiv_global,
     project_reference,
@@ -549,12 +550,14 @@ class TestEvaluationBudget:
         )
         assert [len(a[0]) for a in grad_calls] == [volume_points]
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_chunks_are_sized_by_the_edge_point_set(self, p, monkeypatch):
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_chunks_are_sized_by_each_stages_point_set(self, p, monkeypatch):
         """One staged projection per chunk of directed edges, which reads
         phi at the endpoints and, for p >= 2, at the edge point set; one
         phi and one Jacobian call per chunk of elements of the interior
-        stage.  Both kinds of chunk are sized by the edge point set."""
+        stage.  Edge chunks are sized by the edge point set, interior
+        chunks by the volume rule, and no call reads more than
+        CHUNK_POINTS points."""
         mesh = build_square_mesh(6)
         space = build_hdiv_space(mesh, p)
         phi, jac = TestHdivProjection().smooth_field()
@@ -563,13 +566,36 @@ class TestEvaluationBudget:
             projection.project_reference, reference_calls))
         project_hdiv_global(_counted(phi, phi_calls), space,
                             jac_phi=_counted(jac, jac_calls))
-        per_chunk = fosls.CHUNK_POINTS // _edge_work(p).points.size
-        edge_chunks = -(-len(_directed_edges(mesh)) // per_chunk)
-        interior_chunks = -(-len(mesh.elements) // per_chunk) if p >= 3 else 0
+        per_edge_chunk = fosls.CHUNK_POINTS // _edge_work(p).points.size
+        edge_chunks = -(-len(_directed_edges(mesh)) // per_edge_chunk)
+        interior_chunks = 0
+        if p >= 3:
+            per_elem_chunk = fosls.CHUNK_POINTS // len(_volume_work(p).points)
+            interior_chunks = -(-len(mesh.elements) // per_elem_chunk)
+            assert interior_chunks < -(-len(mesh.elements) // per_edge_chunk)
         assert len(reference_calls) == edge_chunks
         assert all(args[1:] == (1, p) for args in reference_calls)
         assert len(phi_calls) == edge_chunks * (1 if p == 1 else 2) + interior_chunks
         assert len(jac_calls) == interior_chunks
+        assert max(len(args[0]) for args in phi_calls + jac_calls) <= fosls.CHUNK_POINTS
+
+    def test_residuals_are_formed_only_when_the_trace_is_read(self, monkeypatch):
+        """The global projection reads coefficients only and forms no KKT
+        residual; one read of a reference projection's step trace forms
+        each stage's residual once, and later reads form none."""
+        kkt_calls = []
+        monkeypatch.setattr(projection, "_kkt", _counted(projection._kkt, kkt_calls))
+        phi, jac = TestHdivProjection().smooth_field()
+        project_hdiv_global(phi, build_hdiv_space(build_square_mesh(3), 4), jac_phi=jac)
+        assert kkt_calls == []
+        proj = project_reference(lambda q: phi(q)[:, 0], 2, 4,
+                                 grad_u=lambda q: jac(q)[:, 0, :])
+        assert kkt_calls == []
+        trace = proj.step_trace
+        assert len(trace["edge"]) == 3 and trace["volume"] is not None
+        assert [args[0] for args in kkt_calls] == 3 * [_edge_work(4)] + [_volume_work(4)]
+        assert proj.step_trace is trace
+        assert len(kkt_calls) == 4
 
 
 class TestHdivProjection:
