@@ -19,8 +19,9 @@ On each chunk the exact solution is sampled by one jet call
 call per space (``fosls.pair_fields``), and each squared norm is one
 product of the per-element scales with re^2 + im^2 on the real view of
 its field, then one product with the reference weights of both rules.  A
-classical FEM solution carries no flux: its flux errors are never
-formed, and the flux entries of its report are NaN.
+classical FEM solution carries no flux: its pass samples u and grad u
+only (a jet call of order 1 and the potential's evaluator), its flux
+errors are never formed, and the flux entries of its report are NaN.
 Everything here is pure post-processing over immutable solutions.
 """
 
@@ -123,14 +124,17 @@ def _accumulate(sol, problem, exactnesses):
     """Error norms (the fields of :class:`ErrorReport` but the drift) on
     each rule of ``fosls.sample_pairs`` at ``exactnesses``, one dict per
     rule, from one sweep: each group's fields are formed once and reduced
-    once per rule.  A classical FEM solution has no flux: its flux errors
-    are never formed, and its flux entries are NaN."""
+    once per rule.  A classical FEM solution has no flux: only u and
+    grad u are sampled, its flux errors are never formed, and its flux
+    entries are NaN."""
     has_flux = sol.phi_coeffs is not None
     vol, bnd = np.zeros((len(exactnesses), 6)), np.zeros((len(exactnesses), 2))
     for scales, weights, (ex, uh), normals in sample_pairs(
-            (problem.exact, sol), sol.w_space, problem.breakpoints, exactnesses):
-        eu, egu = ex[2] - uh[2], ex[3] - uh[3]
-        fields = [eu] if normals is not None else [ex[2], eu, egu]
+            (problem.exact, sol), sol.w_space, problem.breakpoints, exactnesses,
+            order=2 if has_flux else 1):
+        # the last two fields are u and grad u at either order
+        eu, egu = ex[-2] - uh[-2], ex[-1] - uh[-1]
+        fields = [eu] if normals is not None else [ex[-2], eu, egu]
         if has_flux:
             err = (ex[0] - uh[0], ex[1] - uh[1], eu, egu)
             fields += ([impedance_trace(err, normals)] if normals is not None

@@ -50,9 +50,9 @@ that of the error rules, so they share its volume plan with ``evaluate_b``.
 
 The error rules have one owner, :func:`sample_pairs`: it maps the groups
 of :func:`sweep` to the fields (phi, div phi, u, grad u) of any pairs on
-the volume and facet rules, and both :func:`evaluate_b` and
-``analysis.compute_errors`` reduce over it, so b(e, e) = e1^2 + e2^2 +
-k e_bnd^2 holds to rounding.  ``compute_errors`` asks for the error
+the volume and facet rules, or to (u, grad u) alone where no flux is
+read, and both :func:`evaluate_b` and ``analysis.compute_errors`` reduce
+over it, so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.  ``compute_errors`` asks for the error
 rules and the doubled ones behind its drift check together, and every
 group then holds the points of both, is mapped once and evaluates each
 pair once.
@@ -441,8 +441,9 @@ def difference(a, b):
     return _Difference(a, b)
 
 
-def pair_fields(pair, elems, ref, phys):
-    """Fields (phi, div phi, u, grad u) of a pair at quadrature points.
+def pair_fields(pair, elems, ref, phys, order=2):
+    """Fields of a pair at quadrature points: (phi, div phi, u, grad u),
+    or at ``order`` 1 (u, grad u) alone, as the jets of ``problems``.
 
     ``pair`` is a DiscreteSolution, an ExactBundle or a
     :func:`difference`.  A discrete solution takes one evaluator call
@@ -452,19 +453,25 @@ def pair_fields(pair, elems, ref, phys):
     point) axes; phi and grad u end in a d axis.
     """
     if isinstance(pair, _Difference):
-        fa = pair_fields(pair.a, elems, ref, phys)
-        fb = pair_fields(pair.b, elems, ref, phys)
+        fa = pair_fields(pair.a, elems, ref, phys, order)
+        fb = pair_fields(pair.b, elems, ref, phys, order)
         return tuple(x - y for x, y in zip(fa, fb))
     if isinstance(pair, DiscreteSolution):
         u, gu = scalar_eval(pair.w_space, pair.u_coeffs, elems, ref, with_derivative=True)
+        if order == 1:
+            return u, gu
         if pair.phi_coeffs is None:
             return np.zeros(gu.shape, complex), np.zeros(u.shape, complex), u, gu
         phi, dphi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref, with_derivative=True)
         return phi, dphi, u, gu
     vector, scalar = phys.shape, phys.shape[:2]
-    fields = pair.fields(phys.reshape(-1, phys.shape[-1]))
+    points = phys.reshape(-1, phys.shape[-1])
+    if order == 1:
+        fields, shapes = pair.jet(points, 1)[:2], (scalar, vector)
+    else:
+        fields, shapes = pair.fields(points), (vector, scalar, scalar, vector)
     return tuple(np.asarray(f, dtype=complex).reshape(shape)
-                 for f, shape in zip(fields, (vector, scalar, scalar, vector)))
+                 for f, shape in zip(fields, shapes))
 
 
 def ls_residuals(fields, k):
@@ -485,9 +492,10 @@ def error_exactness(p):
     return 2 * p + 8
 
 
-def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None):
+def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None, order=2):
     """Fields of several pairs at the points of the error rules, every
-    rule of ``exactnesses`` sampled in one :func:`sweep`.
+    rule of ``exactnesses`` sampled in one :func:`sweep`; at ``order`` 1
+    only (u, grad u) of each pair (:func:`pair_fields`).
 
     The volume rules have the exactnesses ``exactnesses`` (by default the
     one rule of :func:`error_exactness` of the degree of ``w_space``,
@@ -502,7 +510,8 @@ def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None):
         exactnesses = (error_exactness(w_space.p),)
     for elems, ref, phys, scales, wts, normals in sweep(
             w_space.mesh, exactnesses, [e + 2 for e in exactnesses], breakpoints):
-        yield scales, wts, [pair_fields(pair, elems, ref, phys) for pair in pairs], normals
+        yield scales, wts, [pair_fields(pair, elems, ref, phys, order)
+                            for pair in pairs], normals
 
 
 def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):

@@ -3,11 +3,13 @@
 Each problem bundles the wavenumber k, the volume source f, the
 impedance datum g (with g = du/dn - i k u on the boundary) and, when the
 exact solution is known in closed form, an ``ExactBundle``.  A problem
-writes its closed form once, as a jet ``points -> (u, grad u, laplacian
-u)`` that costs one ``exp`` or one ``cos``/``sin`` pair per point set.
-Every exact field (u, grad u, the scaled flux phi = i grad(u) / k,
-div(phi) = i laplacian(u) / k) is a view of that jet, and
-``ExactBundle.fields`` returns all four from one jet call.
+writes its closed form once, as a jet ``(points, order=2) -> (u, grad u,
+laplacian u)[:order + 1]`` that costs one ``exp`` or one ``cos``/``sin``
+pair per point set and forms only the parts up to ``order``: order 0 is
+(u,), order 1 is (u, grad u).  Every exact field (u, grad u, the scaled
+flux phi = i grad(u) / k, div(phi) = i laplacian(u) / k) is a view of
+that jet at the lowest order that holds it, and ``ExactBundle.fields``
+returns all four from one jet call.
 
 All data callables are vectorized: points arrive as (n, d) arrays,
 normals as (n, d), and values return as (n,) or (n, d) arrays: complex
@@ -32,30 +34,32 @@ def _wavenumber(k):
 
 @dataclass(frozen=True)
 class ExactBundle:
-    """Closed-form exact solution: the jet ``points -> (u (n,), grad u
-    (n, d), laplacian u (n,))`` and the wavenumber k of phi = i grad u / k."""
+    """Closed-form exact solution: the jet ``(points, order=2) -> (u (n,),
+    grad u (n, d), laplacian u (n,))[:order + 1]`` and the wavenumber k of
+    phi = i grad u / k.  Each field asks the jet for the lowest order
+    that holds it."""
 
     jet: Callable
     k: float
 
     def u(self, points):
-        return self.jet(points)[0]
+        return self.jet(points, 0)[0]
 
     def grad_u(self, points):
-        return self.jet(points)[1]
+        return self.jet(points, 1)[1]
 
     def laplacian_u(self, points):
-        return self.jet(points)[2]
+        return self.jet(points, 2)[2]
 
     def phi(self, points):
-        return 1j / self.k * self.jet(points)[1]
+        return 1j / self.k * self.jet(points, 1)[1]
 
     def div_phi(self, points):
-        return 1j / self.k * self.jet(points)[2]
+        return 1j / self.k * self.jet(points, 2)[2]
 
     def fields(self, points):
         """(phi, div phi, u, grad u) at the points from one jet call."""
-        u, gu, lap = self.jet(points)
+        u, gu, lap = self.jet(points, 2)
         return 1j / self.k * gu, 1j / self.k * lap, u, gu
 
 
@@ -79,10 +83,10 @@ class WaveProblem:
 
 def robin_data_from_exact(jet, k):
     """Impedance datum g(x, n) = grad u(x) . n(x) - i k u(x) of the jet
-    ``points -> (u, grad u, ...)``, from one jet call."""
+    ``(points, order) -> (u, grad u, ...)``, from one jet call of order 1."""
 
     def g(points, normals):
-        u, gu = jet(points)[:2]
+        u, gu = jet(points, 1)[:2]
         return np.einsum("nd,nd->n", gu, np.asarray(normals)) - 1j * k * u
 
     return g
@@ -99,9 +103,16 @@ def plane_wave_problem(k):
     k2 = -k1
     kv = np.array([k1, k2])
 
-    def jet(points):
-        u = np.exp(1j * (np.atleast_2d(points) @ kv))
-        return u, u[:, None] * (1j * kv), -(k1**2 + k2**2) * u
+    def jet(points, order=2):
+        # e^{i k.x} written as cos and sin into the views of one array
+        t = np.atleast_2d(points) @ kv
+        u = np.empty(len(t), dtype=complex)
+        np.cos(t, out=u.real)
+        np.sin(t, out=u.imag)
+        if order == 0:
+            return (u,)
+        gu = u[:, None] * (1j * kv)
+        return (u, gu) if order == 1 else (u, gu, -(k1**2 + k2**2) * u)
 
     def f(points):
         return np.zeros(len(np.atleast_2d(points)), dtype=complex)
@@ -126,12 +137,16 @@ def piecewise_1d_problem(k):
     k = _wavenumber(k)
     amp = 1.0 + 2.0 / k**2
 
-    def jet(points):
+    def jet(points, order=2):
         x = np.atleast_2d(points)[:, 0]
-        c, s = np.cos(k * x), np.sin(k * x)
+        c = np.cos(k * x)
         # the branches' amplitude and offset: u = a c + offset
         a, offset = np.where(x <= 0, [[1.0], [1 / k**2]], [[amp], [-1 / k**2]])
-        return a * c + offset, (-k * a * s)[:, None], -k**2 * a * c
+        u = a * c + offset
+        if order == 0:
+            return (u,)
+        gu = (-k * a * np.sin(k * x))[:, None]
+        return (u, gu) if order == 1 else (u, gu, -k**2 * a * c)
 
     def f(points):
         x = np.atleast_2d(points)[:, 0]

@@ -186,7 +186,7 @@ class _EdgeWork:
         traces vanishing at 0 and 1, given by their values (..., points)
         at ``points``."""
         lin, dd = self._split(vals)
-        return lin @ self.k_lin + dd @ self.k_sem
+        return _rows(lin, self.k_lin) + _rows(dd, self.k_sem)
 
     def solve(self, r, batch):
         """Minimize the edge objective over bubbles for every function of
@@ -229,7 +229,14 @@ class _VolumeWork:
         """Objective moments p^2 L2 + H1 of residuals with values
         (..., q) and flattened gradients (..., 2q) against the interior
         basis."""
-        return r_vals @ self.k_val + r_grads @ self.k_grad
+        return _rows(r_vals, self.k_val) + _rows(r_grads, self.k_grad)
+
+
+def _rows(a, b):
+    """The product a @ b of a stack a (..., m) with a matrix b (m, n) as
+    one 2D product, where a stacked matmul calls BLAS once per leading
+    index."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def _minimize(work, m):
@@ -308,22 +315,22 @@ def project_reference(u, d, p, grad_u=None):
         edges.append((work, c, m))
 
     if d == 2 and p >= 3:
-        volume = _interior_stage(p, coeffs, u, grad_u)
+        pts = _volume_work(p).points
+        volume = _interior_stage(p, coeffs, u(pts), grad_u(pts))
     return ReferenceProjection(p=p, d=d, result=coeffs, vertex=vertex_vals,
                                edges=edges, volume=volume)
 
 
-def _interior_stage(p, coeffs, u, grad_u):
+def _interior_stage(p, coeffs, vals, grads):
     """The interior stage on the triangle at degree p >= 3: fix, in place,
     the interior coefficients of the stack ``coeffs`` (..., dim), whose
-    vertex and edge coefficients are set, from ``u`` and ``grad_u`` (as
-    in :func:`project_reference`) on the volume rule.  Returns the step
-    (work, coefficients, moments)."""
+    vertex and edge coefficients are set, from the values (..., q) and
+    gradients (..., q, 2) of the function at the points of the volume
+    rule.  Returns the step (work, coefficients, moments)."""
     vol = _volume_work(p)
-    pts = vol.points
-    r_vals = np.asarray(u(pts), dtype=complex) - coeffs @ vol.N_rows
-    grads = np.asarray(grad_u(pts), dtype=complex)
-    r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - coeffs @ vol.G_rows
+    r_vals = np.asarray(vals, dtype=complex) - _rows(coeffs, vol.N_rows)
+    grads = np.asarray(grads, dtype=complex)
+    r_grads = grads.reshape(grads.shape[:-2] + (-1,)) - _rows(coeffs, vol.G_rows)
     m = vol.moments(r_vals, r_grads)
     c = _minimize(vol, m)
     coeffs[..., vol.interior] = c
@@ -354,10 +361,10 @@ def _edge_trace(fn, ends, t):
     return vals.reshape(phys.shape).swapaxes(1, 2)
 
 
-def _pull(mesh, elems, fn, jacobian, pts):
+def _pull(mesh, elems, fn, jacobian, phys):
     """Piola pull-back of the values (n, 2), or Jacobians (n, 2, 2), of
-    ``fn`` on every element of ``elems``: (elements, 2, n, ...)."""
-    phys = element_map_apply(mesh, elems, pts)
+    ``fn`` at the physical points (elements, n, 2) of ``elems``:
+    (elements, 2, n, ...)."""
     vals = np.asarray(fn(phys.reshape(-1, 2)), dtype=complex)
     vals = vals.reshape(phys.shape[:2] + vals.shape[1:])
     return pull_back(mesh, elems, vals, jacobian).swapaxes(1, 2)
@@ -391,9 +398,12 @@ def _staged_pull_back(mesh, p, phi, jac_phi):
         comp[..., list(edge)] = walked[:, :, l, line["vertex"]]
         comp[..., cols] = walked[:, :, l, line["edge"][0]]
     if p >= 3:
-        for s in chunks(len(elems), len(_volume_work(p).points)):
-            pull = partial(_pull, mesh, elems[s])
-            _interior_stage(p, comp[s], partial(pull, phi, False), partial(pull, jac_phi, True))
+        pts = _volume_work(p).points
+        for s in chunks(len(elems), len(pts)):
+            # the chunk's volume points, mapped once for phi and its Jacobian
+            phys = element_map_apply(mesh, elems[s], pts)
+            _interior_stage(p, comp[s], _pull(mesh, elems[s], phi, False, phys),
+                            _pull(mesh, elems[s], jac_phi, True, phys))
     return comp
 
 

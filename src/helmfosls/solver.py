@@ -47,7 +47,12 @@ def _factor_solve(system, hpd):
     if hpd and np.any(A.diagonal().real <= 0):
         raise SolverError("matrix has nonpositive diagonal; not HPD")
     try:
-        # A.T of a CSR matrix is a CSC view; solve with trans="T" undoes it
+        # A.T of a CSR matrix is a CSC view; solve with trans="T" undoes it.
+        # relax and panel_size stay at SuperLU's defaults: on the FOSLS
+        # matrix of plane-wave k=8, p=3, n=20 (scipy 1.17.1), relax=32 with
+        # panel_size=16 corrupted the interpreter's heap, seen as an abort
+        # or an error deleting an interned string at exit, and smaller
+        # supernodes saved at most about 15 % of the factorization
         lu = scipy.sparse.linalg.splu(
             A.T, permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=HPD_PIVOT_THRESH if hpd else GENERAL_PIVOT_THRESH,

@@ -283,13 +283,17 @@ def push_forward(space, elem, field, derivative=False):
 def pull_back(mesh, elem, field, jacobian=False):
     """Reference H(div) values phi_hat = det A A^{-1} (phi o F) on ``elem``
     from physical ones; with ``jacobian``, the reference Jacobians
-    det A A^{-1} J A of phi_hat from the Jacobians J of phi (chain rule),
-    contracted left to right: the path ``optimize=True`` picks for every
-    shape, given here so that no call searches for it."""
+    det A A^{-1} J A of phi_hat from the Jacobians J (..., n, d, d) of phi
+    (chain rule): entry (i, l) is sum_jk m_ij J_jk A_kl with
+    m = det A A^{-1}, so the flattened J is mapped by :func:`_map` under
+    the per-element products m_ij A_kl."""
     m = np.asarray(mesh.det_A[elem])[..., None, None] * mesh.inv_A[elem]
     if jacobian:
-        return np.einsum("...ij,...njk,...kl->...nil", m, field, mesh.maps_A[elem],
-                         optimize=["einsum_path", (0, 1), (0, 1)])
+        d = m.shape[-1]
+        a_t = np.swapaxes(mesh.maps_A[elem], -1, -2)
+        maps = (m[..., :, None, :, None] * a_t[..., None, :, None, :]).reshape(
+            m.shape[:-2] + (d * d, d * d))
+        return _map(maps, field.reshape(field.shape[:-2] + (d * d,))).reshape(field.shape)
     return field @ np.swapaxes(m, -1, -2)
 
 

@@ -10,7 +10,8 @@ def polynomial_problem(dim, k=3.0):
     Any degree >= 2 discretization must reproduce it to roundoff, which
     makes it a sharp consistency probe for assembly and error norms.
     """
-    def jet(pts):
+    def jet(pts, order=2):
+        # every order gets all three parts, which its consumers index
         pts = np.atleast_2d(pts)
         x = pts[:, 0]
         if dim == 1:

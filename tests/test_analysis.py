@@ -193,6 +193,25 @@ class TestComputeErrors:
         compute_errors(sol, prob)
         assert sorted(calls) == ["jet"] * 4 + ["scalar_eval"] * 4 + ["vector_eval"] * 4
 
+    @pytest.mark.parametrize("method,order", [("fem", 1), ("fosls", 2)])
+    def test_jet_order_follows_the_method(self, method, order):
+        """The FEM pass samples u and grad u only, so it asks the jet for
+        order 1 at most; the FOSLS pass reads the flux, order 2."""
+        prob = plane_wave_problem(4.0)
+        sol = solve_method(method, build_square_mesh(2), 2, prob)
+        orders = []
+
+        def recording(points, order=2):
+            orders.append(order)
+            return prob.exact.jet(points, order)
+
+        exact = dataclasses.replace(prob.exact, jet=recording)
+        report = compute_errors(sol, dataclasses.replace(prob, exact=exact))
+        assert orders and max(orders) == order
+        # the same report, bit for bit (NaN flux entries of FEM included)
+        np.testing.assert_equal(dataclasses.astuple(report),
+                                dataclasses.astuple(compute_errors(sol, prob)))
+
     def test_all_entries_nonnegative_finite_for_fosls(self):
         prob = piecewise_1d_problem(10.0)
         mesh = build_interval_mesh(-1, 1, 15)

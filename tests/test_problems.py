@@ -5,6 +5,7 @@ import pytest
 from conftest import polynomial_problem
 
 from helmfosls.problems import (
+    ExactBundle,
     WaveProblem,
     list_problems,
     make_problem,
@@ -133,7 +134,7 @@ class TestRobinData:
         k, c = 3.0, 2.5 - 1.0j
         u = lambda pts: np.full(len(np.atleast_2d(pts)), c)
         gu = lambda pts: np.zeros((len(np.atleast_2d(pts)), 1), dtype=complex)
-        g = robin_data_from_exact(lambda pts: (u(pts), gu(pts)), k)
+        g = robin_data_from_exact(lambda pts, order: (u(pts), gu(pts)), k)
         val = g(np.array([[0.3]]), np.array([[1.0]]))
         assert val[0] == pytest.approx(-1j * k * c, abs=1e-14)
 
@@ -141,7 +142,7 @@ class TestRobinData:
         k = 1.0
         u = lambda pts: np.atleast_2d(pts)[:, 0].astype(complex)
         gu = lambda pts: np.ones((len(np.atleast_2d(pts)), 1), dtype=complex)
-        g = robin_data_from_exact(lambda pts: (u(pts), gu(pts)), k)
+        g = robin_data_from_exact(lambda pts, order: (u(pts), gu(pts)), k)
         g1 = g(np.array([[1.0]]), np.array([[1.0]]))[0]
         g0 = g(np.array([[0.0]]), np.array([[-1.0]]))[0]
         assert g1 == pytest.approx(1 - 1j, abs=1e-14)
@@ -151,7 +152,7 @@ class TestRobinData:
         k = 6.0
         prob = plane_wave_problem(k)
         g_manufactured = robin_data_from_exact(
-            lambda pts: (prob.exact.u(pts), prob.exact.grad_u(pts)), k)
+            lambda pts, order: (prob.exact.u(pts), prob.exact.grad_u(pts)), k)
         pts, normals = square_boundary_samples(rng, 40)
         np.testing.assert_allclose(
             prob.g(pts, normals), g_manufactured(pts, normals), atol=1e-13
@@ -177,6 +178,43 @@ class TestExactBundle:
             for got, want in zip(fields, separate):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_parts_equal_the_full_jet(self, rng):
+        """Each part is bit-identical to the matching part of the jet at
+        order 2, and a jet of lower order returns the first parts alone."""
+        for prob, pts in _fields_cases(rng):
+            ex, k = prob.exact, prob.k
+            u, gu, lap = ex.jet(pts, 2)
+            parts = [(ex.u, u), (ex.grad_u, gu), (ex.laplacian_u, lap),
+                     (ex.phi, 1j / k * gu), (ex.div_phi, 1j / k * lap)]
+            for part, want in parts:
+                assert np.array_equal(part(pts), want)
+            for got, want in zip(ex.fields(pts), (1j / k * gu, 1j / k * lap, u, gu)):
+                assert np.array_equal(got, want)
+            if not prob.name.startswith("poly"):  # the test jet ignores the order
+                for order in (0, 1):
+                    low = ex.jet(pts, order)
+                    assert len(low) == order + 1
+                    assert all(np.array_equal(a, b) for a, b in zip(low, (u, gu)))
+
+    def test_each_part_asks_the_lowest_order_that_holds_it(self, rng):
+        prob = plane_wave_problem(8.0)
+        orders = []
+
+        def recording(points, order=2):
+            orders.append(order)
+            return prob.exact.jet(points, order)
+
+        ex = ExactBundle(recording, prob.k)
+        pts = rng.random((5, 2))
+        for part, order in [(ex.u, 0), (ex.grad_u, 1), (ex.phi, 1), (ex.laplacian_u, 2),
+                            (ex.div_phi, 2), (ex.fields, 2)]:
+            orders.clear()
+            part(pts)
+            assert orders == [order]
+        orders.clear()
+        robin_data_from_exact(recording, prob.k)(pts, np.tile([1.0, 0.0], (5, 1)))
+        assert orders == [1]
 
     def test_flux_is_scaled_gradient(self, rng):
         for prob, pts in _fields_cases(rng):

@@ -272,6 +272,24 @@ class TestPiola:
         jac = rng.random((4, 2, 2))
         np.testing.assert_allclose(pull_back(mesh, 0, jac, jacobian=True), jac, atol=1e-15)
 
+    def test_jacobian_pull_back_matches_contraction(self, rng):
+        """det A A^{-1} J A on five random affine triangles agrees with the
+        einsum contraction of the three factors, for a scalar ``elem``
+        with Jacobians (n, 2, 2) and an array ``elem`` with (E, n, 2, 2)."""
+        mesh = triangles(rng.standard_normal((5, 3, 2)))
+
+        def contraction(elem, jac):
+            m = np.asarray(mesh.det_A[elem])[..., None, None] * mesh.inv_A[elem]
+            return np.einsum("...ij,...njk,...kl->...nil", m, jac, mesh.maps_A[elem])
+
+        cases = [(e, (7, 2, 2)) for e in range(5)] + [(np.arange(5), (5, 7, 2, 2)),
+                                                      (np.array([3, 0, 3]), (3, 4, 2, 2))]
+        for elem, shape in cases:
+            jac = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got, want = pull_back(mesh, elem, jac, jacobian=True), contraction(elem, jac)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_scaling_map(self):
         # A = 2 I, det A = 4
         mesh = triangles([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
