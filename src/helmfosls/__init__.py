@@ -12,7 +12,6 @@ from .analysis import (
     RunRecord,
     compute_errors,
     dofs_per_wavelength,
-    empirical_order,
 )
 from .fosls import (
     AssembledSystem,
@@ -39,13 +38,7 @@ from .problems import (
     plane_wave_problem,
     robin_data_from_exact,
 )
-from .projection import (
-    EdgeNormGram,
-    ReferenceProjection,
-    h12_00_gram,
-    project_hdiv_global,
-    project_reference,
-)
+from .projection import ReferenceProjection, project_hdiv_global, project_reference
 from .solver import SolveReport, SolverError, solve_general, solve_hpd
 from .spaces import FunctionSpace, build_h1_space, build_hdiv_space
 

@@ -174,35 +174,3 @@ def eoc_pairs(h, errors):
     h = np.asarray(h, dtype=float)
     e = np.asarray(errors, dtype=float)
     return list(np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:]))
-
-
-def tail_slope(h, errors, n_tail=3):
-    """Least-squares slope of log(e) vs log(h) over the last rows."""
-    h = np.asarray(h, dtype=float)[-n_tail:]
-    e = np.asarray(errors, dtype=float)[-n_tail:]
-    if len(h) < 2:
-        raise ValueError("need at least 2 rows for a slope")
-    slope, _ = np.polyfit(np.log(h), np.log(e), 1)
-    return float(slope)
-
-
-def empirical_order(table, quantity="l2_rel"):
-    """Per-series rates: pairwise orders and the asymptotic tail slope.
-
-    Rows outside the asymptotic regime still show up in the pairwise
-    list; the tail slope uses the last three refinement levels only.
-    """
-    out = {}
-    for key, rows in table.series().items():
-        if len(rows) < 2:
-            raise ValueError(
-                f"series {key} has fewer than 2 rows; cannot form rates"
-            )
-        h = [r.h for r in rows]
-        e = [getattr(r.errors, quantity) for r in rows]
-        out[key] = {
-            "h": h,
-            "pairwise": eoc_pairs(h, e),
-            "tail": tail_slope(h, e),
-        }
-    return out

@@ -43,6 +43,9 @@ CSV_COLUMNS = [
     "l2_rel", "h1_err", "bnd_l2", "e1", "e2", "flux_l2", "eoc_l2",
 ]
 
+# geometry of the SVG plot, in pixels
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 60
+
 MESH_BUILDERS = {
     "piecewise-1d": lambda n: build_interval_mesh(-1.0, 1.0, n),
     "plane-wave-2d": build_square_mesh,
@@ -257,7 +260,7 @@ def _write_plot_data(table, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_svg(table, path, width=640, height=480, margin=60):
+def _write_svg(table, path):
     """Minimal log-log SVG rendering of the plot-data series."""
     series = table.series()
     pts_all = [
@@ -274,22 +277,24 @@ def _write_svg(table, path, width=640, height=480, margin=60):
     y1 += 1e-9
 
     def to_px(lx, ly):
-        px = margin + (lx - x0) / (x1 - x0) * (width - 2 * margin)
-        py = height - margin - (ly - y0) / (y1 - y0) * (height - 2 * margin)
+        px = SVG_MARGIN + (lx - x0) / (x1 - x0) * (SVG_WIDTH - 2 * SVG_MARGIN)
+        py = SVG_HEIGHT - SVG_MARGIN - (ly - y0) / (y1 - y0) * (
+            SVG_HEIGHT - 2 * SVG_MARGIN)
         return px, py
 
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>",
-        f"<rect width='{width}' height='{height}' fill='white'/>",
-        f"<line x1='{margin}' y1='{height - margin}' x2='{width - margin}' "
-        f"y2='{height - margin}' stroke='black'/>",
-        f"<line x1='{margin}' y1='{margin}' x2='{margin}' "
-        f"y2='{height - margin}' stroke='black'/>",
-        f"<text x='{width // 2}' y='{height - margin // 4}' "
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{SVG_WIDTH}' "
+        f"height='{SVG_HEIGHT}'>",
+        f"<rect width='{SVG_WIDTH}' height='{SVG_HEIGHT}' fill='white'/>",
+        f"<line x1='{SVG_MARGIN}' y1='{SVG_HEIGHT - SVG_MARGIN}' "
+        f"x2='{SVG_WIDTH - SVG_MARGIN}' y2='{SVG_HEIGHT - SVG_MARGIN}' stroke='black'/>",
+        f"<line x1='{SVG_MARGIN}' y1='{SVG_MARGIN}' x2='{SVG_MARGIN}' "
+        f"y2='{SVG_HEIGHT - SVG_MARGIN}' stroke='black'/>",
+        f"<text x='{SVG_WIDTH // 2}' y='{SVG_HEIGHT - SVG_MARGIN // 4}' "
         "text-anchor='middle' font-size='12'>log10 N_lambda</text>",
-        f"<text x='{margin // 3}' y='{height // 2}' font-size='12' "
-        f"transform='rotate(-90 {margin // 3} {height // 2})' "
+        f"<text x='{SVG_MARGIN // 3}' y='{SVG_HEIGHT // 2}' font-size='12' "
+        f"transform='rotate(-90 {SVG_MARGIN // 3} {SVG_HEIGHT // 2})' "
         "text-anchor='middle'>log10 rel. L2 error</text>",
     ]
     for s, ((method, p), rows) in enumerate(sorted(series.items())):
@@ -305,7 +310,7 @@ def _write_svg(table, path, width=640, height=480, margin=60):
             "stroke-width='1.5'/>"
         )
         parts.append(
-            f"<text x='{width - margin + 4}' y='{margin + 14 * s}' "
+            f"<text x='{SVG_WIDTH - SVG_MARGIN + 4}' y='{SVG_MARGIN + 14 * s}' "
             f"font-size='11' fill='{color}'>{method}-p{p}</text>"
         )
     parts.append("</svg>")

@@ -220,24 +220,6 @@ class Mesh:
         return np.max([_norms(v[e[:, j]] - v[e[:, i]])
                        for i, j in LOCAL_EDGES[self.dim]], axis=0)
 
-    def facet_points(self, facet_id, t):
-        """Physical points on a facet at parameters ``t`` in [0, 1].
-
-        The parameterization runs from the lower to the higher global
-        vertex index; in 1D it collapses to the single facet vertex.
-        """
-        ids = self.facet_vertices[facet_id]
-        if self.dim == 1:
-            return np.repeat(self.vertices[ids], len(t), axis=0)
-        a, b = self.vertices[ids]
-        t = np.asarray(t, dtype=float)
-        return a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
-
-    def to_reference(self, elem, points):
-        """Pull physical points back to reference coordinates of ``elem``."""
-        rel = np.atleast_2d(points) - self.maps_b[elem]
-        return rel @ self.inv_A[elem].T
-
 
 def reference_points(xhat):
     """Reference point(s) as a float array (n, d), checked to lie inside

@@ -68,27 +68,11 @@ from functools import cache, cached_property, partial
 import numpy as np
 import scipy.linalg
 
-from .fosls import chunks
+from .fosls import chunks, error_exactness
 from .mesh import LOCAL_EDGES, REFERENCE_VERTICES, barycentric, element_map_apply
 from .mesh import local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis, simplex_quadrature
 from .spaces import KIND_HDIV, _scatter_local, pull_back, reference_tables
-
-
-@dataclass(frozen=True)
-class EdgeNormGram:
-    """Gram matrices of the edge polynomial basis on (0, 1).
-
-    ``gram_L2`` covers the full (p+1)-dimensional trace basis
-    {1-t, t, bubbles}; ``gram_H12_00`` holds the H^{1/2}_00 inner product
-    on the (p-1)-dimensional bubble sub-basis, where the vertex-matching
-    constraint has been eliminated (the product is finite only for
-    functions vanishing at the endpoints).
-    """
-
-    p: int
-    gram_L2: np.ndarray
-    gram_H12_00: np.ndarray
 
 
 @dataclass
@@ -123,7 +107,9 @@ class _EdgeWork:
     set, ``points``: the Gauss nodes t of the L2 term, the nodes t/2 and
     1 - t/2 of the distance-weighted term, and the Duffy nodes
     x and y = x(1-s) of the Slobodeckij double integral.  A stage
-    evaluates its residual there once.
+    evaluates its residual there once.  ``gram_L2`` is the L2 Gram of
+    the full trace basis {1-t, t, bubbles}, ``gram_H12_00`` the
+    H^{1/2}_00 Gram of the bubbles (read-only, like every table here).
     """
 
     def __init__(self, p):
@@ -151,7 +137,7 @@ class _EdgeWork:
         # the trace basis at every point, evaluated once: its L2 nodes tq
         # are the first rows; one row per bubble t(1-t) P_m(2t-1)
         trace = basis.eval(self.points[:, None])
-        self.gram_l2_full = np.einsum("q,qi,qj->ij", wq, trace[:len(tq)], trace[:len(tq)])
+        self.gram_L2 = np.einsum("q,qi,qj->ij", wq, trace[:len(tq)], trace[:len(tq)])
         bub_lin, bub_dd = self._split(trace[:, 2:].T)
         w_l2 = np.concatenate([wq, np.zeros(2 * len(t_left))])
         w_d = np.concatenate([np.zeros(len(tq)), w_dist, w_dist])
@@ -163,11 +149,11 @@ class _EdgeWork:
         self.k_lin = ((p + 1) * w_l2 + w_d)[:, None] * bub_lin.T
         k_h12 = (w_l2 + w_d)[:, None] * bub_lin.T
         self.k_sem = w_sem[:, None] * bub_dd.T
-        self.gram_h12 = bub_lin @ k_h12 + bub_dd @ self.k_sem
+        self.gram_H12_00 = bub_lin @ k_h12 + bub_dd @ self.k_sem
         self.objective = bub_lin @ self.k_lin + bub_dd @ self.k_sem
         self.chol = scipy.linalg.cho_factor(self.objective) if p > 1 else None
         self.norm_gram = np.linalg.norm(self.objective)
-        _read_only(self.gram_l2_full, self.gram_h12, self.objective,
+        _read_only(self.gram_L2, self.gram_H12_00, self.objective,
                    self.k_lin, self.k_sem)
 
     def _split(self, vals):
@@ -205,9 +191,10 @@ class _VolumeWork:
     def __init__(self, p):
         self.p = p
         basis = make_scalar_basis(2, p)
-        rule = simplex_quadrature(2, 2 * p + 8)
+        # the data rule, so that the kept tables are those the field
+        # path reads
+        rule = simplex_quadrature(2, error_exactness(p))
         self.points, w = rule.points, rule.weights
-        # the kept tables, which the field path reads at the same rule
         N, G = reference_tables(basis, rule.points)
         # the basis as rows: values (basis, q) and gradients (basis, 2q),
         # whose columns are (point, component) pairs as in grad_u(...)
@@ -261,14 +248,6 @@ def _kkt(work, c, m):
 
 _edge_work = cache(_EdgeWork)
 _volume_work = cache(_VolumeWork)
-
-
-def h12_00_gram(p):
-    """Edge Gram matrices at degree p (cached, shared read-only)."""
-    if p < 1:
-        raise ValueError("degree p must be at least 1")
-    work = _edge_work(p)
-    return EdgeNormGram(p=p, gram_L2=work.gram_l2_full, gram_H12_00=work.gram_h12)
 
 
 def project_reference(u, d, p, grad_u=None):

@@ -55,14 +55,12 @@ index), for both kinds, and a normal-trace dof additionally flips with
 the orientation of the global facet normal (``edge_signs``).
 """
 
-import itertools
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS
-from .mesh import element_map_apply, local_simplex_points
+from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS, local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
@@ -334,54 +332,9 @@ def vector_eval(space, coeffs, elem, ref_points, with_derivative=False):
     return (phi, div[..., 0]) if with_derivative else phi
 
 
-# -- polynomial interpolation helpers (exact on per-element polynomials)
-
-
-def _lattice(d, q):
-    """Points (i_1, ..., i_d) / q of the reference simplex, i_1 fastest."""
-    idx = [c[::-1] for c in itertools.product(range(q + 1), repeat=d) if sum(c) <= q]
-    return np.array(idx) / q
-
-
-def _lattice_values(mesh, basis, fn):
-    """Reference lattice, the Vandermonde matrix of the scalar ``basis``
-    on it and ``fn`` on every element's image of the lattice, shape
-    (elements, points, ...)."""
-    pts_ref = _lattice(mesh.dim, basis.p)
-    phys = element_map_apply(mesh, np.arange(len(mesh.elements)), pts_ref)
-    vals = np.asarray(fn(phys.reshape(-1, mesh.dim)), dtype=complex)
-    return basis.eval(pts_ref), vals.reshape(phys.shape[:2] + vals.shape[1:])
-
-
 def _scatter_local(space, local):
     """Global coefficients from per-element ones (columns of ``local``);
     shared dofs take the value of the last element that holds them."""
     coeffs = np.zeros(space.n_dofs, dtype=complex)
     coeffs[space.elem_dofs] = space.elem_signs * local.T
     return coeffs
-
-
-def interpolate_h1_polynomial(space, u):
-    """Coefficients representing ``u`` exactly when u|_K is in P_p.
-
-    ``u`` maps physical points (n, d) to values.  Each element is fitted
-    on a unisolvent lattice; for globally continuous u the element fits
-    agree on shared dofs.
-    """
-    V, vals = _lattice_values(space.mesh, space.basis, u)
-    return _scatter_local(space, np.linalg.solve(V, vals.T))
-
-
-def interpolate_hdiv_polynomial(space, phi):
-    """BDM coefficients representing ``phi`` exactly when phi|_K is in P_p^2.
-
-    ``phi`` maps physical points (n, 2) to values (n, 2).  The field is
-    pulled back by the Piola transform and matched on a lattice.
-    """
-    if space.kind != KIND_HDIV:
-        raise ValueError("expected a vector-hdiv space")
-    V, vals = _lattice_values(space.mesh, space.basis.scalar, phi)
-    pulled = pull_back(space.mesh, np.arange(len(vals)), vals)
-    # scalar coefficients of both components, stacked as in basis.coeffs
-    comp = np.linalg.solve(V, pulled.transpose(2, 1, 0)).reshape(2 * len(V), -1)
-    return _scatter_local(space, np.linalg.solve(space.basis.coeffs, comp))

@@ -1,0 +1,115 @@
+"""Reference computations that the tests check the library against and
+that no pipeline runs: exact interpolants of per-element polynomials,
+points on a facet and their pull-back to an element, and the tail slope
+of a convergence sequence."""
+
+import itertools
+
+import numpy as np
+
+from helmfosls.analysis import eoc_pairs
+from helmfosls.mesh import element_map_apply
+from helmfosls.spaces import KIND_HDIV, _scatter_local, pull_back
+
+# -- polynomial interpolation (exact on per-element polynomials)
+
+
+def _lattice(d, q):
+    """Points (i_1, ..., i_d) / q of the reference simplex, i_1 fastest."""
+    idx = [c[::-1] for c in itertools.product(range(q + 1), repeat=d) if sum(c) <= q]
+    return np.array(idx) / q
+
+
+def _lattice_values(mesh, basis, fn):
+    """Reference lattice, the Vandermonde matrix of the scalar ``basis``
+    on it and ``fn`` on every element's image of the lattice, shape
+    (elements, points, ...)."""
+    pts_ref = _lattice(mesh.dim, basis.p)
+    phys = element_map_apply(mesh, np.arange(len(mesh.elements)), pts_ref)
+    vals = np.asarray(fn(phys.reshape(-1, mesh.dim)), dtype=complex)
+    return basis.eval(pts_ref), vals.reshape(phys.shape[:2] + vals.shape[1:])
+
+
+def interpolate_h1_polynomial(space, u):
+    """Coefficients representing ``u`` exactly when u|_K is in P_p.
+
+    ``u`` maps physical points (n, d) to values.  Each element is fitted
+    on a unisolvent lattice; for globally continuous u the element fits
+    agree on shared dofs.
+    """
+    V, vals = _lattice_values(space.mesh, space.basis, u)
+    return _scatter_local(space, np.linalg.solve(V, vals.T))
+
+
+def interpolate_hdiv_polynomial(space, phi):
+    """BDM coefficients representing ``phi`` exactly when phi|_K is in P_p^2.
+
+    ``phi`` maps physical points (n, 2) to values (n, 2).  The field is
+    pulled back by the Piola transform and matched on a lattice.
+    """
+    if space.kind != KIND_HDIV:
+        raise ValueError("expected a vector-hdiv space")
+    V, vals = _lattice_values(space.mesh, space.basis.scalar, phi)
+    pulled = pull_back(space.mesh, np.arange(len(vals)), vals)
+    # scalar coefficients of both components, stacked as in basis.coeffs
+    comp = np.linalg.solve(V, pulled.transpose(2, 1, 0)).reshape(2 * len(V), -1)
+    return _scatter_local(space, np.linalg.solve(space.basis.coeffs, comp))
+
+
+# -- facets
+
+
+def facet_points(mesh, facet_id, t):
+    """Physical points on a facet of ``mesh`` at parameters ``t`` in [0, 1].
+
+    The parameterization runs from the lower to the higher global
+    vertex index; in 1D it collapses to the single facet vertex.
+    """
+    ids = mesh.facet_vertices[facet_id]
+    if mesh.dim == 1:
+        return np.repeat(mesh.vertices[ids], len(t), axis=0)
+    a, b = mesh.vertices[ids]
+    t = np.asarray(t, dtype=float)
+    return a[None, :] * (1 - t)[:, None] + b[None, :] * t[:, None]
+
+
+def to_reference(mesh, elem, points):
+    """Pull physical points back to reference coordinates of ``elem``."""
+    rel = np.atleast_2d(points) - mesh.maps_b[elem]
+    return rel @ mesh.inv_A[elem].T
+
+
+# -- convergence rates
+
+
+def tail_slope(h, errors, n_tail=3):
+    """Least-squares slope of log(e) vs log(h) over the last rows."""
+    h = np.asarray(h, dtype=float)[-n_tail:]
+    e = np.asarray(errors, dtype=float)[-n_tail:]
+    if len(h) < 2:
+        raise ValueError("need at least 2 rows for a slope")
+    slope, _ = np.polyfit(np.log(h), np.log(e), 1)
+    return float(slope)
+
+
+def empirical_order(table, quantity="l2_rel"):
+    """Per-series rates of a ``ConvergenceTable``: pairwise orders and
+    the asymptotic tail slope.
+
+    Rows outside the asymptotic regime still show up in the pairwise
+    list; the tail slope uses the last three refinement levels only.
+    """
+    out = {}
+    for key, rows in table.series().items():
+        if len(rows) < 2:
+            raise ValueError(
+                f"series {key} has fewer than 2 rows; cannot form rates"
+            )
+        h = [r.h for r in rows]
+        e = [getattr(r.errors, quantity) for r in rows]
+        out[key] = {
+            "h": h,
+            "pairwise": eoc_pairs(h, e),
+            "tail": tail_slope(h, e),
+        }
+    return out

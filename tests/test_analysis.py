@@ -12,9 +12,7 @@ from helmfosls.analysis import (
     RunRecord,
     compute_errors,
     dofs_per_wavelength,
-    empirical_order,
     eoc_pairs,
-    tail_slope,
 )
 from helmfosls.cli import solve_case
 from helmfosls.fosls import (
@@ -38,9 +36,13 @@ from helmfosls.spaces import (
     KIND_H1,
     build_h1_space,
     build_hdiv_space,
+    reference_tables,
+)
+from oracles import (
+    empirical_order,
     interpolate_h1_polynomial,
     interpolate_hdiv_polynomial,
-    reference_tables,
+    tail_slope,
 )
 
 

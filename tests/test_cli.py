@@ -225,7 +225,7 @@ class TestRunStudy:
         assert hs == sorted(hs, reverse=True)
 
     def test_plane_wave_fem_study(self, tmp_path):
-        from helmfosls.analysis import empirical_order
+        from oracles import empirical_order
         out = tmp_path / "out"
         cfg = StudyConfig(problem="plane-wave-2d", method="fem", k=2.0,
                           degrees=[1, 2], mesh_sequence=[2, 4, 8],

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -18,16 +19,15 @@ from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.projection import (
     _edge_work,
     _volume_work,
-    h12_00_gram,
     project_hdiv_global,
     project_reference,
 )
 from helmfosls.spaces import (
     build_hdiv_space,
-    interpolate_hdiv_polynomial,
     pull_back,
     vector_eval,
 )
+from oracles import facet_points, interpolate_hdiv_polynomial, to_reference
 
 
 def _poly_mul(a, b):
@@ -155,7 +155,7 @@ def _full_grid_edge_moments(p, r):
 
 class TestEdgeNormGram:
     def test_p1_has_no_bubbles(self):
-        g = h12_00_gram(1)
+        g = _edge_work(1)
         assert g.gram_H12_00.shape == (0, 0)
         assert g.gram_L2.shape == (2, 2)
         # hat-function L2 products: int (1-t)^2 = 1/3, int t(1-t) = 1/6
@@ -166,7 +166,7 @@ class TestEdgeNormGram:
     def test_frozen_quadratic_bubble_values(self):
         # u = t(1-t): L2^2 = 1/30, Slobodeckij seminorm^2 = 1/6,
         # distance-weighted term = 2 * int_0^(1/2) t(1-t)^2 dt = 11/96
-        g = h12_00_gram(2)
+        g = _edge_work(2)
         assert g.gram_L2[2, 2] == pytest.approx(1 / 30, abs=1e-14)
         assert g.gram_H12_00[0, 0] == pytest.approx(
             1 / 30 + 1 / 6 + 11 / 96, abs=1e-13
@@ -174,7 +174,7 @@ class TestEdgeNormGram:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 6, 8])
     def test_gram_matrices_spd(self, p):
-        g = h12_00_gram(p)
+        g = _edge_work(p)
         assert np.all(np.linalg.eigvalsh(g.gram_L2) > 0)
         assert np.all(np.linalg.eigvalsh(g.gram_H12_00) > 0)
         np.testing.assert_allclose(g.gram_L2, g.gram_L2.T, atol=1e-15)
@@ -182,12 +182,12 @@ class TestEdgeNormGram:
 
     def test_rejects_p0(self):
         with pytest.raises(ValueError):
-            h12_00_gram(0)
+            _edge_work(0)
 
     @pytest.mark.parametrize("p", range(2, 9))
     def test_matches_exact_rational_oracle(self, p):
         exact_l2, exact_h12 = _exact_edge_grams(p)
-        g = h12_00_gram(p)
+        g = _edge_work(p)
         for got, exact in ((g.gram_L2, exact_l2), (g.gram_H12_00, exact_h12)):
             exact = np.array(exact, dtype=float)
             err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
@@ -212,12 +212,12 @@ class TestEdgeNormGram:
         assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     def test_shared_grams_are_read_only(self):
-        g = h12_00_gram(3)
+        g = _edge_work(3)
         before = g.gram_H12_00.copy()
         for gram in (g.gram_L2, g.gram_H12_00):
             with pytest.raises(ValueError):
                 gram[0, 0] += 1
-        np.testing.assert_array_equal(h12_00_gram(3).gram_H12_00, before)
+        np.testing.assert_array_equal(_edge_work(3).gram_H12_00, before)
 
 
 class TestReferenceProjection:
@@ -550,6 +550,16 @@ class TestEvaluationBudget:
         )
         assert [len(a[0]) for a in grad_calls] == [volume_points]
 
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_volume_stage_reads_the_data_rule(self, p, monkeypatch):
+        """The interior stage integrates on the data rule of assembly's
+        loads and of the error rules, ``fosls.error_exactness``, so the
+        tables it keeps are the ones the field path reads."""
+        rule = simplex_quadrature(2, fosls.error_exactness(p))
+        assert _volume_work(p).points is rule.points
+        monkeypatch.setattr(projection, "error_exactness", lambda p: 2 * p + 10)
+        assert projection._VolumeWork(p).points is simplex_quadrature(2, 2 * p + 10).points
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_chunks_are_sized_by_each_stages_point_set(self, p, monkeypatch):
         """One staged projection per chunk of directed edges, which reads
@@ -663,9 +673,9 @@ class TestHdivProjection:
         jump = 0.0
         for fid in mesh.interior_facets:
             ea, eb = mesh.facet_elems[fid]
-            phys = mesh.facet_points(fid, t)
-            va = vector_eval(space, coeffs, ea, mesh.to_reference(ea, phys))
-            vb = vector_eval(space, coeffs, eb, mesh.to_reference(eb, phys))
+            phys = facet_points(mesh, fid, t)
+            va = vector_eval(space, coeffs, ea, to_reference(mesh, ea, phys))
+            vb = vector_eval(space, coeffs, eb, to_reference(mesh, eb, phys))
             jump = max(jump, np.max(np.abs((va - vb) @ mesh.facet_normals[fid])))
         assert jump <= 1e-13
 
@@ -683,9 +693,9 @@ class TestHdivProjection:
         scale = np.max(np.abs(coeffs))
         for fid in mesh.interior_facets:
             ea, eb = mesh.facet_elems[fid]
-            phys = mesh.facet_points(fid, t)
-            va = vector_eval(space, coeffs, ea, mesh.to_reference(ea, phys))
-            vb = vector_eval(space, coeffs, eb, mesh.to_reference(eb, phys))
+            phys = facet_points(mesh, fid, t)
+            va = vector_eval(space, coeffs, ea, to_reference(mesh, ea, phys))
+            vb = vector_eval(space, coeffs, eb, to_reference(mesh, eb, phys))
             assert np.max(np.abs((va - vb) @ mesh.facet_normals[fid])) <= 1e-10 * scale
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -782,3 +792,29 @@ class TestHdivProjection:
         space = build_hdiv_space(build_square_mesh(1), 3)
         with pytest.raises(ValueError, match="jac"):
             project_hdiv_global(phi, space)
+
+
+@pytest.mark.parametrize("name", [
+    "helmfosls.spaces:interpolate_h1_polynomial",
+    "helmfosls.spaces:interpolate_hdiv_polynomial",
+    "helmfosls.spaces:_lattice",
+    "helmfosls.spaces:_lattice_values",
+    "helmfosls.mesh:Mesh.facet_points",
+    "helmfosls.mesh:Mesh.to_reference",
+    "helmfosls.analysis:tail_slope",
+    "helmfosls.analysis:empirical_order",
+    "helmfosls.projection:h12_00_gram",
+    "helmfosls.projection:EdgeNormGram",
+    "helmfosls:empirical_order",
+    "helmfosls:h12_00_gram",
+    "helmfosls:EdgeNormGram",
+])
+def test_test_oracles_are_not_library_names(name):
+    """The oracles that only the tests read live in ``tests/oracles.py``,
+    and the edge Grams are read off ``_edge_work(p)``: none of these
+    names resolves in the library."""
+    module, path = name.split(":")
+    obj = importlib.import_module(module)
+    with pytest.raises(AttributeError):
+        for attr in path.split("."):
+            obj = getattr(obj, attr)

@@ -15,12 +15,16 @@ from helmfosls.polyquad import gauss01, make_scalar_basis, simplex_quadrature
 from helmfosls.spaces import (
     build_h1_space,
     build_hdiv_space,
-    interpolate_h1_polynomial,
-    interpolate_hdiv_polynomial,
     pull_back,
     push_forward,
     scalar_eval,
     vector_eval,
+)
+from oracles import (
+    facet_points,
+    interpolate_h1_polynomial,
+    interpolate_hdiv_polynomial,
+    to_reference,
 )
 
 N_RANDOM_VECTORS = 200
@@ -32,10 +36,10 @@ def scalar_facet_jump(space, coeff_matrix, n_t=6):
     t = gauss01(n_t)[0] if mesh.dim == 2 else np.array([0.5])
     worst = 0.0
     for fid in mesh.interior_facets:
-        phys = mesh.facet_points(fid, t)
+        phys = facet_points(mesh, fid, t)
         vals = []
         for e in mesh.facet_elems[fid]:
-            ref = mesh.to_reference(e, phys)
+            ref = to_reference(mesh, e, phys)
             local = space.elem_signs[e][:, None] * coeff_matrix[space.elem_dofs[e]]
             vals.append(space.basis.eval(ref) @ local)
         worst = max(worst, np.max(np.abs(vals[0] - vals[1])))
@@ -48,10 +52,10 @@ def hdiv_normal_jump(space, coeff_matrix, n_t=6):
     t = gauss01(n_t)[0]
     worst = 0.0
     for fid in mesh.interior_facets:
-        phys = mesh.facet_points(fid, t)
+        phys = facet_points(mesh, fid, t)
         traces = []
         for e in mesh.facet_elems[fid]:
-            ref = mesh.to_reference(e, phys)
+            ref = to_reference(mesh, e, phys)
             B = space.basis.eval(ref)
             local = space.elem_signs[e][:, None] * coeff_matrix[space.elem_dofs[e]]
             vals = np.einsum("qid,ic->qcd", B, local)
@@ -172,7 +176,7 @@ class TestBoundaryDofInfo:
             li = list(mesh.elem_facets[elem]).index(fid)
             listed_local = [*LOCAL_EDGES[2][li], *space.basis.dof_classes["edge"][li]]
             assert len(listed_local) == 2 + (p - 1)
-            ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
+            ref = to_reference(mesh, elem, facet_points(mesh, fid, t))
             vals = space.basis.eval(ref)
             unlisted = [l for l in range(space.local_dim())
                         if l not in listed_local]
@@ -190,7 +194,7 @@ class TestBoundaryDofInfo:
             li = list(mesh.elem_facets[elem]).index(fid)
             listed_local = range(li * nle, (li + 1) * nle)
             assert len(listed_local) == p + 1
-            ref = mesh.to_reference(elem, mesh.facet_points(fid, t))
+            ref = to_reference(mesh, elem, facet_points(mesh, fid, t))
             B = space.basis.eval(ref)
             phys = np.einsum("qid,ad->qia", B, mesh.maps_A[elem])
             traces = np.einsum("qia,a->qi", phys, mesh.facet_normals[fid])
