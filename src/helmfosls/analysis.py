@@ -2,13 +2,14 @@
 
 Error integrals reduce over ``fosls.sample_pairs``, the sampler of
 ``fosls.evaluate_b``: the exact and the discrete pair at the points of
-the error rules (exactness 2p + 8, exactness + 2 on boundary facets).
-Each integral is also taken on the rules of doubled exactness, and the
-relative drift between the two, boundary terms included, is reported so
-that quadrature-limited numbers are visible.  Both rules are sampled in
-one ``fosls.sweep``, whose volume and boundary groups share one format:
-every group holds the points of both rules, and its fields are formed
-once and reduced once per rule.  The least-squares residual components
+the error rules (exactness 2p + 8, in the volume and on boundary facets
+alike).  Each integral is also taken on the rules of doubled exactness,
+and the relative drift between the two, boundary terms included, is
+reported so that quadrature-limited numbers are visible.  Both rules
+are sampled in one ``fosls.sweep``, whose volume and boundary groups
+share one format: every group holds the points of both rules, and its
+fields are formed once and reduced once per rule.  The least-squares
+residual components
 
     e1 = || ik (phi - phi_h) + grad(u - u_h) ||_{L2}
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}

@@ -168,14 +168,17 @@ def run_study(config):
         raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
     problem = make_problem(config.problem, config.k)
     methods = ["fosls", "fem"] if config.method == "both" else [config.method]
-    meshes = {n: MESH_BUILDERS[config.problem](n) for n in config.mesh_sequence}
+    meshes = {}  # n -> (mesh, wall time of building it)
+    for n in config.mesh_sequence:
+        t0 = time.perf_counter()
+        meshes[n] = MESH_BUILDERS[config.problem](n), time.perf_counter() - t0
 
     table = ConvergenceTable()
     runs = []  # runs.json record of each table row, in row order
     for method in methods:
         for p in config.degrees:
             for n in config.mesh_sequence:
-                mesh = meshes[n]
+                mesh, mesh_seconds = meshes[n]
                 khp = config.k * mesh.h / p
                 # p / log k is undefined where log k <= 0
                 p_log_k = p / math.log(config.k) if config.k > 1 else None
@@ -213,7 +216,7 @@ def run_study(config):
                     "fill": report.fill, "min_pivot": report.min_pivot,
                     "relative_residual": report.relative_residual,
                     "quad_drift": errors.quad_drift, "kh_over_p": khp,
-                    "p_over_log_k": p_log_k, "seconds": seconds,
+                    "p_over_log_k": p_log_k, "seconds": {"mesh": mesh_seconds, **seconds},
                 })
 
     csv_path = outdir / "results.csv"

@@ -42,20 +42,23 @@ one row of reference weights per rule.  A chunk holds at most
 CHUNK_POINTS quadrature points, which bounds the memory of the kernels
 that evaluate data at physical points whatever the mesh size.  Chunks
 are processed in a fixed order, so results are deterministic and reruns
-are bit-identical.  The chunks, the breakpoint panels and the boundary
-facet tables of a set of rules depend on the mesh alone and are built
-once per mesh and rules, as read-only sampling plans that are freed with
-the mesh.  The loads of assembly sweep the data rule, whose exactness is
-that of the error rules, so they share its volume plan with ``evaluate_b``.
+are bit-identical.  Every pass integrates boundary facets at the
+exactness of its volume rules.  The chunks, the breakpoint panels and
+the boundary facet tables of a set of rules depend on the mesh alone and
+are built once per mesh, rules and breakpoints, as one read-only
+sampling plan that is freed with the mesh.  The loads of assembly sweep
+the data rule, whose exactness is that of the error rule, so assembly
+and ``evaluate_b`` share one plan.
 
 The error rules have one owner, :func:`sample_pairs`: it maps the groups
 of :func:`sweep` to the fields (phi, div phi, u, grad u) of any pairs on
 the volume and facet rules, or to (u, grad u) alone where no flux is
 read, and both :func:`evaluate_b` and ``analysis.compute_errors`` reduce
-over it, so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding.  ``compute_errors`` asks for the error
-rules and the doubled ones behind its drift check together, and every
-group then holds the points of both, is mapped once and evaluates each
-pair once.
+over it, so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding, and
+b(exact, y) equals the assembled y^H F to rounding.  ``compute_errors``
+asks for the error rules and the doubled ones behind its drift check
+together, and every group then holds the points of both, is mapped once
+and evaluates each pair once.
 """
 
 import functools
@@ -138,41 +141,38 @@ def chunks(n_items, points_per_item):
 # chunks with their det A, the panel rules of cut elements, the boundary
 # facets per local facet with their reference points, measures and
 # normals -- is its sampling plan, built once per (mesh, rules,
-# breakpoints) or (mesh, facet exactnesses) and kept read-only until the
-# mesh is freed.  Both kinds of plan hold groups (elems, reference points,
-# reference weights (R, q), scales (E,), normals or None).  A plan samples
-# several rules at once: each group holds the points of every rule in
-# turn and an (R, q) table of reference weights whose row r holds the
-# weights of rule r on its own points and 0 on the others (rules on the
-# same points share them), so one pass over the groups evaluates each
-# field once for all R rules.  A plan holds no array with both an
-# element and a point axis, so its memory is O(E) per key: every pass
-# forms the physical points chunk by chunk.
+# breakpoints) and kept read-only until the mesh is freed.  A plan holds
+# groups (elems, reference points, reference weights (R, q), scales (E,),
+# normals or None), the element groups first.  A plan samples several
+# rules at once: each group holds the points of every rule in turn and an
+# (R, q) table of reference weights whose row r holds the weights of rule
+# r on its own points and 0 on the others, so one pass over the groups
+# evaluates each field once for all R rules.  A plan holds no array with
+# both an element and a point axis, so its memory is O(E) per key: every
+# pass forms the physical points chunk by chunk.
 
 _PLANS = weakref.WeakKeyDictionary()
 _PLANS_LOCK = threading.Lock()
 
 
-def _plan(mesh, build, *key):
-    """``build(mesh, *key)``, built once per mesh, key and CHUNK_POINTS
-    (which fixes the chunks)."""
-    full = (build, CHUNK_POINTS, *key)
+def _plan(mesh, rules, breakpoints):
+    """The element and boundary groups of ``rules`` on ``mesh``, built
+    once per mesh, rules, breakpoints and CHUNK_POINTS (which fixes the
+    chunks)."""
+    key = (CHUNK_POINTS, rules, breakpoints)
     with _PLANS_LOCK:
         plans = _PLANS.setdefault(mesh, {})
-        if full not in plans:
-            plans[full] = build(mesh, *key)
-        return plans[full]
+        if key not in plans:
+            plans[key] = (_element_groups(mesh, rules, breakpoints)
+                          + _boundary_groups(mesh, rules))
+        return plans[key]
 
 
 def _union(parts):
     """Reference points (q, d) and weights (R, q) of R rules sampled
     together from their (points, weights): the points of every rule in
     turn, each checked to lie inside the reference simplex, and row r the
-    weights of rule r on its own points, 0 elsewhere.  Rules on the same
-    points, as every facet rule is in 1D (the one point of a vertex, with
-    weight 1), keep them once, and row r holds the weights of rule r."""
-    if all(np.array_equal(pts, parts[0][0]) for pts, _ in parts):
-        return reference_points(parts[0][0]), np.array([w for _, w in parts])
+    weights of rule r on its own points, 0 elsewhere."""
     points = reference_points(np.concatenate([pts for pts, _ in parts]))
     weights = np.zeros((len(parts), len(points)))
     start = 0
@@ -182,10 +182,10 @@ def _union(parts):
     return points, weights
 
 
-def _element_plan(mesh, rules, breakpoints):
+def _element_groups(mesh, rules, breakpoints):
     """Groups (elems, reference points, reference weights (R, q), det A
-    (E,), None) of the R rules of ``rules`` sampled together
-    (:func:`_union`), in the layout of :func:`_boundary_plan`."""
+    (E,), None) of the R volume rules ``rules`` sampled together
+    (:func:`_union`)."""
     cuts = {}
     if mesh.dim == 1:
         x0, lc = mesh.maps_b[:, 0], mesh.maps_A[:, 0, 0]
@@ -207,25 +207,25 @@ def _element_plan(mesh, rules, breakpoints):
     return tuple((*_read_only(*g, mesh.det_A[g[0]]), None) for g in groups)
 
 
-def _boundary_plan(mesh, exactnesses):
+def _boundary_groups(mesh, rules):
     """Groups (elems, reference points, reference weights (R, q),
-    measures (F,), normals (F, d)) of the R facet rules of
-    ``exactnesses`` sampled together (:func:`_union`)."""
+    measures (F,), normals (F, d)) of the facet rules of the exactnesses
+    of the volume rules ``rules``, sampled together (:func:`_union`)."""
     fids = mesh.boundary_facets
-    rules = [simplex_quadrature(mesh.dim - 1, e) for e in exactnesses]
+    facet_rules = [simplex_quadrature(mesh.dim - 1, rule.exactness) for rule in rules]
     groups = []
     for li, facet in enumerate(LOCAL_FACETS[mesh.dim]):
         sel = mesh.boundary_local_facets == li
         if sel.any():
             ref, wts = _union([(local_simplex_points(mesh.dim, facet, rule.points),
-                                rule.weights) for rule in rules])
+                                rule.weights) for rule in facet_rules])
             groups.append(_read_only(mesh.boundary_elems[sel], ref, wts,
                                      mesh.facet_measures[fids[sel]],
                                      mesh.facet_normals[fids[sel]]))
     return tuple(groups)
 
 
-def sweep(mesh, exactnesses, facet_exactnesses, breakpoints=()):
+def sweep(mesh, exactnesses, breakpoints=()):
     """The element and boundary groups of several rules, sampled together.
 
     Yields (elems, reference points, physical points (E, q, d), scales
@@ -237,18 +237,15 @@ def sweep(mesh, exactnesses, facet_exactnesses, breakpoints=()):
     1D element cut by an interior breakpoint forms its own group, whose
     rules are split into panels at the cuts so that discontinuous data
     stay exactly integrated.  The boundary groups follow, one per local
-    facet index, with the facet rules of ``facet_exactnesses`` mapped
-    onto that local facet (in 1D the one point of a facet, held once,
-    with weight 1 in every rule) and the facet measures as scales.  All
-    but the physical points are the read-only arrays of the plans of
-    (mesh, rules, breakpoints) and (mesh, facet exactnesses).
+    facet index, with the facet rules ``simplex_quadrature(d - 1, e)`` of
+    the same exactnesses mapped onto that local facet (in 1D the one
+    point of a facet, with weight 1) and the facet measures as scales.
+    All but the physical points are the read-only arrays of the plan of
+    (mesh, rules, breakpoints).
     """
     rules = tuple(simplex_quadrature(mesh.dim, e) for e in exactnesses)
-    for build, *key in ((_element_plan, rules, tuple(breakpoints)),
-                        (_boundary_plan, tuple(facet_exactnesses))):
-        for elems, ref, wts, scales, normals in _plan(mesh, build, *key):
-            yield (elems, ref, element_map_apply(mesh, elems, ref, check=False), scales, wts,
-                   normals)
+    for elems, ref, wts, scales, normals in _plan(mesh, rules, tuple(breakpoints)):
+        yield elems, ref, element_map_apply(mesh, elems, ref, check=False), scales, wts, normals
 
 
 def _check_same_mesh(v_space, w_space):
@@ -399,7 +396,7 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
     m1, m2 = _ls_parts([(k * vm, dm) for vm, dm in maps])
     factors = _factors(mesh.det_A, [np.concatenate(m1, axis=2), np.concatenate(m2, axis=2)])
     blocks = _blocks(factors, _volume_tensor(tuple(s.basis for s in spaces), rule, hermitian))
-    for elems, ref, phys, scales, wts, normals in sweep(mesh, data, data, problem.breakpoints):
+    for elems, ref, phys, scales, wts, normals in sweep(mesh, data, problem.breakpoints):
         if normals is None:  # (-i f / k, R2 D2)
             _, r2 = _ls_parts([reference_tables(s.basis, ref) for s in spaces])
             wv = wts[0] * scales[:, None] * (-1j / k) * _data(problem.f, phys)
@@ -499,17 +496,16 @@ def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None, order=2):
 
     The volume rules have the exactnesses ``exactnesses`` (by default the
     one rule of :func:`error_exactness` of the degree of ``w_space``,
-    which also gives the mesh), panel-split at ``breakpoints`` in 1D;
-    boundary facets use each exactness + 2.  Each group's points are
-    mapped once and each pair is evaluated once for all R rules.  Yields,
-    per group, (scales (E,), reference weights (R, q), the
+    which also gives the mesh), panel-split at ``breakpoints`` in 1D,
+    and boundary facets take the same exactnesses.  Each group's points
+    are mapped once and each pair is evaluated once for all R rules.
+    Yields, per group, (scales (E,), reference weights (R, q), the
     :func:`pair_fields` of each pair, outward normals (E, d) or None) as
     :func:`sweep` does.
     """
     if exactnesses is None:
         exactnesses = (error_exactness(w_space.p),)
-    for elems, ref, phys, scales, wts, normals in sweep(
-            w_space.mesh, exactnesses, [e + 2 for e in exactnesses], breakpoints):
+    for elems, ref, phys, scales, wts, normals in sweep(w_space.mesh, exactnesses, breakpoints):
         yield scales, wts, [pair_fields(pair, elems, ref, phys, order)
                             for pair in pairs], normals
 
@@ -520,8 +516,8 @@ def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
     Pairs may be DiscreteSolution instances, ExactBundle instances or
     differences of pairs (see :func:`difference`).  ``w_space`` provides
     the mesh and the degree p; the rules are those of the error norms
-    (:func:`sample_pairs`), so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds
-    to rounding.
+    (:func:`sample_pairs`) and of assembly's data, so b(e, e) = e1^2 +
+    e2^2 + k e_bnd^2 and b(exact, y) = y^H F hold to rounding.
     """
     total = 0.0 + 0.0j
     for scales, (wts,), (fa, fb), normals in sample_pairs((pair_a, pair_b), w_space,

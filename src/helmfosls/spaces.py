@@ -199,7 +199,7 @@ def build_hdiv_space(mesh, p):
 # (basis, point set) pairs whose tables are kept: the benchmark's warm-up
 # case and its four workloads, run in one process in that order, read 18,
 # 57, 75, 85 and 85 and evict none; the 34 joined tables that fields read
-# are 0.36 of the 0.68 MiB kept
+# are 0.36 of the 0.67 MiB kept
 _TABLE_CACHE_SIZE = 128
 
 

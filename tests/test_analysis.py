@@ -304,8 +304,9 @@ def _element_field(space, coeffs, e, ref):
 
 def _oracle_errors(sol, problem, exactness=None):
     """The ErrorReport entries but quad_drift, summed element by element
-    and facet by facet on the rules of ``exactness`` (by default the
-    error rules; 1D elements cut by a breakpoint split into panels),
+    and facet by facet on the rules of ``exactness``, volume and facets
+    alike (by default the error rules; 1D elements cut by a breakpoint
+    split into panels),
     sharing no kernel with ``compute_errors``."""
     mesh, k, d = sol.w_space.mesh, problem.k, sol.w_space.mesh.dim
     if exactness is None:
@@ -341,7 +342,7 @@ def _oracle_errors(sol, problem, exactness=None):
                 add("e2", w, 1j * k * eu + ediv)
                 add("ephi", w, ephi)
 
-    facet_rule = simplex_quadrature(d - 1, exactness + 2)
+    facet_rule = simplex_quadrature(d - 1, exactness)
     lam = np.column_stack([1.0 - facet_rule.points.sum(axis=1), facet_rule.points])
     for f in mesh.boundary_facets:
         e = mesh.facet_elems[f, 0]

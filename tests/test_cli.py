@@ -170,8 +170,14 @@ class TestRunStudy:
                 row[col("method")], row[col("p")], row[col("n_elems")], row[col("DOF")]]
             assert run["nnz"] > 0 and run["fill"] > 0
             assert 0 < run["min_pivot"] and 0 <= run["relative_residual"] <= 1e-10
-            assert set(run["seconds"]) == {"spaces", "assembly", "solve", "errors"}
+            assert set(run["seconds"]) == {"mesh", "spaces", "assembly", "solve", "errors"}
             assert all(t >= 0 for t in run["seconds"].values())
+        # each mesh is built once, so the runs on one mesh repeat its time
+        mesh_seconds = {}
+        for run in runs:
+            assert mesh_seconds.setdefault(run["n_elems"], run["seconds"]["mesh"]) == \
+                run["seconds"]["mesh"]
+        assert len(mesh_seconds) == 2
         # the observability of each run: quadrature drift, kh/p, p/log k
         for run, record in zip(runs, table.rows):
             assert run["quad_drift"] == record.errors.quad_drift

@@ -273,7 +273,27 @@ class TestEvaluateB:
                              breakpoints=prob.breakpoints)
             expected = np.vdot(y, system.rhs)
             scale = np.linalg.norm(system.rhs) * np.linalg.norm(y)
-            assert abs(got - expected) <= 1e-8 * scale
+            assert abs(got - expected) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("make_mesh", [lambda: build_square_mesh(4),
+                                           lambda: build_polygonal_disk_mesh(8, 1)],
+                             ids=["square", "disk"])
+    def test_exact_pair_identity_in_2d(self, rng, make_mesh):
+        """b(exact, y) equals y^H F to rounding on a plane wave at k = 20,
+        p = 2: assembly's loads and b integrate the volume and the
+        boundary facets on the same rules, and b builds no plan of its own."""
+        prob, mesh = plane_wave_problem(20.0), make_mesh()
+        v, w = fosls_spaces(mesh, 2)
+        system = assemble_fosls(v, w, prob)
+        plans = len(fosls._PLANS[mesh])
+        for _ in range(5):
+            y = rng.standard_normal(system.n_total) + 1j * rng.standard_normal(
+                system.n_total
+            )
+            got = evaluate_b(prob.exact, split_solution(system, y), w, prob.k)
+            scale = np.linalg.norm(system.rhs) * np.linalg.norm(y)
+            assert abs(got - np.vdot(y, system.rhs)) <= 1e-13 * scale
+        assert len(fosls._PLANS[mesh]) == plans == 1
 
     def test_zero_argument(self):
         prob = piecewise_1d_problem(2.0)
@@ -622,7 +642,7 @@ def _direct_boundary_groups(mesh, exactness):
 def _plan_groups(mesh, breakpoints, exactness=12):
     """The volume and the boundary groups of a one-rule sweep, checking
     that the volume groups come first."""
-    groups = list(fosls.sweep(mesh, (exactness,), (exactness + 2,), breakpoints))
+    groups = list(fosls.sweep(mesh, (exactness,), breakpoints))
     n_volume = sum(g[5] is None for g in groups)
     assert all(g[5] is not None for g in groups[n_volume:])
     return groups[:n_volume], groups[n_volume:]
@@ -644,7 +664,7 @@ class TestSamplingPlans:
             want_volume = _direct_element_groups(mesh, simplex_quadrature(mesh.dim, 12),
                                                  breakpoints)
             for got, want in [(got_volume, want_volume),
-                              (got_boundary, _direct_boundary_groups(mesh, 14))]:
+                              (got_boundary, _direct_boundary_groups(mesh, 12))]:
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert len(g) == len(w)
@@ -679,20 +699,16 @@ class TestSamplingPlans:
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh, twin = make(), make()
         rule, rule14 = simplex_quadrature(mesh.dim, 12), simplex_quadrature(mesh.dim, 14)
-        plan = fosls._plan(mesh, fosls._element_plan, (rule,), breakpoints)
+        plan = fosls._plan(mesh, (rule,), breakpoints)
         others = [
-            fosls._plan(twin, fosls._element_plan, (rule,), breakpoints),
-            fosls._plan(mesh, fosls._element_plan, (rule14,), breakpoints),
-            fosls._plan(mesh, fosls._element_plan, (rule, rule14), breakpoints),
-            fosls._plan(mesh, fosls._element_plan, (rule,), (*breakpoints, 0.5)),
+            fosls._plan(twin, (rule,), breakpoints),
+            fosls._plan(mesh, (rule14,), breakpoints),
+            fosls._plan(mesh, (rule, rule14), breakpoints),
+            fosls._plan(mesh, (rule,), (*breakpoints, 0.5)),
         ]
         assert all(other is not plan for other in others)
-        assert fosls._plan(mesh, fosls._element_plan, (rule,), breakpoints) is plan
-        bplan = fosls._plan(mesh, fosls._boundary_plan, (14,))
-        assert fosls._plan(twin, fosls._boundary_plan, (14,)) is not bplan
-        assert fosls._plan(mesh, fosls._boundary_plan, (16,)) is not bplan
-        assert fosls._plan(mesh, fosls._boundary_plan, (14, 16)) is not bplan
-        assert fosls._plan(mesh, fosls._boundary_plan, (14,)) is bplan
+        assert fosls._plan(mesh, (rule,), breakpoints) is plan
+        assert len(fosls._PLANS[mesh]) == 4
 
     def test_plan_holds_no_element_by_point_array(self, mesh_name):
         """Every plan array a sweep yields has an element axis or a point
@@ -701,8 +717,8 @@ class TestSamplingPlans:
         per pass, have both."""
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
-        for n_rules, volume, facets in [(1, (12,), (14,)), (2, (12, 24), (14, 26))]:
-            for group in fosls.sweep(mesh, volume, facets, breakpoints):
+        for n_rules, exactnesses in [(1, (12,)), (2, (12, 24))]:
+            for group in fosls.sweep(mesh, exactnesses, breakpoints):
                 n_elems, n_points = len(group[0]), len(group[1])
                 for i, a in enumerate(group):
                     if i == 2 or a is None:  # the physical points; the volume's normals
@@ -713,14 +729,19 @@ class TestSamplingPlans:
     def test_two_rule_plan_holds_both_rules(self, mesh_name):
         """A plan of two rules holds, per group, the points of each rule
         in turn and one row of weights per rule, zero off its own points
-        (a 1D facet holds its one point once, with weight 1 in both rows);
-        its elements are those of the one-rule groups, in order, and a
-        chunk holds at most CHUNK_POINTS points of the union."""
+        (a 1D facet holds its one point once per rule, with weight 1 in
+        its own row); its elements are those of the one-rule groups, in
+        order, and a chunk holds at most CHUNK_POINTS points of the union.
+        The boundary groups follow the volume groups and take the facet
+        rules of the volume exactnesses."""
         make, breakpoints = PLAN_MESHES[mesh_name]
         mesh = make()
         rules = tuple(simplex_quadrature(mesh.dim, e) for e in (12, 24))
         direct = [_direct_element_groups(mesh, rule, breakpoints) for rule in rules]
-        volume = fosls._plan(mesh, fosls._element_plan, rules, breakpoints)
+        plan = fosls._plan(mesh, rules, breakpoints)
+        n_volume = sum(g[4] is None for g in plan)
+        volume, boundary = plan[:n_volume], plan[n_volume:]
+        assert all(g[4] is not None for g in boundary)
         assert np.array_equal(np.concatenate([g[0] for g in volume]),
                               np.concatenate([g[0] for g in direct[0]]))
         for elems, pts, wts, scales, normals in volume:
@@ -736,15 +757,14 @@ class TestSamplingPlans:
                 assert not np.any(np.delete(wts[r], np.s_[lo:hi]))
                 lo = hi
             assert lo == len(pts)
-        boundary = fosls._plan(mesh, fosls._boundary_plan, (14, 26))
-        direct = [_direct_boundary_groups(mesh, e) for e in (14, 26)]
+        direct = [_direct_boundary_groups(mesh, e) for e in (12, 24)]
         assert len(boundary) == len(direct[0])
         for (elems, ref, wts, measures, normals), *want in zip(boundary, *direct):
             for got, i in [(elems, 0), (measures, 4), (normals, 5)]:
                 assert all(np.array_equal(got, w[i]) for w in want)
-            if mesh.dim == 1:  # both rules are the facet's one point, held once
-                assert all(np.array_equal(ref, w[1]) for w in want)
-                assert np.array_equal(wts, np.ones((2, 1)))
+            if mesh.dim == 1:  # each rule is the facet's one point
+                assert all(np.array_equal(ref, np.concatenate([w[1]] * 2)) for w in want)
+                assert np.array_equal(wts, np.eye(2))
                 continue
             assert np.array_equal(ref, np.concatenate([w[1] for w in want]))
             assert np.array_equal(wts, block_diag(*(w[2][None] for w in want)))
@@ -758,8 +778,7 @@ class TestSamplingPlans:
         boundary_measure = {"interval-kink": 2.0, "square": 4.0,
                             "disk": 16 * 2 * np.sin(np.pi / 16)}[mesh_name]
         volume, boundary = np.zeros(2), np.zeros(2)
-        for _, _, _, scales, wts, normals in fosls.sweep(mesh, (12, 24), (14, 26),
-                                                         breakpoints):
+        for _, _, _, scales, wts, normals in fosls.sweep(mesh, (12, 24), breakpoints):
             sums = volume if normals is None else boundary
             sums += [np.sum(scales[:, None] * row) for row in wts]
         np.testing.assert_allclose(volume, mesh.domain_measure, rtol=1e-13, atol=0)
@@ -788,11 +807,11 @@ class TestSamplingPlans:
     lambda: (build_square_mesh(8), plane_wave_problem(8.0)),
 ], ids=["piecewise-1d", "plane-wave-2d"])
 def test_runs_share_the_sampling_plans(make):
-    """A FOSLS run with its error norms builds four plans on a fresh mesh:
-    the volume and facet plans of assembly's data rule and the two-rule
-    volume and facet plans of the error norms.  The FEM at the same degree
-    builds none, a second degree four more.  b(e, e) then adds only its
-    facet plan at exactness + 2: its volume plan is that of assembly."""
+    """A FOSLS run with its error norms builds two plans on a fresh mesh:
+    the plan of assembly's data rule and the two-rule plan of the error
+    norms, each with its volume and boundary groups.  The FEM at the same
+    degree builds none, a second degree two more.  b(e, e) then adds
+    none: its plan is that of assembly."""
     mesh, problem = make()
     counts = []
     for p in (2, 3):
@@ -804,7 +823,7 @@ def test_runs_share_the_sampling_plans(make):
     err = difference(problem.exact, sol)
     evaluate_b(err, err, sol.w_space, problem.k, problem.breakpoints)
     counts.append(len(fosls._PLANS[mesh]))
-    assert counts == [4, 4, 8, 8, 9]
+    assert counts == [2, 2, 4, 4, 4]
 
 
 @pytest.mark.parametrize("method", ["fosls", "fem"])
