@@ -18,7 +18,6 @@ from .fosls import (
     DiscreteSolution,
     assemble_classical_fem,
     assemble_fosls,
-    evaluate_b,
     split_solution,
 )
 from .mesh import (

@@ -1,15 +1,14 @@
 """Error norms, resolution measures and empirical convergence rates.
 
-Error integrals reduce over ``fosls.sample_pairs``, the sampler of
-``fosls.evaluate_b``: the exact and the discrete pair at the points of
-the error rules (exactness 2p + 8, in the volume and on boundary facets
-alike).  Each integral is also taken on the rules of doubled exactness,
-and the relative drift between the two, boundary terms included, is
-reported so that quadrature-limited numbers are visible.  Both rules
-are sampled in one ``fosls.sweep``, whose volume and boundary groups
-share one format: every group holds the points of both rules, and its
-fields are formed once and reduced once per rule.  The least-squares
-residual components
+Error integrals walk ``fosls.sweep`` at the error rules (exactness
+2p + 8, in the volume and on boundary facets alike) and sample the exact
+and the discrete solution on each group with ``fosls.pair_fields``.
+Each integral is also taken on the rules of doubled exactness, and the
+relative drift between the two, boundary terms included, is reported so
+that quadrature-limited numbers are visible.  Both rules are sampled in
+one sweep, whose volume and boundary groups share one format: every
+group holds the points of both rules, and its fields are formed once and
+reduced once per rule.  The least-squares residual components
 
     e1 = || ik (phi - phi_h) + grad(u - u_h) ||_{L2}
     e2 = || ik (u - u_h) + div(phi - phi_h) ||_{L2}
@@ -17,7 +16,7 @@ residual components
 are tracked separately because they converge at different orders.
 On each chunk the exact solution is sampled by one jet call
 (``ExactBundle.fields``) and the discrete solution by one evaluator
-call per space (``fosls.pair_fields``), and each squared norm is one
+call per space, and each squared norm is one
 product of the per-element scales with re^2 + im^2 on the real view of
 its field, then one product with the reference weights of both rules.  A
 classical FEM solution carries no flux: its pass samples u and grad u
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fosls import error_exactness, impedance_trace, ls_residuals, sample_pairs
+from .fosls import error_exactness, impedance_trace, ls_residuals, pair_fields, sweep
 
 
 @dataclass(frozen=True)
@@ -123,16 +122,17 @@ def _norms(vol, bnd, has_flux):
 
 def _accumulate(sol, problem, exactnesses):
     """Error norms (the fields of :class:`ErrorReport` but the drift) on
-    each rule of ``fosls.sample_pairs`` at ``exactnesses``, one dict per
-    rule, from one sweep: each group's fields are formed once and reduced
-    once per rule.  A classical FEM solution has no flux: only u and
-    grad u are sampled, its flux errors are never formed, and its flux
-    entries are NaN."""
+    each rule of ``exactnesses``, one dict per rule, from one
+    ``fosls.sweep``: each group's fields are formed once and reduced once
+    per rule.  A classical FEM solution has no flux: only u and grad u
+    are sampled, its flux errors are never formed, and its flux entries
+    are NaN."""
     has_flux = sol.phi_coeffs is not None
+    order = 2 if has_flux else 1
     vol, bnd = np.zeros((len(exactnesses), 6)), np.zeros((len(exactnesses), 2))
-    for scales, weights, (ex, uh), normals in sample_pairs(
-            (problem.exact, sol), sol.w_space, problem.breakpoints, exactnesses,
-            order=2 if has_flux else 1):
+    for elems, ref, phys, scales, weights, normals in sweep(
+            sol.w_space.mesh, exactnesses, problem.breakpoints):
+        ex, uh = (pair_fields(pair, elems, ref, phys, order) for pair in (problem.exact, sol))
         # the last two fields are u and grad u at either order
         eu, egu = ex[-2] - uh[-2], ex[-1] - uh[-1]
         fields = [eu] if normals is not None else [ex[-2], eu, egu]

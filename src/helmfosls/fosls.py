@@ -34,8 +34,8 @@ reference tensor per local facet, and the loads are weighted data (E, q)
 times a reference table (q, m), scaled per element by the element map.
 Blocks are scattered through one COO index pattern.
 
-Every quadrature pass over the mesh -- the loads of assembly, the error
-integrals and b -- walks :func:`sweep`, which yields element groups and
+Every quadrature pass over the mesh -- the loads of assembly and the
+error integrals -- walks :func:`sweep`, which yields element groups and
 then boundary groups in one format: the elements, the reference and
 physical points, per-element scales (det A, or the facet measure) and
 one row of reference weights per rule.  A chunk holds at most
@@ -47,18 +47,18 @@ exactness of its volume rules.  The chunks, the breakpoint panels and
 the boundary facet tables of a set of rules depend on the mesh alone and
 are built once per mesh, rules and breakpoints, as one read-only
 sampling plan that is freed with the mesh.  The loads of assembly sweep
-the data rule, whose exactness is that of the error rule, so assembly
-and ``evaluate_b`` share one plan.
+the data rule, whose exactness is that of the error rule
+(:func:`error_exactness`), so a pass on the error rule alone reuses
+assembly's plan.
 
-The error rules have one owner, :func:`sample_pairs`: it maps the groups
-of :func:`sweep` to the fields (phi, div phi, u, grad u) of any pairs on
-the volume and facet rules, or to (u, grad u) alone where no flux is
-read, and both :func:`evaluate_b` and ``analysis.compute_errors`` reduce
-over it, so b(e, e) = e1^2 + e2^2 + k e_bnd^2 holds to rounding, and
-b(exact, y) equals the assembled y^H F to rounding.  ``compute_errors``
-asks for the error rules and the doubled ones behind its drift check
-together, and every group then holds the points of both, is mapped once
-and evaluates each pair once.
+On the groups of a sweep, :func:`pair_fields` samples the fields (phi,
+div phi, u, grad u) of a discrete solution or of an exact solution, or
+(u, grad u) alone where no flux is read, and :func:`ls_residuals` and
+:func:`impedance_trace` form the residuals of the least-squares
+functional from them.  ``analysis.compute_errors`` walks the sweep of
+the error rules and of the doubled ones behind its drift check
+together: every group then holds the points of both, is mapped once and
+evaluates each solution once.
 """
 
 import functools
@@ -66,7 +66,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -428,37 +428,21 @@ def assemble_classical_fem(w_space, problem):
 # -- fields of pairs at quadrature points ----------------------------------
 
 
-class _Difference(NamedTuple):
-    a: object
-    b: object
-
-
-def difference(a, b):
-    """The pointwise difference a - b of two pairs, itself a pair."""
-    return _Difference(a, b)
-
-
 def pair_fields(pair, elems, ref, phys, order=2):
     """Fields of a pair at quadrature points: (phi, div phi, u, grad u),
     or at ``order`` 1 (u, grad u) alone, as the jets of ``problems``.
 
-    ``pair`` is a DiscreteSolution, an ExactBundle or a
-    :func:`difference`.  A discrete solution takes one evaluator call
-    per space, which returns the values and the derivatives of its
-    field from one product with a joined reference table; without flux
-    (classical FEM) it has phi = 0.  Every array has leading (element,
-    point) axes; phi and grad u end in a d axis.
+    ``pair`` is a DiscreteSolution or an ExactBundle.  A discrete
+    solution takes one evaluator call per space, which returns the values
+    and the derivatives of its field from one product with a joined
+    reference table; one without flux (classical FEM) is read at order 1.
+    Every array has leading (element, point) axes; phi and grad u end in
+    a d axis.
     """
-    if isinstance(pair, _Difference):
-        fa = pair_fields(pair.a, elems, ref, phys, order)
-        fb = pair_fields(pair.b, elems, ref, phys, order)
-        return tuple(x - y for x, y in zip(fa, fb))
     if isinstance(pair, DiscreteSolution):
         u, gu = scalar_eval(pair.w_space, pair.u_coeffs, elems, ref, with_derivative=True)
         if order == 1:
             return u, gu
-        if pair.phi_coeffs is None:
-            return np.zeros(gu.shape, complex), np.zeros(u.shape, complex), u, gu
         phi, dphi = vector_eval(pair.v_space, pair.phi_coeffs, elems, ref, with_derivative=True)
         return phi, dphi, u, gu
     vector, scalar = phys.shape, phys.shape[:2]
@@ -485,50 +469,8 @@ def impedance_trace(fields, normals):
 
 def error_exactness(p):
     """Exactness 2p + 8 of the data rule of assembly's loads and of the
-    error rules (evaluate_b, compute_errors)."""
+    error rules of ``analysis.compute_errors``."""
     return 2 * p + 8
-
-
-def sample_pairs(pairs, w_space, breakpoints=(), exactnesses=None, order=2):
-    """Fields of several pairs at the points of the error rules, every
-    rule of ``exactnesses`` sampled in one :func:`sweep`; at ``order`` 1
-    only (u, grad u) of each pair (:func:`pair_fields`).
-
-    The volume rules have the exactnesses ``exactnesses`` (by default the
-    one rule of :func:`error_exactness` of the degree of ``w_space``,
-    which also gives the mesh), panel-split at ``breakpoints`` in 1D,
-    and boundary facets take the same exactnesses.  Each group's points
-    are mapped once and each pair is evaluated once for all R rules.
-    Yields, per group, (scales (E,), reference weights (R, q), the
-    :func:`pair_fields` of each pair, outward normals (E, d) or None) as
-    :func:`sweep` does.
-    """
-    if exactnesses is None:
-        exactnesses = (error_exactness(w_space.p),)
-    for elems, ref, phys, scales, wts, normals in sweep(w_space.mesh, exactnesses, breakpoints):
-        yield scales, wts, [pair_fields(pair, elems, ref, phys, order)
-                            for pair in pairs], normals
-
-
-def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
-    """Evaluate b(pair_a, pair_b) by quadrature.
-
-    Pairs may be DiscreteSolution instances, ExactBundle instances or
-    differences of pairs (see :func:`difference`).  ``w_space`` provides
-    the mesh and the degree p; the rules are those of the error norms
-    (:func:`sample_pairs`) and of assembly's data, so b(e, e) = e1^2 +
-    e2^2 + k e_bnd^2 and b(exact, y) = y^H F hold to rounding.
-    """
-    total = 0.0 + 0.0j
-    for scales, (wts,), (fa, fb), normals in sample_pairs((pair_a, pair_b), w_space,
-                                                          breakpoints):
-        if normals is None:
-            (ra1, ra2), (rb1, rb2) = ls_residuals(fa, k), ls_residuals(fb, k)
-            density = np.einsum("eqd,eqd->eq", ra1, rb1.conj()) + ra2 * rb2.conj()
-        else:
-            density = k * impedance_trace(fa, normals) * impedance_trace(fb, normals).conj()
-        total += scales @ density @ wts
-    return total
 
 
 def galerkin_residual(system, x):

@@ -6,10 +6,12 @@ exact solution is known in closed form, an ``ExactBundle``.  A problem
 writes its closed form once, as a jet ``(points, order=2) -> (u, grad u,
 laplacian u)[:order + 1]`` that costs one ``exp`` or one ``cos``/``sin``
 pair per point set and forms only the parts up to ``order``: order 0 is
-(u,), order 1 is (u, grad u).  Every exact field (u, grad u, the scaled
-flux phi = i grad(u) / k, div(phi) = i laplacian(u) / k) is a view of
-that jet at the lowest order that holds it, and ``ExactBundle.fields``
-returns all four from one jet call.
+(u,), order 1 is (u, grad u).  ``ExactBundle`` reads u and the scaled
+flux phi = i grad(u) / k, the targets of interpolation and projection,
+off that jet at the lowest order that holds them, and
+``ExactBundle.fields`` returns the four fields that the error pass
+samples, (phi, div phi = i laplacian(u) / k, u, grad u), from one jet
+call.
 
 All data callables are vectorized: points arrive as (n, d) arrays,
 normals as (n, d), and values return as (n,) or (n, d) arrays: complex
@@ -45,17 +47,8 @@ class ExactBundle:
     def u(self, points):
         return self.jet(points, 0)[0]
 
-    def grad_u(self, points):
-        return self.jet(points, 1)[1]
-
-    def laplacian_u(self, points):
-        return self.jet(points, 2)[2]
-
     def phi(self, points):
         return 1j / self.k * self.jet(points, 1)[1]
-
-    def div_phi(self, points):
-        return 1j / self.k * self.jet(points, 2)[2]
 
     def fields(self, points):
         """(phi, div phi, u, grad u) at the points from one jet call."""

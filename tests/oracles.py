@@ -1,13 +1,23 @@
 """Reference computations that the tests check the library against and
 that no pipeline runs: exact interpolants of per-element polynomials,
-points on a facet and their pull-back to an element, and the tail slope
-of a convergence sequence."""
+points on a facet and their pull-back to an element, the least-squares
+bilinear form b on arbitrary pairs, and the tail slope of a convergence
+sequence."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from helmfosls.analysis import eoc_pairs
+from helmfosls.fosls import (
+    DiscreteSolution,
+    error_exactness,
+    impedance_trace,
+    ls_residuals,
+    pair_fields,
+    sweep,
+)
 from helmfosls.mesh import element_map_apply
 from helmfosls.spaces import KIND_HDIV, _scatter_local, pull_back
 
@@ -77,6 +87,51 @@ def to_reference(mesh, elem, points):
     """Pull physical points back to reference coordinates of ``elem``."""
     rel = np.atleast_2d(points) - mesh.maps_b[elem]
     return rel @ mesh.inv_A[elem].T
+
+
+# -- the least-squares bilinear form
+
+
+class _Difference(NamedTuple):
+    a: object
+    b: object
+
+
+def difference(a, b):
+    """The pointwise difference a - b of two pairs, itself a pair."""
+    return _Difference(a, b)
+
+
+def _fields(pair, elems, ref, phys):
+    """(phi, div phi, u, grad u) of a DiscreteSolution, an ExactBundle or
+    a :func:`difference` of pairs on a group of ``fosls.sweep``; a
+    solution without flux (classical FEM) has phi = 0."""
+    if isinstance(pair, _Difference):
+        fa, fb = (_fields(p, elems, ref, phys) for p in pair)
+        return tuple(x - y for x, y in zip(fa, fb))
+    if isinstance(pair, DiscreteSolution) and pair.phi_coeffs is None:
+        u, gu = pair_fields(pair, elems, ref, phys, order=1)
+        return np.zeros(gu.shape, complex), np.zeros(u.shape, complex), u, gu
+    return pair_fields(pair, elems, ref, phys)
+
+
+def evaluate_b(pair_a, pair_b, w_space, k, breakpoints=()):
+    """b(pair_a, pair_b) by quadrature on the error rule of the degree of
+    ``w_space`` (which also gives the mesh), panel-split at
+    ``breakpoints``: the rule of ``compute_errors`` and the plan of
+    assembly's data, so b(e, e) = e1^2 + e2^2 + k e_bnd^2 and
+    b(exact, y) = y^H F hold to rounding."""
+    total = 0.0 + 0.0j
+    for elems, ref, phys, scales, (wts,), normals in sweep(
+            w_space.mesh, (error_exactness(w_space.p),), breakpoints):
+        fa, fb = (_fields(pair, elems, ref, phys) for pair in (pair_a, pair_b))
+        if normals is None:
+            (ra1, ra2), (rb1, rb2) = ls_residuals(fa, k), ls_residuals(fb, k)
+            density = np.einsum("eqd,eqd->eq", ra1, rb1.conj()) + ra2 * rb2.conj()
+        else:
+            density = k * impedance_trace(fa, normals) * impedance_trace(fb, normals).conj()
+        total += scales @ density @ wts
+    return total
 
 
 # -- convergence rates

@@ -18,9 +18,7 @@ from helmfosls.cli import solve_case
 from helmfosls.fosls import (
     assemble_classical_fem,
     assemble_fosls,
-    difference,
     error_exactness,
-    evaluate_b,
     split_solution,
 )
 from helmfosls.mesh import (
@@ -39,7 +37,9 @@ from helmfosls.spaces import (
     reference_tables,
 )
 from oracles import (
+    difference,
     empirical_order,
+    evaluate_b,
     interpolate_h1_polynomial,
     interpolate_hdiv_polynomial,
     tail_slope,

@@ -19,8 +19,6 @@ from helmfosls.fosls import (
     _scatter,
     assemble_classical_fem,
     assemble_fosls,
-    difference,
-    evaluate_b,
     galerkin_residual,
     split_solution,
 )
@@ -44,6 +42,13 @@ from helmfosls.spaces import (
     scalar_eval,
     vector_eval,
 )
+from oracles import difference, evaluate_b
+
+
+def random_complex(rng, n):
+    """n complex numbers with standard normal real and imaginary parts."""
+    re, im = rng.standard_normal((2, n))
+    return re + 1j * im
 
 
 def fosls_spaces(mesh, p):
@@ -83,9 +88,7 @@ class TestFoslsMatrixStructure:
         system = small_systems()[1]
         A = system.matrix
         for _ in range(100):
-            x = rng.standard_normal(system.n_total) + 1j * rng.standard_normal(
-                system.n_total
-            )
+            x = random_complex(rng, system.n_total)
             e = np.vdot(x, A @ x)
             assert abs(e.imag) <= 1e-12 * abs(e)
             assert e.real >= 0
@@ -265,9 +268,7 @@ class TestEvaluateB:
         v, w = fosls_spaces(mesh, 3)
         system = assemble_fosls(v, w, prob)
         for _ in range(5):
-            y = rng.standard_normal(system.n_total) + 1j * rng.standard_normal(
-                system.n_total
-            )
+            y = random_complex(rng, system.n_total)
             pair = split_solution(system, y)
             got = evaluate_b(prob.exact, pair, w, prob.k,
                              breakpoints=prob.breakpoints)
@@ -287,9 +288,7 @@ class TestEvaluateB:
         system = assemble_fosls(v, w, prob)
         plans = len(fosls._PLANS[mesh])
         for _ in range(5):
-            y = rng.standard_normal(system.n_total) + 1j * rng.standard_normal(
-                system.n_total
-            )
+            y = random_complex(rng, system.n_total)
             got = evaluate_b(prob.exact, split_solution(system, y), w, prob.k)
             scale = np.linalg.norm(system.rhs) * np.linalg.norm(y)
             assert abs(got - np.vdot(y, system.rhs)) <= 1e-13 * scale
@@ -309,10 +308,8 @@ class TestEvaluateB:
         v, w = fosls_spaces(mesh, 1)
         system = assemble_fosls(v, w, prob)
         for _ in range(5):
-            a = split_solution(system, rng.standard_normal(system.n_total)
-                               + 1j * rng.standard_normal(system.n_total))
-            b_ = split_solution(system, rng.standard_normal(system.n_total)
-                                + 1j * rng.standard_normal(system.n_total))
+            a = split_solution(system, random_complex(rng, system.n_total))
+            b_ = split_solution(system, random_complex(rng, system.n_total))
             ab = evaluate_b(a, b_, w, prob.k)
             ba = evaluate_b(b_, a, w, prob.k)
             assert ab == pytest.approx(np.conj(ba), rel=1e-10)
@@ -322,9 +319,7 @@ class TestEvaluateB:
         mesh = build_square_mesh(2)
         v, w = fosls_spaces(mesh, 2)
         system = assemble_fosls(v, w, prob)
-        x = rng.standard_normal(system.n_total) + 1j * rng.standard_normal(
-            system.n_total
-        )
+        x = random_complex(rng, system.n_total)
         pair = split_solution(system, x)
         direct = evaluate_b(pair, pair, w, prob.k)
         quad = np.vdot(x, system.matrix @ x)
@@ -402,9 +397,7 @@ def _eval_cases():
 def test_evaluators_batch_over_element_arrays(make_space, field, rng):
     """An element array gives the per-element results, stacked."""
     space = make_space()
-    coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
-        space.n_dofs
-    )
+    coeffs = random_complex(rng, space.n_dofs)
     ref = simplex_quadrature(space.mesh.dim, 5).points
     elems = np.array([3, 0, 4, 1])
     got = _evaluate(field, space, coeffs, elems, ref)
@@ -474,7 +467,7 @@ def test_evaluator_contract(make_space, field, elem, rng):
     pushed basis tables."""
     space = make_space()
     d = space.mesh.dim
-    coeffs = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
+    coeffs = random_complex(rng, space.n_dofs)
     ref = simplex_quadrature(d, 5).points
     got = _evaluate(field, space, coeffs, elem, ref)
     vector_valued = field in ("scalar_grad_eval", "vector_eval")

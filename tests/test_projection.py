@@ -808,11 +808,19 @@ class TestHdivProjection:
     "helmfosls:empirical_order",
     "helmfosls:h12_00_gram",
     "helmfosls:EdgeNormGram",
+    "helmfosls.fosls:evaluate_b",
+    "helmfosls.fosls:difference",
+    "helmfosls.fosls:sample_pairs",
+    "helmfosls:evaluate_b",
+    "helmfosls.problems:ExactBundle.grad_u",
+    "helmfosls.problems:ExactBundle.laplacian_u",
+    "helmfosls.problems:ExactBundle.div_phi",
 ])
 def test_test_oracles_are_not_library_names(name):
-    """The oracles that only the tests read live in ``tests/oracles.py``,
-    and the edge Grams are read off ``_edge_work(p)``: none of these
-    names resolves in the library."""
+    """The oracles that only the tests read live in ``tests/oracles.py``
+    (the bilinear form b among them), the edge Grams are read off
+    ``_edge_work(p)``, and the exact fields that only the tests read come
+    off ``ExactBundle.jet``: none of these names resolves in the library."""
     module, path = name.split(":")
     obj = importlib.import_module(module)
     with pytest.raises(AttributeError):
