@@ -265,11 +265,13 @@ def _write_plot_data(table, path):
 
 def _write_svg(table, path):
     """Minimal log-log SVG rendering of the plot-data series."""
-    series = table.series()
-    pts_all = [
-        (math.log10(r.n_lambda), math.log10(max(r.errors.l2_rel, 1e-300)))
-        for rows in series.values() for r in rows
-    ]
+    # log-scaled points of each series, sorted by (method, p)
+    series = {
+        key: [(math.log10(r.n_lambda), math.log10(max(r.errors.l2_rel, 1e-300)))
+              for r in rows]
+        for key, rows in sorted(table.series().items())
+    }
+    pts_all = [pt for pts in series.values() for pt in pts]
     if not pts_all:
         Path(path).write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")
         return
@@ -300,14 +302,9 @@ def _write_svg(table, path):
         f"transform='rotate(-90 {SVG_MARGIN // 3} {SVG_HEIGHT // 2})' "
         "text-anchor='middle'>log10 rel. L2 error</text>",
     ]
-    for s, ((method, p), rows) in enumerate(sorted(series.items())):
+    for s, ((method, p), pts) in enumerate(series.items()):
         color = palette[s % len(palette)]
-        coords = " ".join(
-            "{:.2f},{:.2f}".format(*to_px(
-                math.log10(r.n_lambda), math.log10(max(r.errors.l2_rel, 1e-300))
-            ))
-            for r in rows
-        )
+        coords = " ".join("{:.2f},{:.2f}".format(*to_px(*pt)) for pt in pts)
         parts.append(
             f"<polyline points='{coords}' fill='none' stroke='{color}' "
             "stroke-width='1.5'/>"
@@ -348,10 +345,10 @@ def main(argv=None):
         })
         _, paths = run_study(config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        log.error("config error: %s", exc)
         return 2
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        log.error("solver failure: %s", exc)
         return 3
     for path in paths:
         print(f"wrote {path}")

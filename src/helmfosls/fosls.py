@@ -92,7 +92,6 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     kind: str
-    k: float
     v_space: Optional[object]
     w_space: object
 
@@ -248,11 +247,6 @@ def sweep(mesh, exactnesses, breakpoints=()):
         yield elems, ref, element_map_apply(mesh, elems, ref, check=False), scales, wts, normals
 
 
-def _check_same_mesh(v_space, w_space):
-    if v_space.mesh is not w_space.mesh:
-        raise ValueError("flux and potential spaces live on different meshes")
-
-
 # -- assembly from reference tensors ---------------------------------------
 #
 # A field of the local basis is a reference table T (q, m, A) of its A
@@ -378,7 +372,8 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
     exactly integrated."""
     spaces = [w_space] if v_space is None else [v_space, w_space]
     if v_space is not None:
-        _check_same_mesh(v_space, w_space)
+        if v_space.mesh is not w_space.mesh:
+            raise ValueError("flux and potential spaces live on different meshes")
         check_flux_space(v_space)
     mesh, k = w_space.mesh, problem.k
     p = max(s.p for s in spaces)
@@ -411,7 +406,7 @@ def _assemble(kind, v_space, w_space, problem, hermitian, boundary):
         loads[elems] += np.hstack([_load(wv, t, m) for t, m in zip(tables, trace)])
 
     matrix, rhs = _scatter(dofs, signs, blocks, loads, offsets[-1])
-    return AssembledSystem(matrix, rhs, kind, k, v_space, w_space)
+    return AssembledSystem(matrix, rhs, kind, v_space, w_space)
 
 
 def assemble_fosls(v_space, w_space, problem):

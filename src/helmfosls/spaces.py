@@ -26,10 +26,10 @@ derive from that same scalar basis.  Both answer
 (gradients for S_p, divergences for BDM_p), computed on every call.
 The tables are kept in one place, a bounded, thread-safe
 ``functools.lru_cache`` per (basis, point set), read through
-:func:`reference_tables`: it holds the read-only value and derivative
-tables, built once, and the joined [value | derivative] table that
-fields multiply, built the first time a field reads it; BDM_p reads its
-scalar tables through it too.
+:func:`reference_tables`: each entry is built at once and holds the
+read-only value and derivative tables and the joined [value |
+derivative] table that fields multiply; BDM_p reads its scalar tables
+through it too.
 
 Every field keeps a component axis.  A basis gives its reference tables
 as (points, basis, A) arrays of the A reference components of every
@@ -55,7 +55,8 @@ index), for both kinds, and a normal-trace dof additionally flips with
 the orientation of the global facet normal (``edge_signs``).
 """
 
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -198,37 +199,34 @@ def build_hdiv_space(mesh, p):
 
 # (basis, point set) pairs whose tables are kept: the benchmark's warm-up
 # case and its four workloads, run in one process in that order, read 18,
-# 57, 75, 85 and 85 and evict none; the 34 joined tables that fields read
-# are 0.36 of the 0.67 MiB kept
+# 57, 75, 85 and 85 and evict none; the 85 joined tables are 0.62 of
+# the 0.94 MiB kept
 _TABLE_CACHE_SIZE = 128
 
 
-class _KeptTables:
+class _KeptEntry(NamedTuple):
     """One entry of the table cache: the read-only ``values`` and
     ``derivatives`` of a basis at a point set (:func:`reference_tables`),
     and the complex ``joined`` table (m, q, A + A') that :func:`_field`
     multiplies, per function and point the A value components and then
-    the A' derivative ones.  The joined table is built the first time it
-    is read: point sets that only assembly reads never need it."""
+    the A' derivative ones.  All three are built with the entry."""
 
-    def __init__(self, values, derivatives):
-        self.values, self.derivatives = _read_only(values, derivatives)
-
-    @cached_property
-    def joined(self):
-        joined = np.concatenate([self.values, self.derivatives], axis=2)
-        return _read_only(joined.transpose(1, 0, 2).astype(complex, order="C"))[0]
+    values: np.ndarray
+    derivatives: np.ndarray
+    joined: np.ndarray
 
 
 @lru_cache(_TABLE_CACHE_SIZE)
 def _kept_tables(shape, data, basis):
     """One entry of the table cache; see :func:`_tables`."""
-    return _KeptTables(*(t if t.ndim == 3 else t[..., None]
-                         for t in basis.eval_with_grad(np.frombuffer(data).reshape(shape))))
+    values, derivatives = (t if t.ndim == 3 else t[..., None]
+                           for t in basis.eval_with_grad(np.frombuffer(data).reshape(shape)))
+    joined = np.concatenate([values, derivatives], axis=2).transpose(1, 0, 2)
+    return _KeptEntry(*_read_only(values, derivatives, joined.astype(complex, order="C")))
 
 
 def _tables(basis, points):
-    """The kept tables (:class:`_KeptTables`) of ``basis`` at ``points``.
+    """The kept tables (:class:`_KeptEntry`) of ``basis`` at ``points``.
     A repeat call with points of the same shape and bytes returns the
     same entry while it is kept."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -240,8 +238,7 @@ def reference_tables(basis, points):
     each of shape (points, basis, A): the A reference components of every
     function (A = 1 for a scalar field).  Read-only, and built once per
     (basis, point set) while the entry is kept (:func:`_tables`)."""
-    kept = _tables(basis, points)
-    return kept.values, kept.derivatives
+    return _tables(basis, points)[:2]
 
 
 def element_maps(space, elem):

@@ -110,6 +110,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config fields"):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("field", ["problem", "k", "degrees", "mesh_sequence"])
+    def test_missing_required_field_rejected(self, tmp_path, caplog, field):
+        cfg_path = tmp_path / "study.json"
+        raw = write_config(cfg_path)
+        del raw[field]
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"missing config fields: {field}$"):
+            load_config(cfg_path)
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert f"config error: missing config fields: {field}" in caplog.text
+
     def test_cli_overrides_win(self, tmp_path):
         cfg_path = tmp_path / "study.json"
         write_config(cfg_path, k=10.0)
@@ -297,13 +308,13 @@ class TestMainEntryPoint:
         assert cli.main(["run", str(cfg_path)]) == 0
         assert "results.csv" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, caplog):
         cfg_path = tmp_path / "study.json"
         write_config(cfg_path, method="bogus")
         assert cli.main(["run", str(cfg_path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert "config error" in caplog.text
 
-    def test_unusable_output_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_unusable_output_dir_exit_code(self, tmp_path, caplog, monkeypatch):
         """An output path that names a file is a config error, found before
         any run is solved."""
         cfg_path = tmp_path / "study.json"
@@ -313,21 +324,20 @@ class TestMainEntryPoint:
         calls = []
         monkeypatch.setattr(cli, "solve_case", lambda *args: calls.append(args))
         assert cli.main(["run", str(cfg_path), "--out", str(taken)]) == 2
-        err = capsys.readouterr().err
-        assert "config error: cannot create output directory" in err
-        assert "Traceback" not in err and calls == []
+        assert "config error: cannot create output directory" in caplog.text
+        assert "Traceback" not in caplog.text and calls == []
 
-    def test_float_mesh_count_exit_code(self, tmp_path, capsys):
+    def test_float_mesh_count_exit_code(self, tmp_path, caplog):
         cfg_path = tmp_path / "study.json"
         write_config(cfg_path, mesh_sequence=[5.0, 15])
         assert cli.main(["run", str(cfg_path)]) == 2
-        assert "mesh_sequence" in capsys.readouterr().err
+        assert "mesh_sequence" in caplog.text
 
-    def test_top_level_list_exit_code(self, tmp_path, capsys):
+    def test_top_level_list_exit_code(self, tmp_path, caplog):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps([{"problem": "piecewise-1d"}]))
         assert cli.main(["run", str(cfg_path)]) == 2
-        assert "JSON object" in capsys.readouterr().err
+        assert "JSON object" in caplog.text
 
     @pytest.mark.parametrize("field,value", [
         ("problem", ["plane-wave-2d"]),
@@ -336,16 +346,17 @@ class TestMainEntryPoint:
         ("svg", "yes"),
         ("avoid_node_at_zero", 1),
     ])
-    def test_wrong_json_type_exit_code(self, tmp_path, capsys, field, value):
+    def test_wrong_json_type_exit_code(self, tmp_path, caplog, field, value):
         cfg_path = tmp_path / "study.json"
         write_config(cfg_path, **{field: value})
         assert cli.main(["run", str(cfg_path)]) == 2
-        assert field in capsys.readouterr().err
+        assert field in caplog.text
 
-    def test_missing_config_file(self, tmp_path, capsys):
+    def test_missing_config_file(self, tmp_path, caplog):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
+        assert "config error: cannot read config" in caplog.text
 
-    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_solver_failure_exit_code(self, tmp_path, caplog, monkeypatch):
         cfg_path = tmp_path / "study.json"
         write_config(cfg_path)
 
@@ -354,7 +365,9 @@ class TestMainEntryPoint:
 
         monkeypatch.setattr(cli, "solve_case", boom)
         assert cli.main(["run", str(cfg_path)]) == 3
-        assert "solver failure" in capsys.readouterr().err
+        failures = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert [r.getMessage() for r in failures] == ["solver failure: synthetic failure"]
+        assert failures[0].exc_info is None and "Traceback" not in caplog.text
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = tmp_path / "study.json"

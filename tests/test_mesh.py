@@ -175,6 +175,10 @@ class TestReferenceSimplex:
 
 
 class TestElementMap:
+    def test_rejects_unsupported_dimension(self):
+        with pytest.raises(ValueError, match="unsupported spatial dimension 3"):
+            Mesh(3, np.eye(4, 3), [[0, 1, 2, 3]], 1.0 / 6.0)
+
     def test_flipped_element_reoriented_degenerate_rejected(self):
         # the element maps always have det A > 0, so the Piola map is defined
         verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # clockwise

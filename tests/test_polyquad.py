@@ -219,22 +219,24 @@ class TestScalarBasis:
         assert np.any(moved_vals[0] != vals[0])
         np.testing.assert_array_equal(reference_tables(basis, pts)[0], vals)
 
-    def test_joined_table_is_built_when_a_field_reads_it(self):
-        """Reading the reference tables leaves the joined table unbuilt;
-        the first field evaluation at the points builds it once, and
-        later ones reuse it.  A fresh basis, which no cache entry names."""
+    def test_joined_table_is_built_with_the_entry(self):
+        """Reading the reference tables builds the joined table with them,
+        and field evaluations at the points multiply that same table.  A
+        fresh basis, which no cache entry names."""
         space = FunctionSpace(build_square_mesh(1), ScalarBasis(2, 2))
         pts = np.array([[0.125, 0.25], [0.5, 0.375]])
+        values, derivatives = reference_tables(space.basis, pts)
         kept = _tables(space.basis, pts)
-        reference_tables(space.basis, pts)
-        assert "joined" not in vars(kept)
+        assert kept.values is values and kept.derivatives is derivatives
+        joined = kept.joined
+        np.testing.assert_array_equal(
+            joined, np.concatenate([values, derivatives], axis=2).transpose(1, 0, 2))
         coeffs = np.arange(space.n_dofs, dtype=complex)
         first = scalar_eval(space, coeffs, 0, pts)
-        joined = vars(kept)["joined"]
         np.testing.assert_array_equal(scalar_eval(space, coeffs, 0, pts), first)
+        local = space.elem_signs[0] * coeffs[space.elem_dofs[0]]
+        np.testing.assert_allclose(first, values[:, :, 0] @ local, rtol=1e-14)
         assert _tables(space.basis, pts).joined is joined
-        np.testing.assert_array_equal(
-            joined, np.concatenate([kept.values, kept.derivatives], axis=2).transpose(1, 0, 2))
 
     def test_tables_are_kept_per_point_set(self, monkeypatch):
         """Rules A, B, A build the tables twice; more than the cache holds

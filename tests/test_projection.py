@@ -480,6 +480,15 @@ class TestReferenceProjection:
         with pytest.raises(ValueError):
             project_reference(u, 4, 2)
 
+    def test_rejects_degree_zero(self, monkeypatch):
+        """p = 0 is rejected before a basis is built or u is evaluated
+        (``make_scalar_basis`` would reject it too, with the same message)."""
+        calls = []
+        monkeypatch.setattr(projection, "make_scalar_basis", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="degree p must be at least 1"):
+            project_reference(lambda pts: calls.append(pts), 1, 0)
+        assert calls == []
+
     def test_interior_stage_needs_gradient(self):
         u = lambda pts: np.zeros(len(np.atleast_2d(pts)), dtype=complex)
         with pytest.raises(ValueError, match="grad"):

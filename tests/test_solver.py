@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helmfosls import solver
 from helmfosls.fosls import (
     AssembledSystem,
     CLASSICAL_FEM,
@@ -18,12 +19,12 @@ from helmfosls.spaces import build_h1_space, build_hdiv_space
 
 def hpd_system(matrix, rhs):
     return AssembledSystem(sp.csr_matrix(matrix), np.asarray(rhs, dtype=complex),
-                           FOSLS, 1.0, None, None)
+                           FOSLS, None, None)
 
 
 def fem_system(matrix, rhs):
     return AssembledSystem(sp.csr_matrix(matrix), np.asarray(rhs, dtype=complex),
-                           CLASSICAL_FEM, 1.0, None, None)
+                           CLASSICAL_FEM, None, None)
 
 
 def dense_solution(system):
@@ -91,6 +92,27 @@ class TestSolveHpd:
         # eigenvalues 3 and -1: the second pivot is 1 - 4 = -3
         with pytest.raises(SolverError, match="pivot"):
             solve_hpd(hpd_system([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]))
+
+    def test_rejects_off_diagonal_pivot(self):
+        """Symmetric with a positive diagonal, but whichever column is
+        eliminated first leaves a 2x2 Schur complement with an exactly
+        zero diagonal and off-diagonal entries +-2, so under any column
+        ordering the next pivot is off the diagonal."""
+        matrix = [[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]
+        with pytest.raises(SolverError, match="pivoted off the diagonal"):
+            solve_hpd(hpd_system(matrix, np.ones(3)))
+
+    def test_rejects_non_finite_solution(self):
+        # positive real pivots, but x_0 = 1e200 / 1e-200 overflows
+        with pytest.raises(SolverError, match="non-finite entries"):
+            solve_hpd(hpd_system(np.diag([1e-200, 1.0]), [1e200, 1.0]))
+
+    def test_rejects_residual_above_tolerance(self, monkeypatch):
+        """A tolerance below the rounding of an ill-conditioned solve."""
+        hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8) + 1.0)
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-300)
+        with pytest.raises(SolverError, match="above tolerance 1e-300"):
+            solve_hpd(hpd_system(hilbert, np.ones(8)))
 
 
 class TestSolveGeneral:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helmfosls import spaces
 from helmfosls.mesh import (
     LOCAL_EDGES,
     REF_EDGE_LENGTHS,
@@ -112,6 +113,16 @@ class TestDofCounts:
         assert build_hdiv_space(fine, 2).basis is bdm
         assert build_h1_space(fine, 2).basis is bdm.scalar is make_scalar_basis(2, 2)
         assert not bdm.coeffs.flags.writeable
+
+    def test_hdiv_space_rejects_degree_zero(self, monkeypatch):
+        """BDM_0 is rejected before a basis is built (``make_scalar_basis``
+        would reject p = 0 too, with the same message)."""
+        mesh = build_square_mesh(2)
+        built = []
+        monkeypatch.setattr(spaces, "make_scalar_basis", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="degree p must be at least 1"):
+            build_hdiv_space(mesh, 0)
+        assert built == []
 
     def test_interval_flux_space_is_s_p(self):
         """H(div) = H1 in 1D: the flux space of an interval mesh is S_p."""
