@@ -32,12 +32,14 @@ local facet ``boundary_local_facets[i]`` of its element
 Facets are sorted by their ``facet_vertices`` rows, so facet numbering
 does not depend on the element ordering.  ``elem_facets`` (E, d+1) holds
 the facet of each local facet (``LOCAL_FACETS``) of each element, and
-``elem_facet_signs`` (E, d+1) is +1 where the stored normal points out of
-that element and -1 where it points in.  ``elem_edges`` (E, local
-edges) holds the global edge, out of ``n_edges``, of each local edge
-(``LOCAL_EDGES``): a triangle's edges are its facets, an interval's one
-edge is the element itself.  Instances are immutable after construction
-and safe to share across threads.
+``elem_edges`` (E, local edges) the global edge, out of ``n_edges``, of
+each local edge (``LOCAL_EDGES``): a triangle's edges are its facets, an
+interval's one edge is the element itself.  ``elem_edge_reversed`` (E,
+local edges) is True where local edge (i, j) runs from the larger to the
+smaller global vertex id: the one orientation rule of every edge dof.
+It orients normals too, as every element has det A > 0: F_K keeps the
+side of v_j - v_i that the reference outward normal lies on.  Instances
+are immutable after construction and safe to share across threads.
 """
 
 import functools
@@ -142,13 +144,15 @@ class Mesh:
         ne = len(self.elements)
         self.elem_edges = self.elem_facets if dim == 2 else np.arange(ne)[:, None]
         self.n_edges = len(self.facet_vertices) if dim == 2 else ne
+        i, j = np.array(LOCAL_EDGES[dim]).T
+        self.elem_edge_reversed = self.elements[:, i] > self.elements[:, j]
         self.h = float(max(self.element_diameters()))
         for arr in (self.vertices, self.elements, self.maps_A, self.maps_b,
                     self.det_A, self.inv_A, self.element_measures,
-                    self.elem_facets, self.elem_facet_signs, self.facet_vertices,
-                    self.facet_elems, self.facet_normals, self.facet_measures,
-                    self.boundary_facets, self.interior_facets,
-                    self.boundary_elems, self.boundary_local_facets, self.elem_edges):
+                    self.elem_facets, self.facet_vertices, self.facet_elems,
+                    self.facet_normals, self.facet_measures, self.boundary_facets,
+                    self.interior_facets, self.boundary_elems,
+                    self.boundary_local_facets, self.elem_edges, self.elem_edge_reversed):
             arr.flags.writeable = False
 
     # -- construction -------------------------------------------------
@@ -209,8 +213,6 @@ class Mesh:
         inward = np.einsum("fd,fd->f", normals, corners.mean(axis=1) - centroids) < 0
         normals[inward] *= -1.0
         self.facet_normals = normals
-        self.elem_facet_signs = np.where(
-            self.facet_elems[self.elem_facets, 0] == np.arange(ne)[:, None], 1.0, -1.0)
 
     # -- queries -------------------------------------------------------
 

@@ -70,7 +70,9 @@ class ScalarBasis:
     ``dof_classes`` partitions the basis indices into ``vertex``,
     ``edge`` (one list per local edge of ``mesh.LOCAL_EDGES[d]``) and
     ``interior`` (the triangle bubbles; empty on the interval, whose
-    single edge is the element itself).
+    single edge is the element itself).  ``edge_dof_signs`` (2, local
+    edges, p-1) holds the sign of the m-th edge function on a kept and on
+    a reversed local edge (``mesh.elem_edge_reversed``): 1 and (-1)^m.
     """
 
     def __init__(self, d, p):
@@ -84,6 +86,8 @@ class ScalarBasis:
                      for l in range(n_edges)],
             "interior": list(range(d + 1 + n_edges * n_edge, self.dim)),
         }
+        parity = np.tile((-1.0) ** np.arange(n_edge), (n_edges, 1))
+        self.edge_dof_signs = _read_only(np.array([np.ones_like(parity), parity]))[0]
         # gradients of the barycentric coordinates
         self._dlam = np.vstack([-np.ones(d), np.eye(d)])
 

@@ -268,8 +268,6 @@ def project_reference(u, d, p, grad_u=None):
         )
     if d not in (1, 2):
         raise ValueError(f"unsupported dimension {d}")
-    if p < 1:
-        raise ValueError("degree p must be at least 1")
     if d == 2 and p >= 3 and grad_u is None:
         raise ValueError("grad_u is required for the interior stage (d=2, p>=3)")
 
@@ -321,11 +319,11 @@ def _directed_edges(mesh):
     ids (D, 2), and the directed edge (E, local edges) that each local
     edge (i, j) of each element walks, from its vertex i to its vertex j.
     A directed edge is a global edge (``mesh.elem_edges``) together with
-    a direction, reversed where ``elements[:, i] > elements[:, j]``;
+    a direction, reversed where ``mesh.elem_edge_reversed`` says so;
     directed edges are numbered in ascending (global edge, direction)
     order, which depends on the mesh alone."""
     pairs = mesh.elements[:, LOCAL_EDGES[mesh.dim]]
-    keys = 2 * mesh.elem_edges + (pairs[..., 0] > pairs[..., 1])
+    keys = 2 * mesh.elem_edges + mesh.elem_edge_reversed
     _, first, walk = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     return pairs.reshape(-1, 2)[first], walk.reshape(keys.shape)
 

@@ -9,14 +9,11 @@ caller builds its flux space the same way in 1D and 2D.  The reference
 geometry (local edges, edge normals and lengths, the map onto a local
 edge) comes from ``mesh``; this module only numbers and maps.
 
-Both kinds are numbered by one routine, ``FunctionSpace(mesh, basis,
-edge_signs=1.0)``, from the layout the basis states in ``dof_classes``
-(vertex functions, one block per local edge, the interior last) and the
-global edges of the mesh (``mesh.elem_edges``): vertex dofs by vertex
-id, then one block per global edge, then one contiguous block per
-element interior.  ``build_h1_space`` passes the scalar basis, and
-``build_hdiv_space`` the ``BdmBasis`` with the canonical normal
-orientation of each local edge as ``edge_signs``.
+Both kinds are numbered by one routine, ``FunctionSpace(mesh, basis)``,
+from the layout the basis states in ``dof_classes`` (vertex functions,
+one block per local edge, the interior last) and the global edges of
+the mesh (``mesh.elem_edges``): vertex dofs by vertex id, then one block
+per global edge, then one contiguous block per element interior.
 
 Every space reads its reference tables from one basis, shared by all
 spaces of its kind and degree: S_p holds the scalar basis of
@@ -48,11 +45,10 @@ by the contravariant Piola transform
 
     phi(F(x)) = A phi_hat(x) / det A,   div phi o F = div_hat phi_hat / det A.
 
-Inter-element continuity is handled through per-element sign tables: an
-edge function whose Legendre kernel has odd degree flips sign when the
-local edge direction disagrees with the global one (ascending vertex
-index), for both kinds, and a normal-trace dof additionally flips with
-the orientation of the global facet normal (``edge_signs``).
+Inter-element continuity is handled through per-element sign tables:
+each basis states in ``edge_dof_signs`` the sign of every edge function
+on a kept and on a reversed local edge, and ``FunctionSpace`` picks one
+by ``mesh.elem_edge_reversed`` (vertex ids; det A > 0 on every element).
 """
 
 from functools import cache, lru_cache
@@ -61,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS, local_simplex_points
+from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS, REFERENCE_VERTICES
+from .mesh import local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis
 
 KIND_H1 = "scalar-h1"
@@ -76,6 +73,8 @@ class BdmBasis:
     remaining (p+1)(p-1) span the subspace with vanishing normal trace.
     ``dof_classes`` says so in the layout of ``ScalarBasis``: no vertex
     functions, one block of p+1 per local edge, the interior last.
+    ``edge_dof_signs`` (2, 3, p+1), as in ``ScalarBasis``, holds s_l and
+    -s_l (-1)^m, with s_l = +/-1 read off the reference triangle.
     Built numerically: the moment map is assembled on the vector-valued
     hierarchical basis, edge functions are its pseudo-inverse columns and
     interior functions an orthonormal basis of its null space.  The
@@ -115,7 +114,14 @@ class BdmBasis:
         # sanity: the dual pairing must come out as the identity
         if not np.allclose(T @ self.coeffs, np.eye(*T.shape), atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
-        _read_only(self.coeffs)
+        # s_l: the outward normal of local edge (i, j) against the clockwise
+        # turn of v_j - v_i, kept on every element by det A > 0; reversing the
+        # edge negates that turn and multiplies P_m(2t - 1) by (-1)^m
+        i, j = np.array(LOCAL_EDGES[2]).T
+        turn = (REFERENCE_VERTICES[2][j] - REFERENCE_VERTICES[2][i])[:, ::-1] * [1.0, -1.0]
+        s = np.sign(np.sum(REF_EDGE_NORMALS * turn, axis=1))[:, None]
+        self.edge_dof_signs = np.array([np.tile(s, p + 1), -s * (-1.0) ** np.arange(p + 1)])
+        _read_only(self.coeffs, self.edge_dof_signs)
 
     def eval(self, points):
         """Vector basis values; shape (n_points, dim, 2)."""
@@ -138,14 +144,14 @@ class FunctionSpace:
     ``basis.dof_classes`` alone (see the module docstring).
 
     ``elem_dofs``/``elem_signs`` (E, local dim) map local basis indices to
-    (global dof, orientation sign) per element.  The m-th function of a
-    local edge whose direction opposes the global one has sign (-1)^m,
-    times ``edge_signs`` (a scalar or (E, local edges)).  ``kind`` and
+    (global dof, orientation sign) per element.  An edge function takes
+    the sign that ``basis.edge_dof_signs`` states for a kept or a
+    reversed local edge (``mesh.elem_edge_reversed``).  ``kind`` and
     ``p`` come from the shared ``basis`` (``ScalarBasis`` for S_p,
     ``BdmBasis`` for BDM_p).  Immutable after construction.
     """
 
-    def __init__(self, mesh, basis, edge_signs=1.0):
+    def __init__(self, mesh, basis):
         self.kind = KIND_HDIV if isinstance(basis, BdmBasis) else KIND_H1
         self.mesh = mesh
         self.p = basis.p
@@ -156,10 +162,8 @@ class FunctionSpace:
         first_edge = len(mesh.vertices) if nv else 0
         first_int = first_edge + mesh.n_edges * n
         self.n_dofs = first_int + ne * ni
-        i, j = np.array(LOCAL_EDGES[mesh.dim]).T
-        reversed_ = (mesh.elements[:, i] > mesh.elements[:, j])[:, :, None]
-        signs = (np.where(reversed_, (-1.0) ** np.arange(n), 1.0)
-                 * np.asarray(edge_signs)[..., None]).reshape(ne, -1)
+        kept, reversed_ = basis.edge_dof_signs
+        signs = np.where(mesh.elem_edge_reversed[:, :, None], reversed_, kept).reshape(ne, -1)
         # columns in the local order of dof_classes: vertices, edges, interior
         edge_dofs = first_edge + mesh.elem_edges[:, :, None] * n + np.arange(n)
         self.elem_dofs = np.hstack([mesh.elements[:, :nv], edge_dofs.reshape(ne, -1),
@@ -181,16 +185,7 @@ def build_hdiv_space(mesh, p):
     2D mesh, S_p on an interval mesh, where H(div) = H1."""
     if mesh.dim == 1:
         return build_h1_space(mesh, p)
-    if p < 1:
-        raise ValueError("degree p must be at least 1")
-    # normal-trace dofs are oriented by a canonical per-facet normal built
-    # from vertex ids alone (rotate the ascending-vertex tangent), so the
-    # numbering and signs do not depend on the element ordering
-    corners = mesh.vertices[mesh.facet_vertices]
-    canon = (corners[:, 1] - corners[:, 0])[:, ::-1] * [1.0, -1.0]
-    canon_match = np.where(np.einsum("fd,fd->f", mesh.facet_normals, canon) > 0, 1.0, -1.0)
-    return FunctionSpace(mesh, _bdm_basis(p),
-                         mesh.elem_facet_signs * canon_match[mesh.elem_facets])
+    return FunctionSpace(mesh, _bdm_basis(p))
 
 
 # -- the element map and field evaluation.  ``elem`` is one element index

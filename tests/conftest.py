@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+from helmfosls.mesh import Mesh, build_polygonal_disk_mesh
 from helmfosls.problems import ExactBundle, WaveProblem, robin_data_from_exact
+
+
+def renumbered_disk_mesh(n_boundary=16, n_refine=1, seed=5):
+    """``build_polygonal_disk_mesh`` with its vertex ids permuted at
+    random: local edges then run against their global edges
+    (``Mesh.elem_edge_reversed``) in combinations that the builders'
+    own numbering never produces."""
+    disk = build_polygonal_disk_mesh(n_boundary, n_refine)
+    perm = np.random.default_rng(seed).permutation(len(disk.vertices))
+    vertices = np.empty_like(disk.vertices)
+    vertices[perm] = disk.vertices
+    return Mesh(2, vertices, perm[disk.elements], disk.domain_measure)
 
 
 def polynomial_problem(dim, k=3.0):

@@ -1,7 +1,8 @@
 """Reference computations that the tests check the library against and
 that no pipeline runs: exact interpolants of per-element polynomials,
-points on a facet and their pull-back to an element, the least-squares
-bilinear form b on arbitrary pairs, and the tail slope of a convergence
+points on a facet and their pull-back to an element, the orientation of
+facet normals and edge dofs from geometry, the least-squares bilinear
+form b on arbitrary pairs, and the tail slope of a convergence
 sequence."""
 
 import itertools
@@ -18,7 +19,7 @@ from helmfosls.fosls import (
     pair_fields,
     sweep,
 )
-from helmfosls.mesh import element_map_apply
+from helmfosls.mesh import LOCAL_EDGES, element_map_apply
 from helmfosls.spaces import KIND_HDIV, _scatter_local, pull_back
 
 # -- polynomial interpolation (exact on per-element polynomials)
@@ -87,6 +88,35 @@ def to_reference(mesh, elem, points):
     """Pull physical points back to reference coordinates of ``elem``."""
     rel = np.atleast_2d(points) - mesh.maps_b[elem]
     return rel @ mesh.inv_A[elem].T
+
+
+def elem_facet_signs(mesh):
+    """(E, d+1): +1 where the stored normal (``facet_normals``) of each
+    local facet points out of the element, that is where the element is
+    the facet's first, and -1 where it points in."""
+    ne = len(mesh.elements)
+    return np.where(mesh.facet_elems[mesh.elem_facets, 0] == np.arange(ne)[:, None], 1.0, -1.0)
+
+
+def geometric_edge_signs(space):
+    """The signs (E, local edges, n) of the n functions of every local
+    edge of ``space``, from geometry: (-1)^m for the m-th function of a
+    local edge (i, j) that runs from the larger to the smaller global
+    vertex id, else 1; for BDM_p, times the sign between the element's
+    outward normal (``facet_normals`` times :func:`elem_facet_signs`) and
+    the canonical normal of the facet, the clockwise turn of its tangent
+    from the smaller to the larger vertex id."""
+    mesh = space.mesh
+    n = len(space.basis.dof_classes["edge"][0])
+    i, j = np.array(LOCAL_EDGES[mesh.dim]).T
+    reversed_ = (mesh.elements[:, i] > mesh.elements[:, j])[:, :, None]
+    signs = np.where(reversed_, (-1.0) ** np.arange(n), 1.0)
+    if space.kind != KIND_HDIV:
+        return signs
+    corners = mesh.vertices[mesh.facet_vertices]
+    canon = (corners[:, 1] - corners[:, 0])[:, ::-1] * [1.0, -1.0]
+    canon_match = np.where(np.einsum("fd,fd->f", mesh.facet_normals, canon) > 0, 1.0, -1.0)
+    return signs * (elem_facet_signs(mesh) * canon_match[mesh.elem_facets])[:, :, None]
 
 
 # -- the least-squares bilinear form

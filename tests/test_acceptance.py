@@ -39,7 +39,7 @@ from helmfosls.spaces import (
     build_hdiv_space,
     push_forward,
 )
-from oracles import facet_points, tail_slope, to_reference
+from oracles import elem_facet_signs, facet_points, tail_slope, to_reference
 
 RNG = np.random.default_rng(193)
 
@@ -350,7 +350,7 @@ def _piola_deviation():
             flux_ref = np.sum(
                 wt * REF_EDGE_LENGTHS[l] * (phi_hat(ref_pts)[0] @ REF_EDGE_NORMALS[l])
             )
-            n_phys = mesh.elem_facet_signs[0, l] * mesh.facet_normals[fid]
+            n_phys = elem_facet_signs(mesh)[0, l] * mesh.facet_normals[fid]
             pushed = push_forward(space, elems, phi_hat(ref_pts))[0]
             flux_phys = np.sum(wt * mesh.facet_measures[fid] * (pushed @ n_phys))
             worst = max(worst, abs(flux_ref - flux_phys) / max(1.0, abs(flux_ref)))

@@ -18,6 +18,8 @@ from helmfosls.mesh import (
     element_map_apply,
     local_simplex_points,
 )
+from conftest import renumbered_disk_mesh
+from oracles import elem_facet_signs
 
 
 def adjacent(mesh, fid):
@@ -27,7 +29,7 @@ def adjacent(mesh, fid):
 
 def side(mesh, fid, elem):
     """+1 if the stored normal of ``fid`` points out of ``elem``, else -1."""
-    return mesh.elem_facet_signs[elem, list(mesh.elem_facets[elem]).index(fid)]
+    return elem_facet_signs(mesh)[elem, list(mesh.elem_facets[elem]).index(fid)]
 
 
 def all_test_meshes():
@@ -336,17 +338,36 @@ def _shuffled_square_mesh():
 
 
 MESH_ARRAYS = ("vertices", "elements", "facet_vertices", "elem_facets",
-               "elem_facet_signs", "facet_elems", "facet_normals",
+               "elem_edge_reversed", "facet_elems", "facet_normals",
                "facet_measures", "boundary_facets", "interior_facets",
                "boundary_elems", "boundary_local_facets", "elem_edges")
 
-
-@pytest.mark.parametrize("build", [
+TABLE_MESHES = pytest.mark.parametrize("build", [
     lambda: build_square_mesh(7),
     lambda: build_interval_mesh(-1, 1, 9),
     lambda: build_polygonal_disk_mesh(8, 2),
     _shuffled_square_mesh,
 ], ids=["square", "interval", "disk", "shuffled-square"])
+
+
+@TABLE_MESHES
+def test_edge_reversed_compares_vertex_ids(build):
+    """Local edge (i, j) is reversed where vertex i has the larger id."""
+    mesh = build()
+    for l, (i, j) in enumerate(LOCAL_EDGES[mesh.dim]):
+        np.testing.assert_array_equal(mesh.elem_edge_reversed[:, l],
+                                      mesh.elements[:, i] > mesh.elements[:, j])
+    assert not mesh.elem_edge_reversed.flags.writeable
+
+
+def test_renumbered_disk_reverses_edges_in_every_pattern():
+    """A random vertex numbering gives every element vertex order: all
+    six reversal patterns (one per ordering of three ids) appear."""
+    patterns = {tuple(row) for row in renumbered_disk_mesh().elem_edge_reversed.tolist()}
+    assert len(patterns) == 6
+
+
+@TABLE_MESHES
 def test_facet_table_matches_unique_rows(build, monkeypatch):
     """Integer keys number facets (and the disk's refinement edges) as
     np.unique(axis=0) of the vertex tuples does: every array is equal,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from helmfosls import spaces
 from helmfosls.mesh import (
     LOCAL_EDGES,
     REF_EDGE_LENGTHS,
@@ -21,8 +20,11 @@ from helmfosls.spaces import (
     scalar_eval,
     vector_eval,
 )
+from conftest import renumbered_disk_mesh
 from oracles import (
+    elem_facet_signs,
     facet_points,
+    geometric_edge_signs,
     interpolate_h1_polynomial,
     interpolate_hdiv_polynomial,
     to_reference,
@@ -114,15 +116,11 @@ class TestDofCounts:
         assert build_h1_space(fine, 2).basis is bdm.scalar is make_scalar_basis(2, 2)
         assert not bdm.coeffs.flags.writeable
 
-    def test_hdiv_space_rejects_degree_zero(self, monkeypatch):
-        """BDM_0 is rejected before a basis is built (``make_scalar_basis``
-        would reject p = 0 too, with the same message)."""
-        mesh = build_square_mesh(2)
-        built = []
-        monkeypatch.setattr(spaces, "make_scalar_basis", lambda *args: built.append(args))
+    def test_hdiv_space_rejects_degree_zero(self):
+        """BDM_0 is rejected by ``make_scalar_basis``, which every basis
+        is built on."""
         with pytest.raises(ValueError, match="degree p must be at least 1"):
-            build_hdiv_space(mesh, 0)
-        assert built == []
+            build_hdiv_space(build_square_mesh(2), 0)
 
     def test_interval_flux_space_is_s_p(self):
         """H(div) = H1 in 1D: the flux space of an interval mesh is S_p."""
@@ -171,6 +169,29 @@ def test_layout_follows_the_dof_classes(build, mesh_name, p):
         np.testing.assert_array_equal(
             dofs[:, cols], first_edge + mesh.elem_edges[:, l, None] * n + np.arange(n))
     np.testing.assert_array_equal(np.unique(dofs), np.arange(space.n_dofs))
+
+
+ORIENTATION_MESHES = {
+    "square": lambda: build_square_mesh(5),
+    "disk": lambda: build_polygonal_disk_mesh(8, 2),
+    "renumbered-disk": renumbered_disk_mesh,
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh_name", sorted(ORIENTATION_MESHES))
+def test_edge_signs_follow_the_geometric_rule(mesh_name, p):
+    """The edge signs that each basis states per kept and reversed local
+    edge are exactly the geometric rule: the Legendre parity of S_p, and
+    for BDM_p the parity times the outward normal against the canonical
+    facet normal.  Vertex and interior functions keep sign 1."""
+    mesh = ORIENTATION_MESHES[mesh_name]()
+    for space in (build_h1_space(mesh, p), build_hdiv_space(mesh, p)):
+        edges = [c for cols in space.basis.dof_classes["edge"] for c in cols]
+        np.testing.assert_array_equal(
+            space.elem_signs[:, edges],
+            geometric_edge_signs(space).reshape(len(mesh.elements), -1))
+        assert np.all(np.delete(space.elem_signs, edges, axis=1) == 1.0)
 
 
 class TestBoundaryDofInfo:
@@ -232,6 +253,14 @@ class TestConformity:
             coeffs, axis=0
         ).min()
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_h1_continuity_renumbered_disk(self, p, rng):
+        space = build_h1_space(renumbered_disk_mesh(), p)
+        coeffs = rng.standard_normal((space.n_dofs, 50))
+        assert scalar_facet_jump(space, coeffs) <= 1e-11 * np.linalg.norm(
+            coeffs, axis=0
+        ).min()
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_hdiv_normal_continuity(self, p, rng):
         mesh = build_square_mesh(2)
@@ -243,6 +272,14 @@ class TestConformity:
     def test_hdiv_normal_continuity_disk(self, rng):
         mesh = build_polygonal_disk_mesh(8, 0)
         space = build_hdiv_space(mesh, 2)
+        coeffs = rng.standard_normal((space.n_dofs, 50))
+        assert hdiv_normal_jump(space, coeffs) <= 1e-11 * np.linalg.norm(
+            coeffs, axis=0
+        ).min()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hdiv_normal_continuity_renumbered_disk(self, p, rng):
+        space = build_hdiv_space(renumbered_disk_mesh(), p)
         coeffs = rng.standard_normal((space.n_dofs, 50))
         assert hdiv_normal_jump(space, coeffs) <= 1e-11 * np.linalg.norm(
             coeffs, axis=0
@@ -348,13 +385,14 @@ class TestPiola:
         assert np.all(np.abs(ref_int - phys_int) <= 1e-12 * np.maximum(1.0, np.abs(ref_int)))
 
         # per-facet flux preservation
+        signs = elem_facet_signs(mesh)
         for l in range(3):
             ref_pts = local_simplex_points(2, LOCAL_EDGES[2][l], t[:, None])
             pushed = push_forward(space, elems, phi_hat(ref_pts))
             flux_ref = (phi_hat(ref_pts) @ REF_EDGE_NORMALS[l]) @ wt * REF_EDGE_LENGTHS[l]
             for e in elems:
                 fid = mesh.elem_facets[e, l]
-                n_phys = mesh.elem_facet_signs[e, l] * mesh.facet_normals[fid]
+                n_phys = signs[e, l] * mesh.facet_normals[fid]
                 flux_phys = np.sum(wt * mesh.facet_measures[fid] * (pushed[e] @ n_phys))
                 assert abs(flux_ref[e] - flux_phys) <= 1e-12 * max(1.0, abs(flux_ref[e]))
 
