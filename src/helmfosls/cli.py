@@ -271,11 +271,7 @@ def _write_svg(table, path):
               for r in rows]
         for key, rows in sorted(table.series().items())
     }
-    pts_all = [pt for pts in series.values() for pt in pts]
-    if not pts_all:
-        Path(path).write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")
-        return
-    xs, ys = zip(*pts_all)
+    xs, ys = zip(*[pt for pts in series.values() for pt in pts])
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     x1 += 1e-9

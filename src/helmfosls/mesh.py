@@ -5,7 +5,8 @@ vertices (``REFERENCE_VERTICES``: [0, 1] in 1D, the unit triangle
 conv{(0,0), (1,0), (0,1)} in 2D), its local facets and local edges
 (``LOCAL_EDGES``: the interval is its own single edge), the triangle's
 edge normals and lengths (``REF_EDGE_NORMALS``, ``REF_EDGE_LENGTHS``),
-its measure, its barycentric coordinates (:func:`barycentric`) and the
+the sign s_l of each local facet's normal (``LOCAL_FACET_SIGNS``), its
+measure, its barycentric coordinates (:func:`barycentric`) and the
 map of a reference k-simplex onto a local edge or facet
 (:func:`local_simplex_points`).  Every other module reads this
 description instead of branching on d.
@@ -37,9 +38,12 @@ each local edge (``LOCAL_EDGES``): a triangle's edges are its facets, an
 interval's one edge is the element itself.  ``elem_edge_reversed`` (E,
 local edges) is True where local edge (i, j) runs from the larger to the
 smaller global vertex id: the one orientation rule of every edge dof.
-It orients normals too, as every element has det A > 0: F_K keeps the
-side of v_j - v_i that the reference outward normal lies on.  Instances
-are immutable after construction and safe to share across threads.
+It orients the normals too, with no centroid test: as det A > 0, F_K
+keeps the side of v_j - v_i that the reference normal of local facet
+(i, j) lies on, so ``facet_normals[f]``, out of ``facet_elems[f, 0]``
+through its local facet l, is s_l in 1D and s_l times the clockwise
+turn of v_j - v_i, over its length, in 2D.  Instances are immutable
+after construction and safe to share across threads.
 """
 
 import functools
@@ -73,6 +77,12 @@ REF_EDGE_LENGTHS = np.array([1.0, 1.0, np.sqrt(2.0)])
 
 # reference simplex measure |K_hat|
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5}
+
+# s_l of local facet (i, j): the sign of its outward normal, in 2D against
+# the clockwise turn (t_y, -t_x) of t = v_j - v_i; det A > 0 keeps it
+_turns = np.diff(REFERENCE_VERTICES[2][np.array(LOCAL_FACETS[2])], axis=1)[:, 0, ::-1] * [1, -1]
+LOCAL_FACET_SIGNS = {1: np.array([-1.0, 1.0]),
+                     2: np.sign(np.sum(REF_EDGE_NORMALS * _turns, axis=1))}
 
 
 def _det_adjugate(a):
@@ -139,13 +149,13 @@ class Mesh:
         self.domain_measure = float(domain_measure)
 
         self._build_maps()
+        i, j = np.array(LOCAL_EDGES[dim]).T
+        self.elem_edge_reversed = self.elements[:, i] > self.elements[:, j]
         self._build_facets()
         # a triangle's edges are its facets; an interval's is the element
         ne = len(self.elements)
         self.elem_edges = self.elem_facets if dim == 2 else np.arange(ne)[:, None]
         self.n_edges = len(self.facet_vertices) if dim == 2 else ne
-        i, j = np.array(LOCAL_EDGES[dim]).T
-        self.elem_edge_reversed = self.elements[:, i] > self.elements[:, j]
         self.h = float(max(self.element_diameters()))
         for arr in (self.vertices, self.elements, self.maps_A, self.maps_b,
                     self.det_A, self.inv_A, self.element_measures,
@@ -187,32 +197,29 @@ class Mesh:
         self.elem_facets = inverse.reshape(ne, d + 1)
         nf = len(counts)
 
-        # slots grouped by facet, elements ascending within a facet (stable)
+        # slots grouped by facet, elements ascending within a facet (stable):
+        # a facet's first slot is its first element and local facet
         order = np.argsort(inverse, kind="stable")
-        slot_elems = order // (d + 1)
         first = np.cumsum(counts) - counts
-        self.facet_elems = np.full((nf, 2), -1)
-        self.facet_elems[:, 0] = slot_elems[first]
+        elems, local = np.divmod(order[first], d + 1)
         shared = counts == 2
-        self.facet_elems[shared, 1] = slot_elems[first[shared] + 1]
+        self.facet_elems = np.column_stack([elems, np.full(nf, -1)])
+        self.facet_elems[shared, 1] = order[first[shared] + 1] // (d + 1)
         self.boundary_facets = np.flatnonzero(~shared)
         self.interior_facets = np.flatnonzero(shared)
-        # a boundary facet fills one slot: its element and local facet
-        self.boundary_elems, self.boundary_local_facets = np.divmod(
-            order[first[self.boundary_facets]], d + 1)
+        self.boundary_elems = elems[self.boundary_facets]
+        self.boundary_local_facets = local[self.boundary_facets]
 
-        # orient each normal out of its first element
-        corners = v[self.facet_vertices]
+        # the normal out of the first element (module docstring): in 2D, v_j - v_i
+        # is +/- the ascending tangent, whose turn keeps the sign of zero components
+        s = LOCAL_FACET_SIGNS[d][local][:, None]
         if d == 1:
-            normals, self.facet_measures = np.ones((nf, 1)), np.ones(nf)
+            self.facet_normals, self.facet_measures = s, np.ones(nf)
         else:
-            tang = corners[:, 1] - corners[:, 0]
+            tang = np.diff(v[self.facet_vertices], axis=1)[:, 0]
             self.facet_measures = _norms(tang)
-            normals = tang[:, ::-1] * [1.0, -1.0] / self.facet_measures[:, None]
-        centroids = v[self.elements[self.facet_elems[:, 0]]].mean(axis=1)
-        inward = np.einsum("fd,fd->f", normals, corners.mean(axis=1) - centroids) < 0
-        normals[inward] *= -1.0
-        self.facet_normals = normals
+            s[self.elem_edge_reversed[elems, local]] *= -1.0
+            self.facet_normals = s * tang[:, ::-1] * [1.0, -1.0] / self.facet_measures[:, None]
 
     # -- queries -------------------------------------------------------
 

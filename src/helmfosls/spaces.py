@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import LOCAL_EDGES, REF_EDGE_LENGTHS, REF_EDGE_NORMALS, REFERENCE_VERTICES
+from .mesh import LOCAL_EDGES, LOCAL_FACET_SIGNS, REF_EDGE_LENGTHS, REF_EDGE_NORMALS
 from .mesh import local_simplex_points
 from .polyquad import _read_only, gauss01, make_scalar_basis
 
@@ -74,7 +74,8 @@ class BdmBasis:
     ``dof_classes`` says so in the layout of ``ScalarBasis``: no vertex
     functions, one block of p+1 per local edge, the interior last.
     ``edge_dof_signs`` (2, 3, p+1), as in ``ScalarBasis``, holds s_l and
-    -s_l (-1)^m, with s_l = +/-1 read off the reference triangle.
+    -s_l (-1)^m, with s_l = +/-1 from ``mesh.LOCAL_FACET_SIGNS``, which
+    orients the facet normals too.
     Built numerically: the moment map is assembled on the vector-valued
     hierarchical basis, edge functions are its pseudo-inverse columns and
     interior functions an orthonormal basis of its null space.  The
@@ -114,12 +115,8 @@ class BdmBasis:
         # sanity: the dual pairing must come out as the identity
         if not np.allclose(T @ self.coeffs, np.eye(*T.shape), atol=1e-9):
             raise RuntimeError(f"BDM dual basis construction failed for p={p}")
-        # s_l: the outward normal of local edge (i, j) against the clockwise
-        # turn of v_j - v_i, kept on every element by det A > 0; reversing the
-        # edge negates that turn and multiplies P_m(2t - 1) by (-1)^m
-        i, j = np.array(LOCAL_EDGES[2]).T
-        turn = (REFERENCE_VERTICES[2][j] - REFERENCE_VERTICES[2][i])[:, ::-1] * [1.0, -1.0]
-        s = np.sign(np.sum(REF_EDGE_NORMALS * turn, axis=1))[:, None]
+        # reversing local edge l negates s_l and multiplies P_m(2t - 1) by (-1)^m
+        s = LOCAL_FACET_SIGNS[2][:, None]
         self.edge_dof_signs = np.array([np.tile(s, p + 1), -s * (-1.0) ** np.arange(p + 1)])
         _read_only(self.coeffs, self.edge_dof_signs)
 

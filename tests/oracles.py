@@ -1,9 +1,9 @@
 """Reference computations that the tests check the library against and
 that no pipeline runs: exact interpolants of per-element polynomials,
 points on a facet and their pull-back to an element, the orientation of
-facet normals and edge dofs from geometry, the least-squares bilinear
-form b on arbitrary pairs, and the tail slope of a convergence
-sequence."""
+facet normals (by the element-centroid test) and edge dofs from
+geometry, the least-squares bilinear form b on arbitrary pairs, and the
+tail slope of a convergence sequence."""
 
 import itertools
 from typing import NamedTuple
@@ -19,7 +19,7 @@ from helmfosls.fosls import (
     pair_fields,
     sweep,
 )
-from helmfosls.mesh import LOCAL_EDGES, element_map_apply
+from helmfosls.mesh import LOCAL_EDGES, _norms, element_map_apply
 from helmfosls.spaces import KIND_HDIV, _scatter_local, pull_back
 
 # -- polynomial interpolation (exact on per-element polynomials)
@@ -90,6 +90,25 @@ def to_reference(mesh, elem, points):
     return rel @ mesh.inv_A[elem].T
 
 
+def centroid_facet_normals(mesh):
+    """(F, d): the unit normal of every facet out of its first element
+    (``facet_elems[f, 0]``), from geometry: 1.0 in 1D and, in 2D, the
+    clockwise turn of the tangent from the smaller to the larger vertex
+    id over its length, negated where it points from the facet midpoint
+    toward the element centroid."""
+    d, v, nf = mesh.dim, mesh.vertices, len(mesh.facet_vertices)
+    corners = v[mesh.facet_vertices]
+    if d == 1:
+        normals = np.ones((nf, 1))
+    else:
+        tang = corners[:, 1] - corners[:, 0]
+        normals = tang[:, ::-1] * [1.0, -1.0] / _norms(tang)[:, None]
+    centroids = v[mesh.elements[mesh.facet_elems[:, 0]]].mean(axis=1)
+    inward = np.einsum("fd,fd->f", normals, corners.mean(axis=1) - centroids) < 0
+    normals[inward] *= -1.0
+    return normals
+
+
 def elem_facet_signs(mesh):
     """(E, d+1): +1 where the stored normal (``facet_normals``) of each
     local facet points out of the element, that is where the element is
@@ -103,9 +122,10 @@ def geometric_edge_signs(space):
     edge of ``space``, from geometry: (-1)^m for the m-th function of a
     local edge (i, j) that runs from the larger to the smaller global
     vertex id, else 1; for BDM_p, times the sign between the element's
-    outward normal (``facet_normals`` times :func:`elem_facet_signs`) and
-    the canonical normal of the facet, the clockwise turn of its tangent
-    from the smaller to the larger vertex id."""
+    outward normal (:func:`centroid_facet_normals` times
+    :func:`elem_facet_signs`) and the canonical normal of the facet, the
+    clockwise turn of its tangent from the smaller to the larger vertex
+    id."""
     mesh = space.mesh
     n = len(space.basis.dof_classes["edge"][0])
     i, j = np.array(LOCAL_EDGES[mesh.dim]).T
@@ -115,7 +135,8 @@ def geometric_edge_signs(space):
         return signs
     corners = mesh.vertices[mesh.facet_vertices]
     canon = (corners[:, 1] - corners[:, 0])[:, ::-1] * [1.0, -1.0]
-    canon_match = np.where(np.einsum("fd,fd->f", mesh.facet_normals, canon) > 0, 1.0, -1.0)
+    outward = centroid_facet_normals(mesh)
+    canon_match = np.where(np.einsum("fd,fd->f", outward, canon) > 0, 1.0, -1.0)
     return signs * (elem_facet_signs(mesh) * canon_match[mesh.elem_facets])[:, :, None]
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helmfosls import cli
+from helmfosls import cli, problems
 from helmfosls.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -289,6 +289,8 @@ class TestMainEntryPoint:
         assert cli.main(["list-problems"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert out == ["piecewise-1d", "plane-wave-2d"]
+        # ``list-problems`` lists exactly the problems that ``run`` accepts
+        assert sorted(cli.MESH_BUILDERS) == problems.list_problems()
 
     def test_module_form_runs_under_warnings_as_errors(self):
         """``python -W error -m helmfosls.cli`` executes the module once, as

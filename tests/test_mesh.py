@@ -19,7 +19,7 @@ from helmfosls.mesh import (
     local_simplex_points,
 )
 from conftest import renumbered_disk_mesh
-from oracles import elem_facet_signs
+from oracles import centroid_facet_normals, elem_facet_signs
 
 
 def adjacent(mesh, fid):
@@ -42,7 +42,17 @@ def all_test_meshes():
         build_polygonal_disk_mesh(8, 0),
         build_polygonal_disk_mesh(8, 1),
         build_polygonal_disk_mesh(16, 0),
+        renumbered_disk_mesh(),
+        _clockwise_square_mesh(),
     ]
+
+
+def _clockwise_square_mesh():
+    """``build_square_mesh(3)`` given with every element clockwise, which
+    the mesh reorients: its local edges then run against vertex ids in
+    patterns that the builder's counterclockwise elements never take."""
+    sq = build_square_mesh(3)
+    return Mesh(2, sq.vertices, sq.elements[:, ::-1], 1.0)
 
 
 class TestIntervalMesh:
@@ -259,6 +269,13 @@ class TestMeshInvariants:
             centroid = mesh.vertices[mesh.elements[adjacent(mesh, fid)[0]]].mean(axis=0)
             mid = mesh.vertices[mesh.facet_vertices[fid]].mean(axis=0)
             assert mesh.facet_normals[fid] @ (mid - centroid) > 0
+
+    def test_normals_match_centroid_rule(self, mesh):
+        # the det A > 0 rule gives the centroid test's normals, bit for bit
+        # (signed zeros included)
+        want = centroid_facet_normals(mesh)
+        assert mesh.facet_normals.dtype == want.dtype
+        assert mesh.facet_normals.tobytes() == want.tobytes()
 
     def test_interior_facets_have_two_elements(self, mesh):
         for fid in mesh.interior_facets:
